@@ -1,12 +1,13 @@
 //! Microbenchmarks of the storage substrate: tuple codec, slotted-page
-//! operations, and buffer-pool hit paths. These bound the constant factors
-//! under every experiment (a SMA plan's win is page-skipping, so the
-//! per-page costs here are the currency of all the other numbers).
+//! operations, the page checksum, and buffer-pool hit and miss paths.
+//! These bound the constant factors under every experiment (a SMA plan's
+//! win is page-skipping, so the per-page costs here are the currency of
+//! all the other numbers).
 
-use sma_bench::harness::Criterion;
+use sma_bench::harness::{black_box, Criterion};
 use sma_bench::{criterion_group, criterion_main};
 
-use sma_storage::{BufferPool, MemStore, PageStore, SlottedPage};
+use sma_storage::{crc32, BufferPool, MemStore, PageStore, SlottedPage, PAGE_SIZE};
 use sma_tpcd::{generate, Clustering, GenConfig};
 use sma_types::row;
 
@@ -50,6 +51,14 @@ fn bench_storage(c: &mut Criterion) {
         let bytes = *p.as_bytes();
         b.iter(|| SlottedPage::from_bytes(&bytes).expect("valid page"))
     });
+    group.bench_function("checksum/crc32_page", |b| {
+        // The footer CRC covers everything but its own four bytes.
+        let mut p = SlottedPage::new();
+        while p.insert(&image).is_some() {}
+        let bytes = *p.as_bytes();
+        let body = &bytes[..PAGE_SIZE - 4];
+        b.iter(|| crc32(black_box(body)))
+    });
     group.bench_function("pool/warm_hit", |b| {
         let pool = {
             let mut store = MemStore::new();
@@ -68,13 +77,20 @@ fn bench_storage(c: &mut Criterion) {
         })
     });
     group.bench_function("pool/cold_miss_with_eviction", |b| {
-        let pool = {
-            let mut store = MemStore::new();
-            for _ in 0..64 {
-                store.allocate().unwrap();
-            }
-            BufferPool::new(Box::new(store), 8)
-        };
+        // Pages written through the pool carry a stamped footer, so every
+        // miss below verifies a CRC the way a real table read does (a
+        // never-written, all-zero page would skip the check).
+        let pool = BufferPool::new(Box::new(MemStore::new()), 8);
+        for _ in 0..64 {
+            let p = pool.allocate().unwrap();
+            pool.with_page_mut(p, |d| {
+                let mut slotted = SlottedPage::new();
+                while slotted.insert(&image).is_some() {}
+                d.copy_from_slice(slotted.as_bytes());
+            })
+            .unwrap();
+        }
+        pool.flush_all().unwrap();
         let mut p = 0u32;
         b.iter(|| {
             p = (p + 9) % 64; // stride defeats the 8-frame pool

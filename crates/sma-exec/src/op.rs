@@ -23,11 +23,6 @@ pub enum ExecError {
     MissingSma(String),
     /// Operator protocol misuse or invalid plan shape.
     Plan(String),
-    /// The SMA set contradicts itself: an aggregate SMA materialized a
-    /// value for a bucket/group the count SMA knows nothing about.
-    /// Answering from such a set would silently drop or misstate groups,
-    /// so execution refuses instead.
-    InconsistentSma(String),
     /// The query's [`sma_storage::QueryBudget`] was exhausted (deadline or
     /// page cap) or cancelled. A cooperative cut-off, not a failure of the
     /// data: re-running with a bigger budget would succeed.
@@ -42,7 +37,6 @@ impl fmt::Display for ExecError {
             ExecError::Expr(e) => write!(f, "{e}"),
             ExecError::MissingSma(what) => write!(f, "missing SMA: {what}"),
             ExecError::Plan(what) => write!(f, "plan error: {what}"),
-            ExecError::InconsistentSma(what) => write!(f, "inconsistent SMA set: {what}"),
             ExecError::Budget(e) => write!(f, "query budget: {e}"),
         }
     }
@@ -54,7 +48,7 @@ impl std::error::Error for ExecError {
             ExecError::Table(e) => Some(e),
             ExecError::Sma(e) => Some(e),
             ExecError::Expr(e) => Some(e),
-            ExecError::MissingSma(_) | ExecError::Plan(_) | ExecError::InconsistentSma(_) => None,
+            ExecError::MissingSma(_) | ExecError::Plan(_) => None,
             ExecError::Budget(e) => Some(e),
         }
     }

@@ -9,10 +9,10 @@
 //! computed"), `next` merely streams it.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 
-use sma_core::{BucketPred, Grade, Sma, SmaSet};
+use sma_core::{BucketPred, Grade, Sma, SmaFile, SmaSet};
 use sma_storage::QueryBudget;
 use sma_types::{RowLayout, Tuple, Value};
 
@@ -26,8 +26,10 @@ use crate::scan::ScanCounters;
 struct ResolvedSpec<'a> {
     /// SMA holding the base aggregate (`avg` → its `sum` SMA).
     sma: &'a Sma,
-    /// For each query group column, its position in the SMA's group key.
-    key_positions: Vec<usize>,
+    /// Each of the SMA's group files, with the output-group slot its key
+    /// projects to. Several files share a slot when the SMA grouping
+    /// refines the query's.
+    files: Vec<(usize, &'a SmaFile)>,
 }
 
 /// The SMA-driven grouping/aggregation operator.
@@ -39,6 +41,10 @@ pub struct SmaGAggr<'a> {
     smas: &'a SmaSet,
     resolved: Vec<ResolvedSpec<'a>>,
     count_sma: ResolvedSpec<'a>,
+    /// The output-group key of every slot the SMA group files map to.
+    /// Qualifying buckets merge their entries straight into per-slot
+    /// states, so answering one from SMAs allocates nothing.
+    slot_keys: Vec<Vec<Value>>,
     /// Byte offsets of the row codec, computed once so ambivalent buckets
     /// can be filtered and aggregated on zero-copy views.
     layout: RowLayout,
@@ -57,6 +63,7 @@ fn resolve<'a>(
     input: Option<&sma_core::ScalarExpr>,
     group_by: &[usize],
     what: &str,
+    slot_of: &mut BTreeMap<Vec<Value>, usize>,
 ) -> Result<ResolvedSpec<'a>, ExecError> {
     let sma = smas
         .find_aggregate(agg, input, group_by)
@@ -72,16 +79,15 @@ fn resolve<'a>(
             "{agg} SMA grouping does not refine {what}"
         )));
     }
-    Ok(ResolvedSpec { sma, key_positions })
-}
-
-impl ResolvedSpec<'_> {
-    fn project(&self, sma_key: &[Value]) -> Vec<Value> {
-        self.key_positions
-            .iter()
-            .map(|&p| sma_key[p].clone())
-            .collect()
-    }
+    let files = sma
+        .groups()
+        .map(|(key, file)| {
+            let target: Vec<Value> = key_positions.iter().map(|&p| key[p].clone()).collect();
+            let next = slot_of.len();
+            (*slot_of.entry(target).or_insert(next), file)
+        })
+        .collect();
+    Ok(ResolvedSpec { sma, files })
 }
 
 impl<'a> SmaGAggr<'a> {
@@ -97,6 +103,8 @@ impl<'a> SmaGAggr<'a> {
         specs: Vec<AggSpec>,
         smas: &'a SmaSet,
     ) -> Result<SmaGAggr<'a>, ExecError> {
+        // Every distinct projected group key becomes one output slot.
+        let mut slot_of = BTreeMap::new();
         let mut resolved = Vec::with_capacity(specs.len());
         for spec in &specs {
             resolved.push(resolve(
@@ -105,10 +113,22 @@ impl<'a> SmaGAggr<'a> {
                 spec.input(),
                 &group_by,
                 &format!("{spec:?}"),
+                &mut slot_of,
             )?);
         }
         // The hidden count(*) (group existence + averages).
-        let count_sma = resolve(smas, sma_core::AggFn::Count, None, &group_by, "count(*)")?;
+        let count_sma = resolve(
+            smas,
+            sma_core::AggFn::Count,
+            None,
+            &group_by,
+            "count(*)",
+            &mut slot_of,
+        )?;
+        let mut slot_keys = vec![Vec::new(); slot_of.len()];
+        for (key, slot) in slot_of {
+            slot_keys[slot] = key;
+        }
         let layout = RowLayout::new(table.schema());
         Ok(SmaGAggr {
             table,
@@ -118,6 +138,7 @@ impl<'a> SmaGAggr<'a> {
             smas,
             resolved,
             count_sma,
+            slot_keys,
             layout,
             results: Vec::new(),
             pos: 0,
@@ -157,49 +178,42 @@ impl<'a> SmaGAggr<'a> {
             || self.resolved.iter().any(|r| r.sma.is_quarantined(bucket))
     }
 
-    /// Merges one qualifying bucket's SMA entries into a *fresh* group map
-    /// so an inconsistency detected mid-merge leaves the caller's state
-    /// untouched and the bucket can be demoted to a base scan instead.
-    fn merge_qualifying_bucket(
-        &self,
-        bucket: u32,
-    ) -> Result<BTreeMap<Vec<Value>, GroupState>, ExecError> {
-        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-        // Groups that received a materialized aggregate value this bucket;
-        // each must also be covered by the count SMA, or group existence
-        // (and averages) would be computed from thin air.
-        let mut touched: BTreeSet<Vec<Value>> = BTreeSet::new();
-        for (i, r) in self.resolved.iter().enumerate() {
-            for (key, file) in r.sma.groups() {
-                let Some(v) = file.get(bucket) else { continue };
-                let target = r.project(key);
-                if !v.is_null() {
-                    touched.insert(target.clone());
-                }
-                groups
-                    .entry(target)
-                    .or_insert_with(|| GroupState::new(&self.specs))
-                    .accs[i]
-                    .merge(v);
+    /// Whether the count SMA covers every group that received a
+    /// materialized aggregate value in `bucket` — without that, group
+    /// existence (and averages) would be computed from thin air. Checked
+    /// before any entry is merged, so a failing bucket leaves the slots
+    /// untouched and can be demoted to a base scan instead. `covered` is
+    /// per-slot scratch, reused across buckets.
+    fn count_covers_aggregates(&self, bucket: u32, covered: &mut [bool]) -> bool {
+        covered.fill(false);
+        for &(slot, file) in &self.count_sma.files {
+            if file.get(bucket).is_some() {
+                covered[slot] = true;
             }
         }
-        for (key, file) in self.count_sma.sma.groups() {
-            let Some(v) = file.get(bucket) else { continue };
-            let n = v.as_int().unwrap_or(0);
-            let target = self.count_sma.project(key);
-            touched.remove(&target);
-            groups
-                .entry(target)
-                .or_insert_with(|| GroupState::new(&self.specs))
-                .hidden_count += n;
+        self.resolved
+            .iter()
+            .flat_map(|r| &r.files)
+            .all(|&(slot, file)| {
+                covered[slot] || matches!(file.get(bucket), None | Some(Value::Null))
+            })
+    }
+
+    /// Merges one qualifying bucket's SMA entries straight into the
+    /// morsel's per-slot group states.
+    fn merge_qualifying_entries(&self, bucket: u32, slots: &mut [GroupState]) {
+        for (i, r) in self.resolved.iter().enumerate() {
+            for &(slot, file) in &r.files {
+                if let Some(v) = file.get(bucket) {
+                    slots[slot].accs[i].merge(v);
+                }
+            }
         }
-        if let Some(orphan) = touched.into_iter().next() {
-            return Err(ExecError::InconsistentSma(format!(
-                "bucket {bucket}: aggregate SMA materialized values for group \
-                 {orphan:?} but the count SMA has no entry for that bucket"
-            )));
+        for &(slot, file) in &self.count_sma.files {
+            if let Some(v) = file.get(bucket) {
+                slots[slot].hidden_count += v.as_int().unwrap_or(0);
+            }
         }
-        Ok(groups)
     }
 
     /// Fig. 7's bucket loop over one contiguous morsel: grade each bucket,
@@ -218,8 +232,15 @@ impl<'a> SmaGAggr<'a> {
         // All-`Char` group keys (the Q1 shape) accumulate in a flat
         // direct-indexed table instead of the ordered map; it folds back
         // into `groups` once at the end of the morsel. Aggregate merging
-        // is commutative, so the deferred fold changes nothing.
+        // is commutative, so the deferred fold changes nothing. The same
+        // holds for the SMA slots qualifying buckets merge into.
         let mut dense = DenseGroups::try_new(self.table.schema(), &self.group_by);
+        let mut slots: Vec<GroupState> = self
+            .slot_keys
+            .iter()
+            .map(|_| GroupState::new(&self.specs))
+            .collect();
+        let mut covered = vec![false; self.slot_keys.len()];
         for bucket in range {
             if let Some(b) = self.budget {
                 b.check()?;
@@ -230,19 +251,13 @@ impl<'a> SmaGAggr<'a> {
                         counters.ambivalent += 1;
                         counters.degradation.note_quarantined(bucket);
                         self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
-                        continue;
-                    }
-                    match self.merge_qualifying_bucket(bucket) {
-                        Ok(local) => {
-                            counters.qualified += 1;
-                            absorb_groups(&mut groups, local);
-                        }
-                        Err(ExecError::InconsistentSma(_)) => {
-                            counters.ambivalent += 1;
-                            counters.degradation.note_inconsistent(bucket);
-                            self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
-                        }
-                        Err(e) => return Err(e),
+                    } else if self.count_covers_aggregates(bucket, &mut covered) {
+                        counters.qualified += 1;
+                        self.merge_qualifying_entries(bucket, &mut slots);
+                    } else {
+                        counters.ambivalent += 1;
+                        counters.degradation.note_inconsistent(bucket);
+                        self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
                     }
                 }
                 Grade::Disqualifies => {
@@ -262,6 +277,7 @@ impl<'a> SmaGAggr<'a> {
         if let Some(d) = dense {
             absorb_groups(&mut groups, d.into_groups());
         }
+        absorb_groups(&mut groups, self.slot_keys.iter().cloned().zip(slots));
         Ok((counters, groups))
     }
 
@@ -307,10 +323,10 @@ impl<'a> SmaGAggr<'a> {
     }
 }
 
-/// Merges a bucket-local (or morsel-local) group map into the combined one.
+/// Merges morsel-local groups into the combined map.
 pub(crate) fn absorb_groups(
     into: &mut BTreeMap<Vec<Value>, GroupState>,
-    from: BTreeMap<Vec<Value>, GroupState>,
+    from: impl IntoIterator<Item = (Vec<Value>, GroupState)>,
 ) {
     for (key, state) in from {
         match into.entry(key) {
@@ -603,11 +619,10 @@ mod tests {
     }
 
     /// A count SMA whose files stop short of a bucket that the aggregate
-    /// SMAs do cover used to make `merge_qualifying_bucket` silently drop
-    /// the affected groups, then (PR 2) fail the whole query with
-    /// `InconsistentSma`. Now the inconsistency demotes exactly the
-    /// affected buckets to base-table scans: the answer stays correct and
-    /// the degradation report names every demoted bucket.
+    /// SMAs do cover must neither drop the affected groups nor fail the
+    /// query: the inconsistency demotes exactly the affected buckets to
+    /// base-table scans, the answer stays correct, and the degradation
+    /// report names every demoted bucket.
     #[test]
     fn count_sma_gap_demotes_to_scan_not_an_error() {
         let t = make_table(60); // 30 buckets
@@ -649,6 +664,122 @@ mod tests {
             .with_parallelism(Parallelism::new(4));
         assert_eq!(collect(&mut par).unwrap(), rows);
         assert_eq!(par.counters(), c);
+    }
+
+    /// SMAs grouped by `(G, H)` answer a query grouped by `G` and an
+    /// ungrouped one, so several SMA group files fold into each output
+    /// slot. A count SMA with no entry for one finer group — `(B, y)`,
+    /// whose only row sits in bucket 6 — demotes exactly that bucket.
+    #[test]
+    fn refined_groupings_fold_into_slots_and_demote_a_count_gap() {
+        let build = || {
+            let schema = Arc::new(Schema::new(vec![
+                Column::new("K", DataType::Int),
+                Column::new("G", DataType::Char),
+                Column::new("H", DataType::Char),
+                Column::new("P", DataType::Decimal),
+                Column::new("PAD", DataType::Str),
+            ]));
+            let mut t = Table::in_memory("t", schema, 1);
+            let pad = "p".repeat(1700);
+            let mut lone_b = None;
+            for k in 0..40i64 {
+                let g = match k {
+                    13 => b'B',
+                    _ if k % 2 == 0 => b'A',
+                    _ => b'C',
+                };
+                let tid = t
+                    .append(&vec![
+                        Value::Int(k),
+                        Value::Char(g),
+                        Value::Char(b'x' + (k % 3) as u8),
+                        Value::Decimal(Decimal::from_cents(100 * k + 50)),
+                        Value::Str(pad.clone()),
+                    ])
+                    .unwrap();
+                if g == b'B' {
+                    lone_b = Some(tid);
+                }
+            }
+            (t, lone_b.unwrap())
+        };
+        let (t, _) = build();
+        assert_eq!(t.bucket_count(), 20);
+        let fine = vec![1, 2];
+        let count_def = || SmaDefinition::count("count").group_by(fine.clone());
+        let smas = SmaSet::build(
+            &t,
+            vec![
+                SmaDefinition::new("min", AggFn::Min, col(0)),
+                SmaDefinition::new("max", AggFn::Max, col(0)),
+                count_def(),
+                SmaDefinition::new("sum_p", AggFn::Sum, col(3)).group_by(fine.clone()),
+                SmaDefinition::new("min_k", AggFn::Min, col(0)).group_by(fine.clone()),
+                SmaDefinition::new("max_k", AggFn::Max, col(0)).group_by(fine.clone()),
+            ],
+        )
+        .unwrap();
+        let specs = vec![
+            AggSpec::CountStar,
+            AggSpec::Sum(col(3)),
+            AggSpec::Avg(col(3)),
+            AggSpec::Min(col(0)),
+            AggSpec::Max(col(0)),
+        ];
+        let pred = BucketPred::cmp(0, CmpOp::Le, 100i64); // every bucket qualifies
+        let scan = |group_by: &[usize]| {
+            let mut g = HashGAggr::new(
+                Box::new(Filter::new(Box::new(SeqScan::new(&t)), pred.clone())),
+                group_by.to_vec(),
+                specs.clone(),
+            );
+            collect(&mut g).unwrap()
+        };
+        let run = |group_by: &[usize], set: &SmaSet, threads: usize| {
+            let mut op = SmaGAggr::new(&t, pred.clone(), group_by.to_vec(), specs.clone(), set)
+                .unwrap()
+                .with_parallelism(Parallelism::new(threads));
+            let rows = collect(&mut op).unwrap();
+            (rows, op.counters())
+        };
+
+        for group_by in [vec![1], vec![]] {
+            let expected = scan(&group_by);
+            for threads in [1, 2, 8] {
+                let (rows, c) = run(&group_by, &smas, threads);
+                assert_eq!(rows, expected, "by {group_by:?}, {threads} threads");
+                assert_eq!(c.qualified, 20, "answered from SMAs alone");
+                assert!(c.degradation.demoted_buckets.is_empty());
+            }
+        }
+
+        // The same count SMA built without the lone `B` row has no `(B, y)`
+        // file, so nothing covers the `B` slot's sum in bucket 6.
+        let (mut without_b, lone_b) = build();
+        without_b.delete(lone_b).unwrap();
+        let gapped = SmaSet::build(&without_b, vec![count_def()]).unwrap();
+        let mut mismatched = SmaSet::new();
+        for sma in smas.smas() {
+            if sma.def().agg != AggFn::Count {
+                mismatched.push(sma.clone());
+            }
+        }
+        mismatched.push(gapped.smas()[0].clone());
+        let expected = scan(&[1]);
+        let (_, serial) = run(&[1], &mismatched, 1);
+        for threads in [1, 2, 8] {
+            let (rows, c) = run(&[1], &mismatched, threads);
+            assert_eq!(rows, expected, "{threads} threads");
+            assert_eq!(
+                c.degradation.inconsistent_buckets,
+                vec![6],
+                "{threads} threads"
+            );
+            assert_eq!(c.degradation.demoted_buckets, vec![6], "{threads} threads");
+            assert_eq!((c.qualified, c.ambivalent), (19, 1));
+            assert_eq!(c, serial, "{threads} threads");
+        }
     }
 
     /// Quarantined aggregate-SMA entries must not be trusted even when the

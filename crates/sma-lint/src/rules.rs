@@ -246,18 +246,21 @@ const COLUMNAR_HOME: &[&str] = &[
 ];
 
 /// Classifies a workspace-relative path (`crates/sma-core/src/sma.rs`).
+/// Paths under `crates/<name>/` belong to that crate, and paths under
+/// `perfbench/` to the benchmark package, which has a `[workspace]` of
+/// its own. Like `sma-bench` it is not a product crate: it times with
+/// `Instant`, prints its results and stops on a broken set-up. Every
+/// other path belongs to the root crate, `smadb`.
 pub fn classify(rel: &str) -> FileClass {
     let rel = rel.replace('\\', "/");
-    let crate_name = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("smadb")
-        .to_string();
-    let in_crate = rel
-        .strip_prefix("crates/")
-        .and_then(|r| r.split_once('/'))
-        .map(|(_, rest)| rest.to_string())
-        .unwrap_or(rel.clone());
+    let (crate_name, in_crate) = match rel.split_once('/') {
+        Some(("crates", rest)) => match rest.split_once('/') {
+            Some((name, inner)) => (name.to_string(), inner.to_string()),
+            None => (rest.to_string(), rel.clone()),
+        },
+        Some(("perfbench", inner)) => ("perfbench".to_string(), inner.to_string()),
+        _ => ("smadb".to_string(), rel.clone()),
+    };
     let target = if in_crate.starts_with("tests/") {
         Target::Test
     } else if in_crate.starts_with("benches/") {

@@ -2,7 +2,7 @@
 //! (rule, file, line) each produces, plus the allowlist contract:
 //! a justified directive suppresses, a bare one is itself a violation.
 
-use sma_lint::{lint_source, Diagnostic};
+use sma_lint::{classify, lint_source, Diagnostic};
 
 /// Lints `src` as if it lived at `rel` and returns `(rule, line)` pairs.
 fn fire(rel: &str, src: &str) -> Vec<(&'static str, u32)> {
@@ -465,4 +465,42 @@ fn c1_columnar_codec_is_in_the_strict_index_scope() {
     let src = "pub fn lo(v: u64) -> u16 { v as u16 }\n";
     let got = fire("crates/sma-storage/src/columnar.rs", src);
     assert_eq!(got, vec![("U3-narrowing-cast", 1)]);
+}
+
+// --- File classification ---------------------------------------------------
+
+#[test]
+fn classify_perfbench_as_a_harness_not_product_code() {
+    use sma_lint::rules::Target;
+    let bench = classify("perfbench/src/wire.rs");
+    assert_eq!(bench.crate_name, "perfbench");
+    assert_eq!(bench.target, Target::Lib);
+    assert!(!bench.product);
+    assert_eq!(classify("perfbench/src/main.rs").target, Target::Bin);
+    // The walls it is exempt from still hold for product code.
+    let src = "use std::time::Instant;\npub fn f() { println!(\"{:?}\", Instant::now()); }\n";
+    assert!(fire("perfbench/src/trace.rs", src).is_empty());
+    assert_eq!(
+        fire("src/rogue.rs", src),
+        vec![
+            ("D1-wall-clock", 1),
+            ("D1-wall-clock", 2),
+            ("U2-debug-output", 2)
+        ]
+    );
+}
+
+#[test]
+fn classify_product_paths_keep_their_crates() {
+    use sma_lint::rules::Target;
+    let lib = classify("crates/sma-exec/src/sma_gaggr.rs");
+    assert_eq!(lib.crate_name, "sma-exec");
+    assert_eq!(lib.target, Target::Lib);
+    assert!(lib.product);
+    let root = classify("src/warehouse.rs");
+    assert_eq!(root.crate_name, "smadb");
+    assert!(root.product);
+    assert_eq!(classify("tests/chaos.rs").target, Target::Test);
+    let harness = classify("crates/sma-bench/src/bin/paper_tables.rs");
+    assert_eq!((harness.target, harness.product), (Target::Bin, false));
 }
