@@ -49,14 +49,20 @@ pub fn lit(v: impl Into<Value>) -> ScalarExpr {
 }
 
 /// Shorthand for a decimal literal from a string like `"1.00"`.
+#[expect(
+    clippy::expect_used,
+    reason = "DSL constructor fed compile-time literal strings; a typo here is a programming error every test run catches"
+)]
 pub fn dec_lit(s: &str) -> ScalarExpr {
     ScalarExpr::Literal(Value::Decimal(
-        // sma-lint: allow(P2-expect) -- DSL constructor fed compile-time literal strings; a typo here is a programming error every test run catches
         Decimal::parse(s).expect("valid decimal literal"),
     ))
 }
 
-#[allow(clippy::should_implement_trait)] // builder DSL: `col(a).add(col(b))`
+#[expect(
+    clippy::should_implement_trait,
+    reason = "builder DSL: `col(a).add(col(b))`"
+)]
 impl ScalarExpr {
     /// `self + rhs`.
     #[must_use]

@@ -26,6 +26,8 @@
 //! The legacy seed format `SMA1` (`payload_len u32 | "SMA1" | payload`,
 //! no checksum) is still decoded; writers always emit `SMA2`.
 
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
 use std::path::Path;
 
 use sma_storage::checksum::crc32;
@@ -195,6 +197,10 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the self.pos + n > self.buf.len() check above bounds the slice"
+    )]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SmaError> {
         if self.pos + n > self.buf.len() {
             return Err(SmaError::Corrupt(format!(
@@ -271,6 +277,10 @@ impl<'a> Reader<'a> {
         })
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "take(n.div_ceil(8)) returned n.div_ceil(8) bytes, so i / 8 is in bounds for every i < n"
+    )]
     fn bitmap(&mut self) -> Result<Vec<bool>, SmaError> {
         let n = self.u32()? as usize;
         let bytes = self.take(n.div_ceil(8))?;
@@ -391,6 +401,10 @@ pub fn encode_sma_stream(sma: &Sma) -> Vec<u8> {
 /// images decode unchanged. Truncation, bit flips, and checksum mismatches
 /// all surface as [`SmaError::Corrupt`] — never a panic and never a
 /// silently wrong SMA.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the buf.len() >= 4, buf.len() < V2_HEADER and buf.len() < 8 checks bound the header slices, and the body.len() < 4 check bounds body[..4] and body[4..]"
+)]
 pub fn decode_sma_stream(buf: &[u8]) -> Result<Sma, SmaError> {
     if buf.len() >= 4 && &buf[..4] == MAGIC_V2 {
         if buf.len() < V2_HEADER {
@@ -559,7 +573,7 @@ mod tests {
         let pad = "p".repeat(1200);
         for i in 0..30i64 {
             t.append(&vec![
-                Value::Date(Date::from_days(9000 + i as i32)),
+                Value::Date(Date::from_days(9000 + i32::try_from(i).unwrap())),
                 Value::Char(b'A' + (i % 3) as u8),
                 Value::Decimal(Decimal::from_cents(i * 7)),
                 Value::Str(pad.clone()),
@@ -681,7 +695,7 @@ mod tests {
         // Truncated store: claim a huge body.
         let mut page2 = [0u8; PAGE_SIZE];
         store.read_page(first, &mut page2).unwrap();
-        page2[..4].copy_from_slice(&(10 * PAGE_SIZE as u32).to_le_bytes());
+        page2[..4].copy_from_slice(&u32::try_from(10 * PAGE_SIZE).unwrap().to_le_bytes());
         store.write_page(first, &page2).unwrap();
         assert!(load_sma(&store, first).is_err());
     }
@@ -723,7 +737,7 @@ mod tests {
         // Reconstruct the legacy layout: `body_len u32 | "SMA1" | payload`.
         let payload = encode_payload(&sma);
         let mut legacy = Vec::new();
-        put_u32(&mut legacy, 4 + payload.len() as u32);
+        put_u32(&mut legacy, 4 + u32::try_from(payload.len()).unwrap());
         legacy.extend_from_slice(MAGIC_V1);
         legacy.extend_from_slice(&payload);
         let back = decode_sma_stream(&legacy).unwrap();

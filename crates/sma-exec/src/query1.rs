@@ -94,9 +94,13 @@ pub fn query1_query(table: &Table, cutoff: Date) -> Result<AggregateQuery, ExecE
 }
 
 /// The Query 1 ship-date cutoff for `delta`.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time constant date; cannot fail"
+)]
 pub fn cutoff(delta: i32) -> Date {
     Date::from_ymd(1998, 12, 1)
-        .expect("valid constant") // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
+        .expect("valid constant")
         .add_days(-delta)
 }
 

@@ -30,7 +30,10 @@ impl Default for Q3Params {
     fn default() -> Q3Params {
         Q3Params {
             segment: "BUILDING".to_string(),
-            // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "compile-time constant date; cannot fail"
+            )]
             date: Date::from_ymd(1995, 3, 15).expect("valid constant"),
             limit: 10,
         }

@@ -40,7 +40,10 @@ mod sma_tpcd_params {
     impl Default for Q4Params {
         fn default() -> Q4Params {
             Q4Params {
-                // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
+                #[expect(
+                    clippy::expect_used,
+                    reason = "compile-time constant date; cannot fail"
+                )]
                 date: Date::from_ymd(1993, 7, 1).expect("valid constant"),
             }
         }

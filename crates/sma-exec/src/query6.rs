@@ -38,9 +38,15 @@ mod sma_tpcd_params {
     impl Default for Q6Params {
         fn default() -> Q6Params {
             Q6Params {
-                // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
+                #[expect(
+                    clippy::expect_used,
+                    reason = "compile-time constant date; cannot fail"
+                )]
                 date: Date::from_ymd(1994, 1, 1).expect("valid constant"),
-                // sma-lint: allow(P2-expect) -- compile-time constant decimal; cannot fail
+                #[expect(
+                    clippy::expect_used,
+                    reason = "compile-time constant decimal; cannot fail"
+                )]
                 discount: Decimal::parse("0.06").expect("valid constant"),
                 quantity: 24,
             }

@@ -1,4 +1,4 @@
-//! Call-graph + dataflow analysis passes (`sma-lint --analyze`).
+//! Call-graph + dataflow analysis passes (A1–A4).
 //!
 //! Four rule classes run over the [`crate::graph`] call graph — properties
 //! a token-level lexer cannot see because they are facts about *who calls
@@ -19,17 +19,18 @@
 //! - **A3-error-swallowing** — `let _ =` over a `Result`-returning call,
 //!   `Err(_) =>` match arms discarding error payloads, and `.ok();`
 //!   without a consumer. Intentional sinks carry an inline
-//!   `// sma-lint: allow(A3-error-swallowing) -- reason` directive; the
-//!   reason is surfaced as `allow_reason` in the report.
+//!   `// sma-lint: allow(A3-error-swallowing) -- reason` directive (the
+//!   crate-wide inline-allow policy); the reason is surfaced as
+//!   `allow_reason` in the report.
 //! - **A4-fsync-confinement** — replaces token rule D3 with a call-graph
 //!   proof: raw `sync_all`/`sync_data` may appear only inside the
 //!   approved primitive wrappers, and in the residual graph (commit
 //!   points removed) no function may reach a wrapper — i.e. every
 //!   durability barrier goes through a WAL/flush/compaction commit point.
 //!
-//! Plus **W2-stale-allow**: config allowlist entries and inline analysis
-//! allows that no longer match anything are themselves errors, so the
-//! allowlist can only shrink toward live code.
+//! Plus **W2-stale-allow**: config allowlist entries that no longer match
+//! anything are themselves errors, so the allowlist can only shrink
+//! toward live code.
 //!
 //! The allowlist policy: every entry is `(function, reason)`; an
 //! allowlisted finding is still reported (severity `warn`, with
@@ -37,42 +38,12 @@
 //! the run or enter the baseline diff.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
 
 use crate::graph::{effects, Effects, Graph};
 use crate::lexer::Tok;
-use crate::parse::{parse_file, ParsedFile};
-use crate::rules::{classify, Severity, Target};
-
-/// Rule IDs owned by the analysis passes (inline allows naming these are
-/// validated here, not by the token linter).
-pub const ANALYSIS_RULE_IDS: &[&str] = &[
-    "A1-lock-order",
-    "A2-budget-charging",
-    "A3-error-swallowing",
-    "A4-fsync-confinement",
-];
-
-/// One analysis finding.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// Stable rule ID (`A1-lock-order`, ..., `W2-stale-allow`).
-    pub rule: &'static str,
-    /// `Error` fails the run; allowlisted findings are downgraded to
-    /// `Warn` and reported for audit.
-    pub severity: Severity,
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Qualified function the finding is about (empty for config-level
-    /// findings).
-    pub func: String,
-    /// Human-readable explanation.
-    pub message: String,
-    /// The allowlist justification, when the finding is allowlisted.
-    pub allow_reason: Option<String>,
-}
+use crate::parse::ParsedFile;
+use crate::rules::classify;
+use crate::{Finding, Severity};
 
 /// An allowlist entry: a qualified function name plus the reason the
 /// exemption is sound. Reasonless entries cannot be constructed — the
@@ -249,82 +220,18 @@ impl AnalyzeConfig {
     }
 }
 
-/// Wall-time and size stats for the run (reported in JSON; the CI
-/// bench-smoke job asserts the pass stays under its time budget).
-#[derive(Debug, Clone, Default)]
-pub struct AnalyzeStats {
-    /// Files parsed.
-    pub files: usize,
-    /// Functions in the graph.
-    pub functions: usize,
-    /// Call edges (deduplicated name pairs).
-    pub edges: usize,
-    /// Wall time of the full pass, in milliseconds.
-    pub elapsed_ms: u128,
-}
-
-/// Runs all passes over pre-loaded sources (fixture entry point; the
-/// workspace walker filters to product library code before calling this).
-pub fn analyze_sources(sources: &[(String, String)], cfg: &AnalyzeConfig) -> Vec<Finding> {
-    let files: Vec<ParsedFile> = sources
-        .iter()
-        .map(|(rel, src)| parse_file(rel, src))
-        .collect();
-    let g = Graph::build(&files);
+/// Runs A1–A4 and the config-allowlist staleness check over the call
+/// graph `g` built from `files`.
+pub(crate) fn run(g: &Graph, files: &[ParsedFile], cfg: &AnalyzeConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let full = effects(&g, &BTreeSet::new());
+    let full = effects(g, &BTreeSet::new());
     let mut used_allows: BTreeSet<&'static str> = BTreeSet::new();
-    pass_a1(&g, &files, cfg, &full, &mut findings, &mut used_allows);
-    pass_a2(&g, &files, cfg, &mut findings, &mut used_allows);
-    pass_a3(&g, &files, &mut findings);
-    pass_a4(&g, &files, cfg, &mut findings, &mut used_allows);
+    pass_a1(g, files, cfg, &full, &mut findings, &mut used_allows);
+    pass_a2(g, files, cfg, &mut findings, &mut used_allows);
+    pass_a3(g, files, &mut findings);
+    pass_a4(g, files, cfg, &mut findings, &mut used_allows);
     stale_config_allows(cfg, &used_allows, &mut findings);
-    stale_inline_allows(&files, &findings.clone(), &mut findings);
-    findings.sort_by(|a, b| {
-        a.file
-            .cmp(&b.file)
-            .then(a.line.cmp(&b.line))
-            .then(a.rule.cmp(b.rule))
-    });
     findings
-}
-
-/// Walks the workspace and runs all passes over product library code.
-pub fn analyze_workspace(root: &Path) -> Result<(Vec<Finding>, AnalyzeStats), String> {
-    let started = std::time::Instant::now();
-    let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    crate::collect_rs(root, root, &mut paths)?;
-    paths.sort();
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for p in &paths {
-        let rel = p
-            .strip_prefix(root)
-            .map_err(|e| format!("{}: {e}", p.display()))?
-            .to_string_lossy()
-            .replace('\\', "/");
-        let c = classify(&rel);
-        if !(c.product && c.target == Target::Lib && !c.test_support) {
-            continue;
-        }
-        let src = std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-        sources.push((rel, src));
-    }
-    let cfg = AnalyzeConfig::workspace();
-    let files: Vec<ParsedFile> = sources
-        .iter()
-        .map(|(rel, src)| parse_file(rel, src))
-        .collect();
-    let g = Graph::build(&files);
-    let stats_edges = g.edge_names().len();
-    let stats_fns = g.fns.len();
-    let findings = analyze_sources(&sources, &cfg);
-    let stats = AnalyzeStats {
-        files: sources.len(),
-        functions: stats_fns,
-        edges: stats_edges,
-        elapsed_ms: started.elapsed().as_millis(),
-    };
-    Ok((findings, stats))
 }
 
 /// Looks up an allowlist entry for `func`, marking it used.
@@ -601,8 +508,8 @@ fn pass_a2(
     }
 }
 
-/// A3: error swallowing. Inline allows (with reasons) are the sink
-/// allowlist; they downgrade the finding to `Warn` and attach the reason.
+/// A3: error swallowing. Intentional sinks carry an inline allow, which
+/// the crate-wide policy turns into a `Warn` with the reason attached.
 fn pass_a3(g: &Graph, files: &[ParsedFile], findings: &mut Vec<Finding>) {
     // Function-name → returns-Result lookup (any candidate counts).
     let returns_result = |name: &str| -> bool {
@@ -617,31 +524,10 @@ fn pass_a3(g: &Graph, files: &[ParsedFile], findings: &mut Vec<Finding>) {
         let rel = &files[f.file].rel;
         let toks = &files[f.file].tokens;
         let func = f.qualified();
-        let allows = &files[f.file].allows;
-        let allow_at = |line: u32| -> Option<String> {
-            allows
-                .iter()
-                .find(|a| {
-                    a.justified
-                        && (a.line == line || a.line + 1 == line)
-                        && a.rules.iter().any(|r| r == "A3-error-swallowing")
-                })
-                .map(|a| a.reason.clone())
-        };
         let mut emit = |line: u32, message: String| {
-            let allow = allow_at(line);
             findings.push(Finding {
-                rule: "A3-error-swallowing",
-                severity: if allow.is_some() {
-                    Severity::Warn
-                } else {
-                    Severity::Error
-                },
-                file: rel.clone(),
-                line,
                 func: func.clone(),
-                message,
-                allow_reason: allow,
+                ..Finding::error("A3-error-swallowing", rel, line, message)
             });
         };
         let mut i = start;
@@ -842,193 +728,5 @@ fn stale_config_allows(
                 });
             }
         }
-    }
-}
-
-/// W2: inline allows naming analysis rules that suppressed nothing.
-fn stale_inline_allows(files: &[ParsedFile], produced: &[Finding], findings: &mut Vec<Finding>) {
-    for pf in files {
-        for a in &pf.allows {
-            if !a.justified {
-                continue; // W1's problem, reported by the token linter
-            }
-            let analysis_rules: Vec<&String> = a
-                .rules
-                .iter()
-                .filter(|r| ANALYSIS_RULE_IDS.contains(&r.as_str()))
-                .collect();
-            for rule in analysis_rules {
-                let used = produced.iter().any(|f| {
-                    f.rule == rule.as_str()
-                        && f.file == pf.rel
-                        && (f.line == a.line || f.line == a.line + 1)
-                        && f.allow_reason.is_some()
-                });
-                if !used {
-                    findings.push(Finding {
-                        rule: "W2-stale-allow",
-                        severity: Severity::Error,
-                        file: pf.rel.clone(),
-                        line: a.line,
-                        func: String::new(),
-                        message: format!(
-                            "inline allow({rule}) suppresses nothing — the finding it excused is gone; drop the directive"
-                        ),
-                        allow_reason: None,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Renders the analysis report as JSON:
-/// `{"clean":…,"stats":{…},"findings":[{rule,severity,file,line,func,msg,allow_reason?}]}`.
-pub fn analyze_json_report(findings: &[Finding], stats: &AnalyzeStats) -> String {
-    let errors = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .count();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"clean\": {},\n", errors == 0));
-    s.push_str(&format!("  \"errors\": {errors},\n"));
-    s.push_str(&format!("  \"total\": {},\n", findings.len()));
-    s.push_str(&format!(
-        "  \"stats\": {{\"files\": {}, \"functions\": {}, \"edges\": {}, \"elapsed_ms\": {}}},\n",
-        stats.files, stats.functions, stats.edges, stats.elapsed_ms
-    ));
-    s.push_str("  \"findings\": [");
-    let mut first = true;
-    for f in findings {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!(
-            "\n    {{\"rule\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"func\": \"{}\", \"msg\": \"{}\"",
-            crate::json_escape(f.rule),
-            f.severity.label(),
-            crate::json_escape(&f.file),
-            f.line,
-            crate::json_escape(&f.func),
-            crate::json_escape(&f.message),
-        ));
-        if let Some(r) = &f.allow_reason {
-            s.push_str(&format!(
-                ", \"allow_reason\": \"{}\"",
-                crate::json_escape(r)
-            ));
-        }
-        s.push('}');
-    }
-    if !findings.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
-    s
-}
-
-/// Stable identity of a finding for baseline comparison: line numbers
-/// churn with unrelated edits, so the key is `rule|file|func`.
-pub fn finding_key(f: &Finding) -> String {
-    format!("{}|{}|{}", f.rule, f.file, f.func)
-}
-
-/// Renders the committed-baseline file: the keys of every error-severity
-/// finding, sorted.
-pub fn baseline_json(findings: &[Finding]) -> String {
-    let mut keys: Vec<String> = findings
-        .iter()
-        .filter(|f| f.severity == Severity::Error)
-        .map(finding_key)
-        .collect();
-    keys.sort();
-    keys.dedup();
-    let mut s = String::new();
-    s.push_str("{\n  \"findings\": [");
-    let mut first = true;
-    for k in &keys {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!("\n    \"{}\"", crate::json_escape(k)));
-    }
-    if !keys.is_empty() {
-        s.push_str("\n  ");
-    }
-    s.push_str("]\n}\n");
-    s
-}
-
-/// Parses a baseline file (the exact format [`baseline_json`] writes —
-/// a JSON object with a `findings` array of strings).
-pub fn parse_baseline(text: &str) -> BTreeSet<String> {
-    let mut keys = BTreeSet::new();
-    // Tolerant extraction: every quoted string that contains two `|`
-    // separators is a key; the format has no other such strings.
-    let mut rest = text;
-    while let Some(start) = rest.find('"') {
-        let after = &rest[start + 1..];
-        let Some(end) = after.find('"') else { break };
-        let s = &after[..end];
-        if s.matches('|').count() == 2 {
-            keys.insert(s.to_string());
-        }
-        rest = &after[end + 1..];
-    }
-    keys
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn run(files: &[(&str, &str)], cfg: &AnalyzeConfig) -> Vec<Finding> {
-        let sources: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), s.to_string()))
-            .collect();
-        analyze_sources(&sources, cfg)
-    }
-
-    fn errors<'a>(fs: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
-        fs.iter()
-            .filter(|f| f.rule == rule && f.severity == Severity::Error)
-            .collect()
-    }
-
-    #[test]
-    fn baseline_roundtrip() {
-        let f = Finding {
-            rule: "A1-lock-order",
-            severity: Severity::Error,
-            file: "crates/x/src/lib.rs".into(),
-            line: 3,
-            func: "Pool::flush".into(),
-            message: "m".into(),
-            allow_reason: None,
-        };
-        let text = baseline_json(std::slice::from_ref(&f));
-        let keys = parse_baseline(&text);
-        assert!(keys.contains(&finding_key(&f)));
-        assert_eq!(keys.len(), 1);
-        assert!(parse_baseline("{\n  \"findings\": []\n}\n").is_empty());
-    }
-
-    #[test]
-    fn stale_config_allow_fires_w2() {
-        let cfg = AnalyzeConfig {
-            a1_allow: vec![Allow {
-                func: "Ghost::gone",
-                reason: "excuses nothing",
-            }],
-            ..AnalyzeConfig::default()
-        };
-        let fs = run(&[("crates/sma-core/src/lib.rs", "fn live() {}")], &cfg);
-        let w2 = errors(&fs, "W2-stale-allow");
-        assert_eq!(w2.len(), 1);
-        assert!(w2[0].message.contains("Ghost::gone"));
     }
 }

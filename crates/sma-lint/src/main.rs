@@ -1,161 +1,79 @@
 //! CLI entry point for `sma-lint`.
 //!
-//! Usage: `cargo run -p sma-lint [-- --json] [--analyze] [path]`
+//! Usage: `cargo run -p sma-lint [-- --json] [--baseline FILE] [root]`
 //!
-//! Exit codes: `0` clean, `1` violations found, `2` internal error
-//! (bad arguments, unreadable workspace).
+//! Exit codes: `0` no error outside the baseline, `1` new errors, `2`
+//! internal error (bad arguments, unreadable workspace or baseline).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sma_lint::analyze::{analyze_json_report, baseline_json, finding_key, parse_baseline};
 use sma_lint::{
-    analyze_workspace, find_workspace_root, json_report, lint_workspace, Severity, RULES,
+    baseline_json, count_errors, find_workspace_root, finding_key, json_report, lint_workspace,
+    parse_baseline, Severity,
 };
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut show_rules = false;
-    let mut analyze = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut want_baseline_path = false;
-    let mut root_arg: Option<PathBuf> = None;
-    for arg in std::env::args().skip(1) {
-        if want_baseline_path {
-            baseline = Some(PathBuf::from(&arg));
-            want_baseline_path = false;
-            continue;
-        }
-        match arg.as_str() {
-            "--json" => json = true,
-            "--rules" => show_rules = true,
-            "--analyze" => analyze = true,
-            "--baseline" => want_baseline_path = true,
-            "--help" | "-h" => {
-                print_help();
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("sma-lint: unknown flag `{other}` (try --help)");
-                return ExitCode::from(2);
-            }
-            path => root_arg = Some(PathBuf::from(path)),
-        }
-    }
-    if want_baseline_path {
-        eprintln!("sma-lint: --baseline requires a path");
-        return ExitCode::from(2);
-    }
-
-    if show_rules {
-        for r in RULES {
-            println!("{:<22} [{}] {}", r.id, r.severity.label(), r.summary);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let cwd = match std::env::current_dir() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("sma-lint: cannot determine current dir: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let root = match root_arg {
-        Some(p) => p,
-        None => match find_workspace_root(&cwd) {
-            Some(r) => r,
-            None => {
-                eprintln!("sma-lint: no workspace root found above {}", cwd.display());
-                return ExitCode::from(2);
-            }
-        },
-    };
-
-    if analyze {
-        return run_analyze(&root, json, baseline.as_deref());
-    }
-
-    let diags = match lint_workspace(&root) {
-        Ok(d) => d,
+    match run() {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("sma-lint: {e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
-
-    if json {
-        print!("{}", json_report(&diags));
-    } else {
-        for d in &diags {
-            let reason = d
-                .allow_reason
-                .as_deref()
-                .map(|r| format!(" (allowed: {r})"))
-                .unwrap_or_default();
-            println!(
-                "{}[{}] {}:{}: {}{}",
-                d.severity.label(),
-                d.rule,
-                d.file,
-                d.line,
-                d.message,
-                reason
-            );
-        }
-        let errors = diags
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        if errors == 0 {
-            println!(
-                "sma-lint: clean ({} rules enforced, {} allowed finding(s))",
-                RULES.len(),
-                diags.len()
-            );
-        } else {
-            println!("sma-lint: {errors} violation(s)");
-        }
-    }
-
-    let failing = diags.iter().any(|d| d.severity == Severity::Error);
-    if failing {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
-/// Runs the analysis passes; with `--baseline FILE`, only findings whose
-/// keys are NOT in the baseline fail the run (known findings are reported
-/// but tolerated until fixed).
-fn run_analyze(root: &std::path::Path, json: bool, baseline: Option<&std::path::Path>) -> ExitCode {
-    let (findings, stats) = match analyze_workspace(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sma-lint: {e}");
-            return ExitCode::from(2);
+fn run() -> Result<ExitCode, String> {
+    let mut json = false;
+    let mut baseline: Option<PathBuf> = None;
+    let mut root: Option<PathBuf> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json = true,
+            "--baseline" => {
+                baseline = Some(PathBuf::from(
+                    args.next().ok_or("--baseline requires a path")?,
+                ));
+            }
+            "--help" | "-h" => {
+                print_help();
+                return Ok(ExitCode::SUCCESS);
+            }
+            other if other.starts_with('-') => {
+                return Err(format!("unknown flag `{other}` (try --help)"));
+            }
+            path => root = Some(PathBuf::from(path)),
+        }
+    }
+    let root = match root {
+        Some(p) => p,
+        None => {
+            let cwd = std::env::current_dir()
+                .map_err(|e| format!("cannot determine current dir: {e}"))?;
+            find_workspace_root(&cwd)
+                .ok_or_else(|| format!("no workspace root found above {}", cwd.display()))?
         }
     };
-    let known = match baseline {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => parse_baseline(&text),
-            Err(e) => {
-                eprintln!("sma-lint: cannot read baseline {}: {e}", p.display());
-                return ExitCode::from(2);
-            }
-        },
+    let known = match &baseline {
+        Some(p) => parse_baseline(
+            &std::fs::read_to_string(p)
+                .map_err(|e| format!("cannot read baseline {}: {e}", p.display()))?,
+        ),
         None => Default::default(),
     };
-    let new_errors: Vec<_> = findings
+
+    let report = lint_workspace(&root)?;
+    let findings = &report.findings;
+    let new_errors = findings
         .iter()
         .filter(|f| f.severity == Severity::Error && !known.contains(&finding_key(f)))
-        .collect();
+        .count();
 
     if json {
-        print!("{}", analyze_json_report(&findings, &stats));
+        print!("{}", json_report(&report));
     } else {
-        for f in &findings {
+        for f in findings {
             let loc = if f.line == 0 {
                 f.file.clone()
             } else {
@@ -167,54 +85,46 @@ fn run_analyze(root: &std::path::Path, json: bool, baseline: Option<&std::path::
                 .map(|r| format!(" (allowed: {r})"))
                 .unwrap_or_default();
             println!(
-                "{}[{}] {}: {}{}",
+                "{}[{}] {loc}: {}{reason}",
                 f.severity.label(),
                 f.rule,
-                loc,
-                f.message,
-                reason
+                f.message
             );
         }
-        let errors = findings
-            .iter()
-            .filter(|f| f.severity == Severity::Error)
-            .count();
+        let errors = count_errors(findings);
+        let st = &report.stats;
         println!(
-            "sma-analyze: {} file(s), {} fn(s), {} edge(s) in {} ms — {} finding(s), {} error(s), {} new vs baseline",
-            stats.files,
-            stats.functions,
-            stats.edges,
-            stats.elapsed_ms,
+            "sma-lint: {} file(s), {} fn(s), {} edge(s) in {} ms — {} finding(s), {errors} error(s), {new_errors} new vs baseline",
+            st.files,
+            st.functions,
+            st.edges,
+            st.elapsed_ms,
             findings.len(),
-            errors,
-            new_errors.len()
         );
-        if errors > 0 && new_errors.is_empty() {
-            println!("sma-analyze: all errors are in the committed baseline; to regenerate it:");
-            println!("{}", baseline_json(&findings));
+        if errors > 0 && new_errors == 0 {
+            println!("sma-lint: all errors are in the baseline; to regenerate it:");
+            print!("{}", baseline_json(findings));
         }
     }
 
-    if new_errors.is_empty() {
+    Ok(if new_errors == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    }
+    })
 }
 
 fn print_help() {
     println!(
         "sma-lint: architectural lint wall for the SMA workspace\n\
          \n\
-         USAGE: sma-lint [--json] [--rules] [--analyze [--baseline FILE]] [root]\n\
+         USAGE: sma-lint [--json] [--baseline FILE] [root]\n\
          \n\
          --json             emit a machine-readable JSON report\n\
-         --rules            list the rule catalog\n\
-         --analyze          run the call-graph + dataflow passes (A1-A4)\n\
-         --baseline FILE    tolerate analysis findings listed in FILE\n\
+         --baseline FILE    tolerate error findings whose rule|file|func key is in FILE\n\
          root               workspace root (default: nearest [workspace] above cwd)\n\
          \n\
-         Exit codes: 0 clean, 1 violations, 2 internal error.\n\
+         Exit codes: 0 no error outside the baseline, 1 new errors, 2 internal error.\n\
          Suppress a finding with `// sma-lint: allow(rule-id) -- justification`."
     );
 }

@@ -18,7 +18,6 @@
 //! wrapper with inner class `Shard`.
 
 use crate::lexer::{lex, AllowDirective, Tok, Token};
-use crate::rules::test_spans;
 
 /// One function parameter: binding name (best effort) and its type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +98,8 @@ pub struct ParsedFile {
     pub rel: String,
     /// The full token stream (body spans index into this).
     pub tokens: Vec<Token>,
+    /// For every token, whether it lies inside `#[cfg(test)]`-gated code.
+    pub in_test: Vec<bool>,
     /// Allow directives harvested from comments.
     pub allows: Vec<AllowDirective>,
     /// Functions found (including `#[cfg(test)]` ones, flagged).
@@ -183,6 +184,7 @@ pub fn parse_file(rel: &str, src: &str) -> ParsedFile {
     ParsedFile {
         rel: rel.to_string(),
         tokens: toks,
+        in_test,
         allows: lexed.allows,
         fns,
         fields,
@@ -731,6 +733,125 @@ pub fn guard_class(ret: &str) -> Option<String> {
                     .is_some_and(|c| c.is_alphabetic() || c == '_')
         })
         .map(|w| w.to_string())
+}
+
+/// Computes, for every token index, whether it lies inside `#[cfg(test)]`
+/// gated code (the attribute's item, brace-matched) — also covers
+/// `#[cfg(any(test, ...))]`. The per-file rules and the analysis passes
+/// share it, so both see the same test-code boundary.
+fn test_spans(toks: &[Token]) -> Vec<bool> {
+    let mut in_test = vec![false; toks.len()];
+    let mut i = 0usize;
+    while i < toks.len() {
+        if is_cfg_test_attr(toks, i) {
+            // Skip to end of the attribute `]`.
+            let mut j = i + 1; // at `[`
+            let mut depth = 0i32;
+            while let Some(t) = toks.get(j) {
+                match t.tok {
+                    Tok::Punct('[') => depth += 1,
+                    Tok::Punct(']') => {
+                        depth -= 1;
+                        if depth == 0 {
+                            j += 1;
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+                j += 1;
+            }
+            // Skip any further attributes.
+            while matches!(toks.get(j).map(|t| &t.tok), Some(Tok::Punct('#'))) {
+                let mut depth = 0i32;
+                let mut k = j + 1;
+                while let Some(t) = toks.get(k) {
+                    match t.tok {
+                        Tok::Punct('[') => depth += 1,
+                        Tok::Punct(']') => {
+                            depth -= 1;
+                            if depth == 0 {
+                                k += 1;
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                    k += 1;
+                }
+                j = k;
+            }
+            // Mark the gated item: to the matching `}` of its first brace
+            // block, or to the first `;` at brace depth 0.
+            let start = j;
+            let mut depth = 0i32;
+            let mut opened = false;
+            while let Some(t) = toks.get(j) {
+                match t.tok {
+                    Tok::Punct('{') => {
+                        depth += 1;
+                        opened = true;
+                    }
+                    Tok::Punct('}') => {
+                        depth -= 1;
+                        if opened && depth == 0 {
+                            j += 1;
+                            break;
+                        }
+                    }
+                    Tok::Punct(';') if !opened && depth == 0 => {
+                        j += 1;
+                        break;
+                    }
+                    _ => {}
+                }
+                j += 1;
+            }
+            for flag in in_test.iter_mut().take(j).skip(start) {
+                *flag = true;
+            }
+            // Also mark the attribute tokens themselves.
+            for flag in in_test.iter_mut().take(start).skip(i) {
+                *flag = true;
+            }
+            i = j;
+            continue;
+        }
+        i += 1;
+    }
+    in_test
+}
+
+/// Does `#[cfg(...)]` start at token `i`, with `test` appearing among the
+/// cfg predicate identifiers?
+fn is_cfg_test_attr(toks: &[Token], i: usize) -> bool {
+    if !matches!(toks.get(i).map(|t| &t.tok), Some(Tok::Punct('#'))) {
+        return false;
+    }
+    if !matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('['))) {
+        return false;
+    }
+    if !matches!(toks.get(i + 2).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "cfg") {
+        return false;
+    }
+    // Scan the attribute body up to the matching `]` for an ident `test`.
+    let mut depth = 0i32;
+    let mut j = i + 1;
+    while let Some(t) = toks.get(j) {
+        match &t.tok {
+            Tok::Punct('[') => depth += 1,
+            Tok::Punct(']') => {
+                depth -= 1;
+                if depth == 0 {
+                    return false;
+                }
+            }
+            Tok::Ident(s) if s == "test" => return true,
+            _ => {}
+        }
+        j += 1;
+    }
+    false
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
 //! Integration fixtures for the analysis passes (A1–A4): one positive and
-//! one negative fixture per rule, run through [`analyze_sources`] with
-//! small synthetic configs the way `--analyze` runs the real one.
+//! one negative fixture per rule, run through [`lint_sources`] with small
+//! synthetic configs the way a workspace run uses the real one. The
+//! passes see product library files only, so fixtures live at paths in
+//! product crates.
 
-use sma_lint::analyze::{analyze_sources, Allow, AnalyzeConfig};
-use sma_lint::Finding;
+use sma_lint::{lint_sources, Allow, AnalyzeConfig, Finding, Severity};
 
 fn run(cfg: &AnalyzeConfig, srcs: &[(&str, &str)]) -> Vec<Finding> {
     let sources: Vec<(String, String)> = srcs
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    analyze_sources(&sources, cfg)
+    lint_sources(&sources, cfg).findings
 }
 
 // ------------------------------------------------------------------- A1
@@ -39,7 +40,10 @@ const A1_FSYNC_UNDER_GUARD: &str = r#"
 #[test]
 fn a1_fsync_while_guard_live_fires() {
     let cfg = AnalyzeConfig::default();
-    let findings = run(&cfg, &[("crates/x/src/pool.rs", A1_FSYNC_UNDER_GUARD)]);
+    let findings = run(
+        &cfg,
+        &[("crates/sma-storage/src/pool.rs", A1_FSYNC_UNDER_GUARD)],
+    );
     let a1: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == "A1-lock-order")
@@ -77,7 +81,7 @@ fn a1_fsync_after_guard_dropped_is_clean() {
         fn write_back(gs: &mut Vec<MutexGuard<'_, Shard>>) {}
     "#;
     let cfg = AnalyzeConfig::default();
-    let findings = run(&cfg, &[("crates/x/src/pool.rs", src)]);
+    let findings = run(&cfg, &[("crates/sma-storage/src/pool.rs", src)]);
     assert!(
         findings.iter().all(|f| f.rule != "A1-lock-order"),
         "guard scope ends before the sync: {findings:?}"
@@ -95,7 +99,7 @@ fn a1_lock_order_inversion_fires_and_consistent_order_does_not() {
         }
     "#;
     let cfg = AnalyzeConfig::default();
-    let findings = run(&cfg, &[("crates/x/src/locks.rs", inverted)]);
+    let findings = run(&cfg, &[("crates/sma-storage/src/locks.rs", inverted)]);
     assert!(
         findings
             .iter()
@@ -111,7 +115,7 @@ fn a1_lock_order_inversion_fires_and_consistent_order_does_not() {
             fn ab_again(&self) { let ga = self.a.lock(); let gb = self.b.lock(); }
         }
     "#;
-    let findings = run(&cfg, &[("crates/x/src/locks.rs", consistent)]);
+    let findings = run(&cfg, &[("crates/sma-storage/src/locks.rs", consistent)]);
     assert!(
         findings.iter().all(|f| f.rule != "A1-lock-order"),
         "consistent order must be clean: {findings:?}"
@@ -133,7 +137,7 @@ fn a1_transitive_inversion_through_calls_fires() {
         }
     "#;
     let cfg = AnalyzeConfig::default();
-    let findings = run(&cfg, &[("crates/x/src/locks.rs", src)]);
+    let findings = run(&cfg, &[("crates/sma-storage/src/locks.rs", src)]);
     assert!(
         findings
             .iter()
@@ -147,7 +151,7 @@ fn a1_transitive_inversion_through_calls_fires() {
 fn a2_cfg() -> AnalyzeConfig {
     AnalyzeConfig {
         page_read_primitives: vec!["read_page"],
-        a2_scope_crates: vec!["x"],
+        a2_scope_crates: vec!["sma-exec"],
         ..AnalyzeConfig::default()
     }
 }
@@ -162,7 +166,7 @@ const A2_UNBUDGETED: &str = r#"
 
 #[test]
 fn a2_unbudgeted_page_read_fires() {
-    let findings = run(&a2_cfg(), &[("crates/x/src/scan.rs", A2_UNBUDGETED)]);
+    let findings = run(&a2_cfg(), &[("crates/sma-exec/src/scan.rs", A2_UNBUDGETED)]);
     assert!(
         findings
             .iter()
@@ -187,14 +191,14 @@ fn a2_budget_field_param_and_allowlist_are_clean() {
     "#;
     let cfg = AnalyzeConfig {
         page_read_primitives: vec!["read_page"],
-        a2_scope_crates: vec!["x"],
+        a2_scope_crates: vec!["sma-exec"],
         a2_allow: vec![Allow {
             func: "recover",
             reason: "recovery rebuilds state before queries are admitted",
         }],
         ..AnalyzeConfig::default()
     };
-    let findings = run(&cfg, &[("crates/x/src/scan.rs", src)]);
+    let findings = run(&cfg, &[("crates/sma-exec/src/scan.rs", src)]);
     let errors: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == "A2-budget-charging" && f.allow_reason.is_none())
@@ -225,7 +229,7 @@ fn a2_combinator_over_budgeted_leaf_is_clean() {
             pub fn next(&mut self) -> Option<Vec<u8>> { self.child.next() }
         }
     "#;
-    let findings = run(&a2_cfg(), &[("crates/x/src/scan.rs", src)]);
+    let findings = run(&a2_cfg(), &[("crates/sma-exec/src/scan.rs", src)]);
     assert!(
         findings.iter().all(|f| f.func != "Filter::next"),
         "combinators over budgeted leaves are clean: {findings:?}"
@@ -252,7 +256,10 @@ fn a3_sinks_fire_and_inline_allow_downgrades() {
             let _ = save();
         }
     "#;
-    let findings = run(&AnalyzeConfig::default(), &[("crates/x/src/lib.rs", src)]);
+    let findings = run(
+        &AnalyzeConfig::default(),
+        &[("crates/sma-core/src/sink.rs", src)],
+    );
     let a3: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == "A3-error-swallowing")
@@ -291,7 +298,10 @@ fn a3_bound_error_payloads_are_clean() {
         }
         fn log(e: Error) -> u32 { 1 }
     "#;
-    let findings = run(&AnalyzeConfig::default(), &[("crates/x/src/lib.rs", src)]);
+    let findings = run(
+        &AnalyzeConfig::default(),
+        &[("crates/sma-core/src/sink.rs", src)],
+    );
     assert!(
         findings.iter().all(|f| f.rule != "A3-error-swallowing"),
         "propagated and bound errors are clean: {findings:?}"
@@ -313,7 +323,7 @@ fn a4_raw_sync_outside_wrapper_fires() {
     let src = r#"
         pub fn sneaky(f: &File) { f.sync_all(); }
     "#;
-    let findings = run(&a4_cfg(), &[("crates/x/src/lib.rs", src)]);
+    let findings = run(&a4_cfg(), &[("crates/sma-core/src/sink.rs", src)]);
     assert!(
         findings
             .iter()
@@ -329,7 +339,7 @@ fn a4_wrapper_reached_only_through_commit_point_is_clean() {
         pub fn commit(f: &File) { sync_file(f); }
         pub fn ingest(f: &File) { commit(f); }
     "#;
-    let findings = run(&a4_cfg(), &[("crates/x/src/lib.rs", src)]);
+    let findings = run(&a4_cfg(), &[("crates/sma-core/src/sink.rs", src)]);
     assert!(
         findings.iter().all(|f| f.rule != "A4-fsync-confinement"),
         "every path goes through the commit point: {findings:?}"
@@ -343,7 +353,7 @@ fn a4_wrapper_reached_around_commit_point_fires() {
         pub fn commit(f: &File) { sync_file(f); }
         pub fn rogue(f: &File) { sync_file(f); }
     "#;
-    let findings = run(&a4_cfg(), &[("crates/x/src/lib.rs", src)]);
+    let findings = run(&a4_cfg(), &[("crates/sma-core/src/sink.rs", src)]);
     assert!(
         findings
             .iter()
@@ -381,7 +391,10 @@ fn trait_object_dispatch_and_cross_crate_edges_feed_findings() {
     };
     let findings = run(
         &cfg,
-        &[("crates/a/src/lib.rs", a), ("crates/b/src/lib.rs", b)],
+        &[
+            ("crates/sma-storage/src/store.rs", a),
+            ("crates/sma-exec/src/engine.rs", b),
+        ],
     );
     assert!(
         findings
@@ -389,4 +402,39 @@ fn trait_object_dispatch_and_cross_crate_edges_feed_findings() {
             .any(|f| f.rule == "A4-fsync-confinement" && f.func == "Engine::rogue"),
         "cross-crate dyn dispatch must reach the wrapper: {findings:?}"
     );
+}
+
+#[test]
+fn analysis_sees_product_library_files_only() {
+    // The same rogue fsync in a test, a bench harness and a binary is not
+    // part of the call graph.
+    let src = "pub fn sneaky(f: &File) { f.sync_all(); }";
+    for rel in [
+        "tests/sync.rs",
+        "crates/sma-bench/src/sync.rs",
+        "crates/sma-server/src/main.rs",
+        "crates/sma-storage/src/test_util.rs",
+    ] {
+        let findings = run(&a4_cfg(), &[(rel, src)]);
+        assert!(findings.is_empty(), "{rel}: {findings:?}");
+    }
+}
+
+#[test]
+fn stale_config_allow_fires_w2() {
+    let cfg = AnalyzeConfig {
+        a1_allow: vec![Allow {
+            func: "Ghost::gone",
+            reason: "excuses nothing",
+        }],
+        ..AnalyzeConfig::default()
+    };
+    let findings = run(&cfg, &[("crates/sma-core/src/live.rs", "fn live() {}")]);
+    let w2: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == "W2-stale-allow" && f.severity == Severity::Error)
+        .collect();
+    assert_eq!(w2.len(), 1);
+    assert_eq!(w2[0].file, "(analyze-config)");
+    assert!(w2[0].message.contains("Ghost::gone"));
 }

@@ -11,6 +11,8 @@
 //! lookups instead of sixteen dependent byte steps. The result is
 //! bit-identical to the byte-at-a-time loop; only the speed differs.
 
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
@@ -18,6 +20,10 @@ const POLY: u32 = 0xEDB8_8320;
 /// zero bytes. `TABLES[0]` is the classic byte-at-a-time table.
 const TABLES: [[u32; 256]; 16] = build_tables();
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the loop guards byte < 256, i < 256 and k < 16 and the mask c & 0xFF are the lengths of the 256-entry tables and the 16-table array"
+)]
 const fn build_tables() -> [[u32; 256]; 16] {
     let mut base = [0u32; 256];
     let mut byte = 0u32;
@@ -48,6 +54,10 @@ const fn build_tables() -> [[u32; 256]; 16] {
 }
 
 /// CRC32 of `data` (IEEE, zlib-compatible).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "both lookups are masked with & 0xFF, within the 256 entries of every table"
+)]
 pub fn crc32(data: &[u8]) -> u32 {
     let [byte_table, ..] = &TABLES;
     let blocks = data.chunks_exact(16);

@@ -25,6 +25,8 @@
 //! The last page of a table is never converted (appends land there), so
 //! the row-store write paths never see a chunk page.
 
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
 use crate::page::{PAGE_SIZE, PAYLOAD_END};
 use crate::store::PageNo;
 use sma_types::bytes::{get_u16_le, get_u32_le, lo16, lo32, write_u16_le, write_u32_le};
@@ -159,7 +161,9 @@ mod tests {
 
     #[test]
     fn chunk_roundtrip_multi_page() {
-        let blob: Vec<u8> = (0..10_000u32).map(|i| lo16(i) as u8).collect();
+        let blob: Vec<u8> = (0..10_000u32)
+            .map(|i| u8::try_from(i % 256).unwrap())
+            .collect();
         let pages = chunk_pages(&blob, 4).unwrap();
         assert_eq!(pages.len(), 4);
         for page in &pages {

@@ -28,6 +28,8 @@
 //! page whose footer is all zeroes has never been stamped (freshly
 //! allocated) and verifies trivially.
 
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
 use std::fmt;
 
 use crate::checksum::crc32;
@@ -126,6 +128,10 @@ impl Default for SlottedPage {
 
 impl SlottedPage {
     /// Creates an empty page.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "data is a PAGE_SIZE array, so the constant header range 2..4 is in bounds"
+    )]
     pub fn new() -> SlottedPage {
         let mut data = Box::new([0u8; PAGE_SIZE]);
         // free_end starts at the payload end (the footer is reserved).
@@ -175,14 +181,26 @@ impl SlottedPage {
         bytes::get_u16_le(self.data.as_slice(), 2).unwrap_or(0)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "data is a PAGE_SIZE array, so the constant header range 0..2 is in bounds"
+    )]
     fn set_slot_count(&mut self, n: u16) {
         self.data[0..2].copy_from_slice(&n.to_le_bytes());
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "data is a PAGE_SIZE array, so the constant header range 2..4 is in bounds"
+    )]
     fn set_free_end(&mut self, e: u16) {
         self.data[2..4].copy_from_slice(&e.to_le_bytes());
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass id < slot_count(), and the header check HEADER_LEN + slot_count * SLOT_LEN <= free_end <= PAYLOAD_END bounds every slot entry"
+    )]
     fn slot(&self, id: SlotId) -> (u16, u16) {
         let base = HEADER_LEN + id as usize * SLOT_LEN;
         (
@@ -191,6 +209,10 @@ impl SlottedPage {
         )
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass id < slot_count(), or id == slot_count() after insert's free_space() check reserved SLOT_LEN bytes for the new entry"
+    )]
     fn set_slot(&mut self, id: SlotId, off: u16, len: u16) {
         let base = HEADER_LEN + id as usize * SLOT_LEN;
         self.data[base..base + 2].copy_from_slice(&off.to_le_bytes());
@@ -218,6 +240,10 @@ impl SlottedPage {
     }
 
     /// Inserts a tuple image, returning its slot, or `None` if it does not fit.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the image.len() > free_space() check keeps new_end..new_end + len inside [free_end - len, free_end), and free_end <= PAYLOAD_END"
+    )]
     pub fn insert(&mut self, image: &[u8]) -> Option<SlotId> {
         if image.len() > self.free_space() || image.is_empty() {
             return None;
@@ -234,6 +260,10 @@ impl SlottedPage {
 
     /// Returns the tuple image in `slot`, or `None` for tombstones and
     /// out-of-range slots.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the slot >= slot_count() check, and from_bytes' off + len <= PAYLOAD_END check on every slot, bound the image range"
+    )]
     pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
         if slot >= self.slot_count() {
             return None;
@@ -260,6 +290,10 @@ impl SlottedPage {
     /// Overwrites the tuple in `slot` if the new image has the same length
     /// (the common case for our fixed-width-heavy schema); otherwise
     /// tombstones and re-inserts, returning the new slot.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the slot >= slot_count() check and len == image.len() make the range the slot's own image, which ends at or before PAYLOAD_END"
+    )]
     pub fn update(&mut self, slot: SlotId, image: &[u8]) -> Option<SlotId> {
         if slot >= self.slot_count() {
             return None;
@@ -292,6 +326,10 @@ impl SlottedPage {
     /// Rewrites the page in place, squeezing out tombstoned tuples' data
     /// while keeping every live tuple in its slot (slot ids are stable —
     /// SMA maintenance depends on that). Returns the bytes reclaimed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "end starts at PAYLOAD_END and drops by the live image lengths, whose sum is PAYLOAD_END - free_end - dead_space(), so end never passes free_end"
+    )]
     pub fn compact(&mut self) -> usize {
         let reclaimed = self.dead_space();
         if reclaimed == 0 {
@@ -380,18 +418,22 @@ impl SlottedPage {
 /// visitors. The error type is generic so callers can thread their own
 /// error through the closure (`E: From<PageError>` covers the
 /// validation failures raised here).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the HEADER_LEN + n * SLOT_LEN > free_end || free_end > PAYLOAD_END check bounds every slot entry, and the off + len > PAYLOAD_END check bounds every image"
+)]
 pub fn for_each_image<E, F>(buf: &[u8; PAGE_SIZE], mut f: F) -> Result<(), E>
 where
     E: From<PageError>,
     F: FnMut(SlotId, &[u8]) -> Result<(), E>,
 {
-    let n = usize::from(bytes::get_u16_le(buf.as_slice(), 0).unwrap_or(0));
+    let n = bytes::get_u16_le(buf.as_slice(), 0).unwrap_or(0);
     let free_end = usize::from(bytes::get_u16_le(buf.as_slice(), 2).unwrap_or(0));
-    if HEADER_LEN + n * SLOT_LEN > free_end || free_end > PAYLOAD_END {
+    if HEADER_LEN + usize::from(n) * SLOT_LEN > free_end || free_end > PAYLOAD_END {
         return Err(PageError(format!("corrupt header: {n} slots, free_end {free_end}")).into());
     }
-    let slot = |s: usize| {
-        let base = HEADER_LEN + s * SLOT_LEN;
+    let slot = |s: SlotId| {
+        let base = HEADER_LEN + usize::from(s) * SLOT_LEN;
         (
             u16::from_le_bytes([buf[base], buf[base + 1]]) as usize,
             u16::from_le_bytes([buf[base + 2], buf[base + 3]]) as usize,
@@ -412,7 +454,7 @@ where
     for s in 0..n {
         let (off, len) = slot(s);
         if len > 0 {
-            f(s as SlotId, &buf[off..off + len])?;
+            f(s, &buf[off..off + len])?;
         }
     }
     Ok(())
@@ -672,13 +714,13 @@ mod tests {
                 }
             }
             for (i, m) in model.iter().enumerate() {
-                assert_eq!(page.get(i as u16), m.as_deref());
+                assert_eq!(page.get(u16::try_from(i).unwrap()), m.as_deref());
             }
             assert_eq!(page.live_count(), model.iter().flatten().count());
             // Image survives serialization.
             let reread = SlottedPage::from_bytes(page.as_bytes()).unwrap();
             for (i, m) in model.iter().enumerate() {
-                assert_eq!(reread.get(i as u16), m.as_deref());
+                assert_eq!(reread.get(u16::try_from(i).unwrap()), m.as_deref());
             }
         }
     }

@@ -98,7 +98,10 @@ pub fn load_customers(customers: &[Customer], bucket_pages: u32, pool_pages: usi
         bucket_pages,
     );
     for c in customers {
-        // sma-lint: allow(P2-expect) -- loader over self-generated schema-valid tuples; failure means a misconfigured harness
+        #[expect(
+            clippy::expect_used,
+            reason = "loader over self-generated schema-valid tuples; failure means a misconfigured harness"
+        )]
         table.append(&c.to_tuple()).expect("generated tuple fits");
     }
     table

@@ -17,20 +17,29 @@ use crate::clustering::{sample_normal, Clustering};
 use crate::schema::lineitem_schema;
 
 /// TPC-D's fixed "current date" used by the flag rules.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time constant date; cannot fail"
+)]
 pub fn current_date() -> Date {
-    // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
     Date::from_ymd(1995, 6, 17).expect("valid constant")
 }
 
 /// First order date dbgen generates.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time constant date; cannot fail"
+)]
 pub fn start_date() -> Date {
-    // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
     Date::from_ymd(1992, 1, 1).expect("valid constant")
 }
 
 /// Last calendar date in the TPC-D window.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time constant date; cannot fail"
+)]
 pub fn end_date() -> Date {
-    // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
     Date::from_ymd(1998, 12, 31).expect("valid constant")
 }
 
@@ -359,9 +368,13 @@ pub fn load_lineitem(
         bucket_pages,
     );
     for li in items {
+        #[expect(
+            clippy::expect_used,
+            reason = "loader over self-generated schema-valid tuples; a failure is a misconfigured harness"
+        )]
         table
             .append(&li.to_tuple())
-            .expect("generated tuple always fits"); // sma-lint: allow(P2-expect) -- loader over self-generated schema-valid tuples; a failure is a misconfigured harness
+            .expect("generated tuple always fits");
     }
     table
 }
@@ -387,9 +400,13 @@ pub fn load_orders(orders: &[Order], bucket_pages: u32, pool_pages: usize) -> Ta
         bucket_pages,
     );
     for o in orders {
+        #[expect(
+            clippy::expect_used,
+            reason = "loader over self-generated schema-valid tuples; a failure is a misconfigured harness"
+        )]
         table
             .append(&o.to_tuple())
-            .expect("generated tuple always fits"); // sma-lint: allow(P2-expect) -- loader over self-generated schema-valid tuples; a failure is a misconfigured harness
+            .expect("generated tuple always fits");
     }
     table
 }

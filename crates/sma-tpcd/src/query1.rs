@@ -86,9 +86,13 @@ impl Acc {
 /// The Query 1 cutoff for a given `delta`:
 /// `DATE '1998-12-01' - INTERVAL delta DAY`. TPC-D draws delta from
 /// `[60, 120]`; the canonical validation value is 90.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time constant date; cannot fail"
+)]
 pub fn q1_cutoff(delta: i32) -> Date {
     Date::from_ymd(1998, 12, 1)
-        .expect("valid constant") // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
+        .expect("valid constant")
         .add_days(-delta)
 }
 

@@ -37,7 +37,10 @@ impl Default for Q3Params {
         // The TPC-D validation parameters.
         Q3Params {
             segment: "BUILDING".to_string(),
-            // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "compile-time constant date; cannot fail"
+            )]
             date: Date::from_ymd(1995, 3, 15).expect("valid constant"),
         }
     }

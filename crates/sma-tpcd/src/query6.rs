@@ -36,9 +36,15 @@ impl Default for Q6Params {
     fn default() -> Q6Params {
         // The TPC-D validation parameters.
         Q6Params {
-            // sma-lint: allow(P2-expect) -- compile-time constant date; cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "compile-time constant date; cannot fail"
+            )]
             date: Date::from_ymd(1994, 1, 1).expect("valid constant"),
-            // sma-lint: allow(P2-expect) -- compile-time constant rate; cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "compile-time constant rate; cannot fail"
+            )]
             discount: Decimal::parse("0.06").expect("valid constant"),
             quantity: 24,
         }

@@ -5,8 +5,11 @@
 //! panic) and every truncation is explicit, so modules that decode
 //! untrusted bytes (`row`, `view`, the page codec, SMA images, the
 //! warehouse manifest) never index by literal, never `as`-narrow, and
-//! never `unwrap`. The `sma-lint` rules `L2-codec-bytes`, `P4-literal-index`
-//! and `U3-narrowing-cast` push all such code here.
+//! never `unwrap`. The `sma-lint` rule `L2-codec-bytes` and the codec
+//! modules' clippy denies (`indexing_slicing`, `cast_possible_truncation`)
+//! push all such code here.
+
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
 /// Reads a `u16` at byte offset `off`; `None` if out of bounds.
 pub fn get_u16_le(b: &[u8], off: usize) -> Option<u16> {

@@ -37,6 +37,8 @@
 //! Null slots store zero in the data array (and zero-length heap slices),
 //! so encoding is deterministic: equal blocks encode to equal bytes.
 
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
 use std::fmt;
 
 use crate::bytes::{get_u16_le, get_u32_le, lo16, lo32, u32_bits};

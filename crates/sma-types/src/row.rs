@@ -12,6 +12,8 @@
 //! `Char` 1 byte; a `Str` slot holds the payload length as `u16`. Null
 //! columns keep a zeroed slot so offsets stay schema-computable.
 
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
 use crate::bytes;
 use crate::date::Date;
 use crate::decimal::Decimal;
@@ -46,6 +48,10 @@ pub fn encoded_len(schema: &Schema, tuple: &[Value]) -> usize {
 ///
 /// Fails — leaving `out` untouched — when a string payload exceeds the
 /// `u16` length slot of the fixed section.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "out was just resized to bitmap_start + bitmap_len and i < schema.len(), so i / 8 < bitmap_len"
+)]
 pub fn encode(schema: &Schema, tuple: &[Value], out: &mut Vec<u8>) -> Result<(), CodecError> {
     debug_assert!(schema.validate(tuple).is_ok());
     for (v, c) in tuple.iter().zip(schema.columns()) {
@@ -99,6 +105,10 @@ pub fn encode(schema: &Schema, tuple: &[Value], out: &mut Vec<u8>) -> Result<(),
 }
 
 /// Decodes one tuple image produced by [`encode`].
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the buf.len() < bitmap_len + fixed_len check bounds the bitmap and every fixed slot; the end > buf.len() check bounds each string"
+)]
 pub fn decode(schema: &Schema, buf: &[u8]) -> Result<Tuple, CodecError> {
     let bitmap_len = schema.len().div_ceil(8);
     let fixed_len: usize = schema.columns().iter().map(|c| c.ty.fixed_width()).sum();

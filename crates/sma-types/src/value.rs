@@ -1,5 +1,7 @@
 //! Dynamically-typed values flowing through the storage and query layers.
 
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
 use std::cmp::Ordering;
 use std::fmt;
 

@@ -14,6 +14,8 @@
 //! outlive the visit is materialized into an owned `Tuple` via
 //! [`RowView::materialize`].
 
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+
 use std::cmp::Ordering;
 
 use crate::bytes;
@@ -73,6 +75,10 @@ impl RowLayout {
     }
 
     /// The declared type of column `col`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass col < columns(), which is cols.len()"
+    )]
     pub fn data_type(&self, col: usize) -> DataType {
         self.cols[col].0
     }
@@ -112,10 +118,18 @@ impl<'a> RowView<'a> {
     }
 
     /// Whether column `col` is SQL `NULL` (null-bitmap bit set).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "view() rejects images shorter than var_start, which covers the whole null bitmap; col < columns()"
+    )]
     pub fn is_null(&self, col: usize) -> bool {
         self.image[col / 8] & (1 << (col % 8)) != 0
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "view() rejects images shorter than var_start, and every fixed slot ends at or before var_start; col < columns()"
+    )]
     fn slot(&self, col: usize) -> &'a [u8] {
         let (ty, off) = self.layout.cols[col];
         &self.image[off..off + ty.fixed_width()]
@@ -162,6 +176,10 @@ impl<'a> RowView<'a> {
     /// Walks the length slots of the preceding non-null `Str` columns to
     /// locate the payload, exactly mirroring [`crate::row::decode`]'s var
     /// cursor (null strings contribute no var bytes).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the end > self.image.len() check bounds the payload slice, and var_pos starts at var_start, which view() checked"
+    )]
     pub fn str_at(&self, col: usize) -> Result<Option<&'a str>, CodecError> {
         debug_assert_eq!(self.layout.data_type(col), DataType::Str);
         if self.is_null(col) {
