@@ -171,9 +171,16 @@ impl GroupState {
 /// equals `Value` order for `Char` keys (both are byte order, and `Null`
 /// sorts first in the `BTreeMap` everything folds back into), so results
 /// are byte-identical to the generic path.
+///
+/// The table is sized to the keys it sees: one 256-slot row per distinct
+/// first key byte, allocated when that byte first occurs. Q1 touches three
+/// rows (24 KiB), where the whole two-column table would be 2 MiB to
+/// allocate and to walk, once per morsel.
 pub(crate) struct DenseGroups {
     cols: Vec<usize>,
-    slots: Vec<Option<GroupState>>,
+    /// Row `idx >> 8` of the flat table, for every first byte seen (one
+    /// row in all for a single-column key).
+    rows: Vec<Option<Box<[Option<GroupState>]>>>,
     overflow: BTreeMap<Vec<Value>, GroupState>,
 }
 
@@ -191,13 +198,23 @@ impl DenseGroups {
         {
             return None;
         }
-        let mut slots = Vec::new();
-        slots.resize_with(1usize << (8 * group_by.len()), || None);
+        let mut rows = Vec::new();
+        rows.resize_with(1usize << (8 * (group_by.len() - 1)), || None);
         Some(DenseGroups {
             cols: group_by.to_vec(),
-            slots,
+            rows,
             overflow: BTreeMap::new(),
         })
+    }
+
+    /// The state slot at flat index `idx`, allocating its row on first use.
+    fn slot(&mut self, idx: usize) -> &mut Option<GroupState> {
+        let row = self.rows[idx >> 8].get_or_insert_with(|| {
+            let mut row = Vec::new();
+            row.resize_with(256, || None);
+            row.into_boxed_slice()
+        });
+        &mut row[idx & 0xff]
     }
 
     /// Folds one passing row into its group — allocation-free for
@@ -225,7 +242,7 @@ impl DenseGroups {
                 }
             }
         }
-        self.slots[idx]
+        self.slot(idx)
             .get_or_insert_with(|| GroupState::new(specs))
             .update_view(specs, row)
     }
@@ -268,7 +285,7 @@ impl DenseGroups {
                 }
             }
         }
-        self.slots[idx]
+        self.slot(idx)
             .get_or_insert_with(|| GroupState::new(specs))
             .update_block(specs, block, row)
     }
@@ -334,7 +351,9 @@ impl DenseGroups {
             .collect();
         let mut scratch: Vec<Option<i64>> = Vec::new();
         for (&flat, rows_g) in touched.iter().zip(&group_rows) {
-            let state = self.slots[flat].get_or_insert_with(|| GroupState::new(specs));
+            let state = self
+                .slot(flat)
+                .get_or_insert_with(|| GroupState::new(specs));
             for ((spec, prog), acc) in specs.iter().zip(&progs).zip(&mut state.accs) {
                 match prog {
                     Prog::Count => acc.fold_count(rows_g.len()),
@@ -374,14 +393,17 @@ impl DenseGroups {
     pub fn into_groups(self) -> BTreeMap<Vec<Value>, GroupState> {
         let mut out = self.overflow;
         let two_cols = self.cols.len() == 2;
-        for (idx, slot) in self.slots.into_iter().enumerate() {
-            let Some(state) = slot else { continue };
-            let key = if two_cols {
-                vec![Value::Char((idx >> 8) as u8), Value::Char(idx as u8)]
-            } else {
-                vec![Value::Char(idx as u8)]
-            };
-            out.insert(key, state);
+        for (first, row) in self.rows.into_iter().enumerate() {
+            let Some(row) = row else { continue };
+            for (last, slot) in row.into_vec().into_iter().enumerate() {
+                let Some(state) = slot else { continue };
+                let key = if two_cols {
+                    vec![Value::Char(first as u8), Value::Char(last as u8)]
+                } else {
+                    vec![Value::Char(last as u8)]
+                };
+                out.insert(key, state);
+            }
         }
         out
     }
@@ -482,7 +504,7 @@ mod tests {
     use crate::op::collect;
     use sma_core::col;
     use sma_storage::Table;
-    use sma_types::{Column, DataType, Decimal, Schema};
+    use sma_types::{Column, DataType, Decimal, RowLayout, Schema};
     use std::sync::Arc;
 
     fn table(rows: &[(u8, i64, &str)]) -> Table {
@@ -501,6 +523,59 @@ mod tests {
             .unwrap();
         }
         t
+    }
+
+    /// Every first key byte plus null keys in either column: the rows the
+    /// dense table allocates on first use fold back into exactly the
+    /// groups, and the key order, of the ordered-map path.
+    #[test]
+    fn dense_groups_cover_every_first_byte_and_null_keys() {
+        let schema = Arc::new(Schema::new(vec![
+            Column::new("A", DataType::Char),
+            Column::new("B", DataType::Char),
+            Column::new("N", DataType::Int),
+        ]));
+        let mut t = Table::in_memory("t", schema.clone(), 1);
+        let mut rows: Vec<Tuple> = (0..768i64)
+            .map(|i| {
+                vec![
+                    Value::Char((i % 256) as u8),
+                    Value::Char(b"xyz"[(i / 256) as usize]),
+                    Value::Int(i),
+                ]
+            })
+            .collect();
+        rows.push(vec![Value::Null, Value::Char(b'x'), Value::Int(1000)]);
+        rows.push(vec![Value::Char(b'A'), Value::Null, Value::Int(2000)]);
+        rows.push(vec![Value::Null, Value::Null, Value::Int(3000)]);
+        for row in &rows {
+            t.append(row).unwrap();
+        }
+        let specs = vec![
+            AggSpec::CountStar,
+            AggSpec::Sum(col(2)),
+            AggSpec::Max(col(2)),
+        ];
+        let layout = RowLayout::new(&schema);
+        let mut dense = DenseGroups::try_new(&schema, &[0, 1]).unwrap();
+        for page in 0..t.page_count() {
+            t.for_each_on_page::<ExecError, _>(page, |_, image| {
+                dense.update(&specs, &layout.view(image)?)
+            })
+            .unwrap();
+        }
+        assert_eq!(dense.rows.iter().filter(|r| r.is_some()).count(), 256);
+        let got: Vec<Tuple> = dense
+            .into_groups()
+            .into_iter()
+            .map(|(mut key, state)| {
+                key.extend(state.finish(&specs));
+                key
+            })
+            .collect();
+        let mut generic = HashGAggr::new(Box::new(SeqScan::new(&t)), vec![0, 1], specs);
+        assert_eq!(got, collect(&mut generic).unwrap());
+        assert_eq!(got.len(), rows.len());
     }
 
     #[test]

@@ -3,17 +3,24 @@
 //! The paper's operators iterate `forall bucket in buckets` — an
 //! embarrassingly parallel loop, because SMA grading is pure in-memory
 //! arithmetic and every bucket's pages are disjoint. This module provides
-//! the two small pieces the operators share:
+//! the three small pieces the operators share:
 //!
 //! * [`Parallelism`] — the knob saying how many worker threads to use
-//!   (default: every available core), and
+//!   (default: every available core),
 //! * [`morsels`] — a contiguous partition of `0..n_buckets` so each worker
 //!   scans a run of adjacent buckets (preserving sequential page access
 //!   within a worker) and partial results can be merged back **in bucket
-//!   order**, keeping parallel output byte-identical to the serial path.
+//!   order**, keeping parallel output byte-identical to the serial path,
+//!   and
+//! * `run_morsels` — the one place the crate spawns threads: it runs a
+//!   bucket-range body on every morsel and hands the partials back in
+//!   morsel order.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::OnceLock;
+
+use crate::op::ExecError;
 
 /// Degree of intra-query parallelism for bucket loops.
 ///
@@ -35,9 +42,15 @@ impl Parallelism {
     }
 
     /// One thread per available core (falls back to 1 when the runtime
-    /// cannot tell).
+    /// cannot tell). The core count is read once per process: asking the
+    /// OS reads cgroup files, tens of microseconds that every operator
+    /// constructor would otherwise pay.
     pub fn available() -> Parallelism {
-        Parallelism(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
+        static CORES: OnceLock<NonZeroUsize> = OnceLock::new();
+        Parallelism(
+            *CORES
+                .get_or_init(|| std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)),
+        )
     }
 
     /// Number of worker threads.
@@ -70,6 +83,46 @@ pub fn morsels(n_buckets: u32, threads: usize) -> Vec<Range<u32>> {
         .collect()
 }
 
+/// Runs `work` over every range of [`morsels`]`(n_buckets, threads)` and
+/// returns the partials in morsel order — bucket order — so the caller's
+/// merge reproduces the serial loop exactly.
+///
+/// A single morsel runs on the calling thread; several run on scoped
+/// worker threads, one each. Every worker is joined before any result is
+/// looked at, and the first error in morsel order wins: it is the error a
+/// serial loop over the same buckets would have stopped at. A panicking
+/// worker becomes [`ExecError::Plan`].
+pub(crate) fn run_morsels<T, F>(
+    n_buckets: u32,
+    threads: usize,
+    work: F,
+) -> Result<Vec<T>, ExecError>
+where
+    T: Send,
+    F: Fn(Range<u32>) -> Result<T, ExecError> + Sync,
+{
+    let parts = morsels(n_buckets, threads);
+    if parts.len() <= 1 {
+        return parts.into_iter().map(work).collect();
+    }
+    let work = &work;
+    let joined: Vec<Result<T, ExecError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .map(|r| scope.spawn(move || work(r)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(r) => r,
+                // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
+                Err(_) => Err(ExecError::Plan("bucket worker panicked".into())),
+            })
+            .collect()
+    });
+    joined.into_iter().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +144,45 @@ mod tests {
     #[test]
     fn zero_threads_behaves_like_one() {
         assert_eq!(morsels(5, 0), vec![0..5]);
+    }
+
+    #[test]
+    fn run_morsels_returns_partials_in_bucket_order() {
+        for threads in [1usize, 2, 3, 8] {
+            let parts = run_morsels(10, threads, |r| Ok(r.collect::<Vec<u32>>())).unwrap();
+            assert_eq!(parts.len(), morsels(10, threads).len(), "{threads} threads");
+            let flat: Vec<u32> = parts.into_iter().flatten().collect();
+            assert_eq!(flat, (0..10).collect::<Vec<_>>(), "{threads} threads");
+        }
+        assert!(run_morsels(0, 4, |_| Ok(())).unwrap().is_empty());
+    }
+
+    #[test]
+    fn run_morsels_reports_the_first_error_in_bucket_order() {
+        let err = run_morsels(8, 4, |r| {
+            if r.start >= 2 {
+                Err(ExecError::Plan(format!("morsel at {}", r.start)))
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, ExecError::Plan(m) if m == "morsel at 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn run_morsels_turns_a_worker_panic_into_an_error() {
+        let err = run_morsels(4, 2, |r| {
+            if r.start > 0 {
+                panic!("worker down");
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(matches!(err, ExecError::Plan(_)), "{err}");
     }
 
     #[test]

@@ -14,19 +14,28 @@
 //! 3. plain `SeqScan` + `Filter` + `HashGAggr` — reads everything,
 //!    perfectly sequentially.
 //!
-//! An optional hard breakeven threshold reproduces the paper's simpler
+//! Each candidate's reads are counted as whole (random, sequential) page
+//! numbers and priced by one [`CostModel::cost_ms`] call, so two plans
+//! that read the same pages cost exactly the same; a tie keeps the plan
+//! that spends less CPU per page (the full scan, then `SmaGAggr`). An
+//! optional hard breakeven threshold reproduces the paper's simpler
 //! decision rule.
+//!
+//! The classification that priced the plans is kept in the [`Plan`], and
+//! `SmaGAggr` executes on it: a query grades its buckets once.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use sma_core::{Accumulator, BucketPred, Classification, Grade, SmaSet};
-use sma_storage::{CostModel, QueryBudget, Table};
+use sma_storage::{CostModel, IoStats, QueryBudget, Table};
 use sma_types::{RowLayout, Tuple, Value};
 
 use crate::degrade::DegradationReport;
 use crate::gaggr::{AggSpec, DenseGroups, GroupState, HashGAggr};
 use crate::op::{collect, ExecError, PhysicalOp};
+use crate::parallel::{run_morsels, Parallelism};
 use crate::scan::SmaScan;
 use crate::sma_gaggr::{absorb_groups, SmaGAggr};
 
@@ -91,6 +100,12 @@ pub struct Plan<'a> {
     overlay: Vec<Tuple>,
     /// Cooperative per-query budget — see [`Plan::with_budget`].
     budget: Option<&'a QueryBudget>,
+    /// The planner's grading of `query.pred` over every bucket (`None`
+    /// without SMAs); `SmaGAggr` runs on it instead of grading again.
+    grades: Option<Classification>,
+    /// Worker threads for the bucket loops of `SmaGAggr` and the full
+    /// scan.
+    parallelism: Parallelism,
     /// The chosen strategy.
     pub kind: PlanKind,
     /// The estimate that drove the choice (`None` without SMAs).
@@ -255,9 +270,13 @@ impl<'a> Plan<'a> {
                     self.query.group_by.clone(),
                     specs.to_vec(),
                     smas,
-                )?;
+                )?
+                .with_parallelism(self.parallelism);
                 if let Some(b) = self.budget {
                     op = op.with_budget(b);
+                }
+                if let Some(c) = &self.grades {
+                    op = op.with_grades(&c.grades);
                 }
                 let rows = collect(&mut op)?;
                 Ok((rows, op.counters().degradation))
@@ -285,7 +304,13 @@ impl<'a> Plan<'a> {
                 Ok((rows, report))
             }
             PlanKind::FullScan => {
-                let rows = full_scan_aggregate(self.table, &self.query, specs, self.budget)?;
+                let rows = full_scan_aggregate(
+                    self.table,
+                    &self.query,
+                    specs,
+                    self.budget,
+                    self.parallelism,
+                )?;
                 Ok((rows, DegradationReport::default()))
             }
         }
@@ -360,27 +385,54 @@ impl PhysicalOp for Buffered {
     }
 }
 
-/// The SMA-less baseline, fused: one pass over the data pages in physical
-/// order, evaluating the predicate and folding aggregate inputs directly
-/// on zero-copy views — no per-tuple materialization anywhere. Pages are
-/// visited in exactly [`crate::basic::SeqScan`]'s order, so the I/O trace
-/// is unchanged, and groups come out of an ordered map (or the flat `Char`
-/// table that folds back into one), so the rows match what
-/// `SeqScan → Filter → HashGAggr` produces.
+/// The SMA-less baseline, fused: one pass over the data pages,
+/// evaluating the predicate and folding aggregate inputs directly on
+/// zero-copy views — no per-tuple materialization anywhere. The paper's
+/// `forall bucket` loop runs as contiguous morsels on worker threads, each
+/// visiting its pages in [`crate::basic::SeqScan`]'s order and folding
+/// into its own groups (an ordered map, or the flat `Char` table that
+/// folds back into one). The partials merge in bucket order, so the rows
+/// match what `SeqScan → Filter → HashGAggr` produces at any worker count.
 fn full_scan_aggregate(
     table: &Table,
     query: &AggregateQuery,
     specs: &[AggSpec],
     budget: Option<&QueryBudget>,
+    parallelism: Parallelism,
 ) -> Result<Vec<Tuple>, ExecError> {
     let layout = RowLayout::new(table.schema());
+    let partials = run_morsels(table.bucket_count(), parallelism.get(), |buckets| {
+        full_scan_buckets(table, &layout, query, specs, budget, buckets)
+    })?;
+    let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
+    for partial in partials {
+        absorb_groups(&mut groups, partial);
+    }
+    let mut rows = Vec::with_capacity(groups.len());
+    for (key, state) in groups {
+        let mut row = key;
+        row.extend(state.finish(specs));
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
+/// The full scan's body over one morsel of buckets.
+fn full_scan_buckets(
+    table: &Table,
+    layout: &RowLayout,
+    query: &AggregateQuery,
+    specs: &[AggSpec],
+    budget: Option<&QueryBudget>,
+    buckets: Range<u32>,
+) -> Result<BTreeMap<Vec<Value>, GroupState>, ExecError> {
     let mut dense = DenseGroups::try_new(table.schema(), &query.group_by);
     let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
     // Bucket-wise so columnar buckets run through the batch kernels;
     // bucket ranges tile `0..page_count`, and a columnar bucket charges
     // its whole range at once while a row bucket charges page by page,
     // so the budget total is exactly one unit per data page either way.
-    for bucket in 0..table.bucket_count() {
+    for bucket in buckets {
         let range = table.bucket_range(bucket);
         if let Some(block) = table.columnar_bucket(bucket)? {
             if let Some(b) = budget {
@@ -423,13 +475,7 @@ fn full_scan_aggregate(
     if let Some(d) = dense {
         absorb_groups(&mut groups, d.into_groups());
     }
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key, state) in groups {
-        let mut row = key;
-        row.extend(state.finish(specs));
-        rows.push(row);
-    }
-    Ok(rows)
+    Ok(groups)
 }
 
 /// Whether `smas` can answer every aggregate of `query`.
@@ -444,31 +490,37 @@ fn aggregates_covered(smas: &SmaSet, query: &AggregateQuery) -> bool {
         })
 }
 
-/// Models the cost of reading the buckets selected by `read`, charging a
-/// seek whenever the previous bucket was skipped (clustered ambivalent
-/// runs therefore price mostly sequentially — the reason the paper's
-/// breakeven sits as high as 25 %).
-fn bucket_read_cost(
-    grades: &[Grade],
-    bucket_pages: u32,
-    cm: &CostModel,
-    read: impl Fn(Grade) -> bool,
-) -> f64 {
-    let mut cost = 0.0;
+/// Counts the page reads of the buckets selected by `read` (only the two
+/// counters [`CostModel::cost_ms`] prices for reads), with a seek
+/// whenever the previous bucket was skipped (clustered ambivalent runs
+/// therefore price mostly sequentially — the reason the paper's breakeven
+/// sits as high as 25 %).
+fn bucket_reads(grades: &[Grade], bucket_pages: u32, read: impl Fn(Grade) -> bool) -> IoStats {
+    let pages = u64::from(bucket_pages);
+    let mut io = IoStats::default();
     let mut prev_read = false;
     for &g in grades {
         if read(g) {
-            cost += if prev_read {
-                cm.seq_read_ms * bucket_pages as f64
+            if prev_read {
+                io.sequential_reads += pages;
             } else {
-                cm.rand_read_ms + cm.seq_read_ms * (bucket_pages.saturating_sub(1)) as f64
-            };
+                io.random_reads += 1;
+                io.sequential_reads += pages.saturating_sub(1);
+            }
             prev_read = true;
         } else {
             prev_read = false;
         }
     }
-    cost
+    io
+}
+
+/// `io` plus `pages` sequential page reads (SMA files scanned in sync).
+fn plus_sequential(io: IoStats, pages: usize) -> IoStats {
+    IoStats {
+        sequential_reads: io.sequential_reads + pages as u64,
+        ..io
+    }
 }
 
 /// Pages of the min/max and count SMAs usable for grading `pred`.
@@ -500,30 +552,32 @@ pub fn plan<'a>(
             query,
             overlay: Vec::new(),
             budget: None,
+            grades: None,
+            parallelism: Parallelism::default(),
             kind: PlanKind::FullScan,
             estimate: None,
         };
     };
     let cm = &cfg.cost_model;
     let grades = Classification::classify(&query.pred, table.bucket_count(), set);
-    let n_pages = table.page_count() as f64;
-    let full_scan_cost_ms = if n_pages > 0.0 {
-        cm.rand_read_ms + cm.seq_read_ms * (n_pages - 1.0)
-    } else {
-        0.0
-    };
-    let sel_pages = selection_sma_pages(set, &query.pred) as f64;
-    let sma_scan_cost_ms = sel_pages * cm.seq_read_ms
-        + bucket_read_cost(&grades.grades, table.bucket_pages(), cm, |g| {
-            g != Grade::Disqualifies
-        });
+    let n_pages = u64::from(table.page_count());
+    let full_scan_cost_ms = cm.cost_ms(&IoStats {
+        random_reads: n_pages.min(1),
+        sequential_reads: n_pages.saturating_sub(1),
+        ..IoStats::default()
+    });
+    let bucket_pages = table.bucket_pages();
+    let sma_scan_cost_ms = cm.cost_ms(&plus_sequential(
+        bucket_reads(&grades.grades, bucket_pages, |g| g != Grade::Disqualifies),
+        selection_sma_pages(set, &query.pred),
+    ));
     let covered = aggregates_covered(set, &query);
     let sma_gaggr_cost_ms = covered.then(|| {
         // All SMA files are scanned sequentially "in sync" (§2.3).
-        set.total_pages() as f64 * cm.seq_read_ms
-            + bucket_read_cost(&grades.grades, table.bucket_pages(), cm, |g| {
-                g == Grade::Ambivalent
-            })
+        cm.cost_ms(&plus_sequential(
+            bucket_reads(&grades.grades, bucket_pages, |g| g == Grade::Ambivalent),
+            set.total_pages(),
+        ))
     });
     let estimate = Estimate {
         n_buckets: table.bucket_count(),
@@ -539,14 +593,18 @@ pub fn plan<'a>(
     let kind = if over_hard_breakeven {
         PlanKind::FullScan
     } else {
+        // On equal I/O the earlier candidate stays, so they are tried in
+        // order of CPU per page read: the fused full scan, then
+        // `SmaGAggr`, then the SMA scan, which materializes every row it
+        // passes to the aggregation.
         let mut best = (PlanKind::FullScan, full_scan_cost_ms);
-        if sma_scan_cost_ms < best.1 {
-            best = (PlanKind::SmaScanGAggr, sma_scan_cost_ms);
-        }
         if let Some(c) = sma_gaggr_cost_ms {
             if c < best.1 {
                 best = (PlanKind::SmaGAggr, c);
             }
+        }
+        if sma_scan_cost_ms < best.1 {
+            best = (PlanKind::SmaScanGAggr, sma_scan_cost_ms);
         }
         best.0
     };
@@ -556,6 +614,8 @@ pub fn plan<'a>(
         query,
         overlay: Vec::new(),
         budget: None,
+        grades: Some(grades),
+        parallelism: Parallelism::default(),
         kind,
         estimate: Some(estimate),
     }
@@ -601,6 +661,27 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// `kind` forced over `t`, built as the planner builds plans but with
+    /// no grades handed over.
+    fn forced<'a>(
+        t: &'a Table,
+        smas: Option<&'a SmaSet>,
+        query: AggregateQuery,
+        kind: PlanKind,
+    ) -> Plan<'a> {
+        Plan {
+            table: t,
+            smas,
+            query,
+            overlay: Vec::new(),
+            budget: None,
+            grades: None,
+            parallelism: Parallelism::default(),
+            kind,
+            estimate: None,
+        }
     }
 
     fn query(cutoff: i64) -> AggregateQuery {
@@ -673,15 +754,7 @@ mod tests {
                     PlanKind::SmaScanGAggr,
                     PlanKind::FullScan,
                 ] {
-                    let p = Plan {
-                        table: &t,
-                        smas: Some(&set),
-                        query: q.clone(),
-                        overlay: Vec::new(),
-                        budget: None,
-                        kind,
-                        estimate: None,
-                    };
+                    let p = forced(&t, Some(&set), q.clone(), kind);
                     answers.push(p.execute().unwrap());
                 }
                 assert_eq!(answers[0], answers[1], "sorted={sorted} cutoff={cutoff}");
@@ -743,16 +816,8 @@ mod tests {
                     PlanKind::SmaScanGAggr,
                     PlanKind::FullScan,
                 ] {
-                    let p = Plan {
-                        table: &base,
-                        smas: Some(&set),
-                        query: q.clone(),
-                        overlay: Vec::new(),
-                        budget: None,
-                        kind,
-                        estimate: None,
-                    }
-                    .with_overlay(all_rows[40..].to_vec());
+                    let p = forced(&base, Some(&set), q.clone(), kind)
+                        .with_overlay(all_rows[40..].to_vec());
                     assert_eq!(
                         p.execute().unwrap(),
                         expected,
@@ -844,16 +909,7 @@ mod tests {
         let converted = t.convert_buckets_from(0).unwrap();
         assert!(!converted.is_empty());
         let budget = QueryBudget::unbounded();
-        let p = Plan {
-            table: &t,
-            smas: None,
-            query: q.clone(),
-            overlay: Vec::new(),
-            budget: None,
-            kind: PlanKind::FullScan,
-            estimate: None,
-        }
-        .with_budget(&budget);
+        let p = forced(&t, None, q.clone(), PlanKind::FullScan).with_budget(&budget);
         assert_eq!(p.execute().unwrap(), expected);
         assert_eq!(budget.pages_charged(), u64::from(t.page_count()));
         for kind in [
@@ -861,16 +917,104 @@ mod tests {
             PlanKind::SmaScanGAggr,
             PlanKind::FullScan,
         ] {
-            let p = Plan {
-                table: &t,
-                smas: Some(&set),
-                query: q.clone(),
-                overlay: Vec::new(),
-                budget: None,
-                kind,
-                estimate: None,
-            };
+            let p = forced(&t, Some(&set), q.clone(), kind);
             assert_eq!(p.execute().unwrap(), expected, "{kind:?}");
+        }
+    }
+
+    /// The parallel full scan returns the serial rows byte for byte at
+    /// every worker count — on every clustering, for the dense Q1 grouping
+    /// and an ungrouped aggregate, over row and columnar buckets, with and
+    /// without an overlay — and a cold run reads every page once, with one
+    /// seek per morsel.
+    #[test]
+    fn parallel_full_scan_matches_serial_exactly() {
+        use crate::parallel::morsels;
+        use crate::query1::{cutoff, query1_query};
+        use sma_tpcd::{generate_lineitem_table, Clustering, GenConfig};
+        for clustering in [
+            Clustering::SortedByShipdate,
+            Clustering::diagonal_default(),
+            Clustering::Shuffled,
+            Clustering::Uniform,
+        ] {
+            let mut t = generate_lineitem_table(&GenConfig::tiny(clustering));
+            let q1 = query1_query(&t, cutoff(90)).unwrap();
+            let ungrouped = AggregateQuery {
+                group_by: Vec::new(),
+                ..q1.clone()
+            };
+            let overlay: Vec<Tuple> = t
+                .scan()
+                .unwrap()
+                .into_iter()
+                .take(40)
+                .map(|(_, r)| r)
+                .collect();
+            for columnar in [false, true] {
+                if columnar {
+                    assert!(!t.convert_buckets_from(0).unwrap().is_empty());
+                }
+                for q in [&q1, &ungrouped] {
+                    for extra in [Vec::new(), overlay.clone()] {
+                        let run = |threads: usize| {
+                            let mut p = forced(&t, None, q.clone(), PlanKind::FullScan)
+                                .with_overlay(extra.clone());
+                            p.parallelism = Parallelism::new(threads);
+                            t.make_cold().unwrap();
+                            t.reset_io_stats();
+                            (p.execute().unwrap(), t.io_stats())
+                        };
+                        let (serial, _) = run(1);
+                        assert!(!serial.is_empty());
+                        for threads in [1, 2, 4, 8] {
+                            let ctx = format!(
+                                "{clustering:?} columnar={columnar} by={:?} overlay={} {threads} threads",
+                                q.group_by,
+                                extra.len()
+                            );
+                            let (rows, io) = run(threads);
+                            assert_eq!(rows, serial, "{ctx}");
+                            assert_eq!(io.physical_reads, u64::from(t.page_count()), "{ctx}");
+                            let seeks = morsels(t.bucket_count(), threads).len() as u64;
+                            assert_eq!(io.random_reads, seeks, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A zero-page cap and a cancelled budget each stop a full scan
+    /// running on several workers with a budget error.
+    #[test]
+    fn budget_stops_a_parallel_full_scan() {
+        use sma_storage::BudgetExceeded;
+        let t = make_table(60, true);
+        let q = query(30);
+        for threads in [2, 4, 8] {
+            let capped = QueryBudget::unbounded().with_page_cap(0);
+            let err =
+                full_scan_aggregate(&t, &q, &q.specs, Some(&capped), Parallelism::new(threads))
+                    .unwrap_err();
+            assert!(
+                matches!(err, ExecError::Budget(BudgetExceeded::Pages { .. })),
+                "{threads} threads: {err}"
+            );
+            let cancelled = QueryBudget::unbounded();
+            cancelled.cancel();
+            let err = full_scan_aggregate(
+                &t,
+                &q,
+                &q.specs,
+                Some(&cancelled),
+                Parallelism::new(threads),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ExecError::Budget(BudgetExceeded::Cancelled)),
+                "{threads} threads: {err}"
+            );
         }
     }
 
@@ -899,30 +1043,65 @@ mod tests {
             write_ms: 0.0,
             failed_read_ms: 0.0,
         };
-        // Contiguous run: 1 seek + 3 sequential.
-        let run = vec![
+        let reads = |grades: &[Grade], pages: u32| {
+            let io = bucket_reads(grades, pages, |g| g == Ambivalent);
+            (io.random_reads, io.sequential_reads, cm.cost_ms(&io))
+        };
+        // Contiguous run: 1 seek, then 2 sequential pages.
+        let run = [
             Disqualifies,
             Ambivalent,
             Ambivalent,
             Ambivalent,
             Disqualifies,
         ];
-        let clustered = bucket_read_cost(&run, 1, &cm, |g| g == Ambivalent);
-        assert!((clustered - 12.0).abs() < 1e-9);
+        assert_eq!(reads(&run, 1), (1, 2, 12.0));
         // Same count, scattered: 3 seeks.
-        let scattered = vec![
+        let scattered = [
             Ambivalent,
             Disqualifies,
             Ambivalent,
             Disqualifies,
             Ambivalent,
         ];
-        let s = bucket_read_cost(&scattered, 1, &cm, |g| g == Ambivalent);
-        assert!((s - 30.0).abs() < 1e-9);
+        assert_eq!(reads(&scattered, 1), (3, 0, 30.0));
         // Multi-page buckets amortize the seek.
-        let one = bucket_read_cost(&[Ambivalent], 4, &cm, |g| g == Ambivalent);
-        assert!((one - 13.0).abs() < 1e-9);
+        assert_eq!(reads(&[Ambivalent], 4), (1, 3, 13.0));
     }
+
+    /// A bare unindexed predicate makes the SMA scan read exactly the
+    /// full scan's pages: `count(*), sum(L_QUANTITY) where L_TAX <= x`
+    /// with no SMA on `L_TAX`. Both plans are priced from the same integer
+    /// counts, so they tie exactly, and the tie goes to the full scan,
+    /// which does not materialize the surviving rows. At 268 one-page
+    /// buckets, as at SF 0.02's 4,053, summing the SMA scan's price bucket
+    /// by bucket in floating point came out below the full scan's.
+    #[test]
+    fn equal_io_ties_go_to_the_full_scan() {
+        use sma_tpcd::schema::lineitem as li;
+        use sma_tpcd::{generate_lineitem_table, Clustering, GenConfig};
+        let t = generate_lineitem_table(&GenConfig {
+            orders: 2_000,
+            ..GenConfig::tiny(Clustering::diagonal_default())
+        });
+        assert_eq!((t.bucket_count(), t.page_count()), (268, 268));
+        let smas = SmaSet::build_query1_set(&t).unwrap();
+        for cents in 0..=8 {
+            let q = AggregateQuery {
+                pred: BucketPred::cmp(li::TAX, CmpOp::Le, Decimal::from_cents(cents)),
+                group_by: vec![],
+                specs: vec![AggSpec::CountStar, AggSpec::Sum(col(li::QUANTITY))],
+            };
+            let p = plan(&t, q.clone(), Some(&smas), &PlannerConfig::default());
+            let e = p.estimate.unwrap();
+            assert_eq!(e.ambivalent_fraction, 1.0);
+            assert_eq!(e.sma_scan_cost_ms, e.full_scan_cost_ms, "x = {cents}");
+            assert_eq!(p.kind, PlanKind::FullScan, "x = {cents}");
+            let via_sma_scan = forced(&t, Some(&smas), q, PlanKind::SmaScanGAggr);
+            assert_eq!(p.execute().unwrap(), via_sma_scan.execute().unwrap());
+        }
+    }
+
     #[test]
     fn budget_page_cap_cuts_off_every_plan_kind() {
         use sma_storage::BudgetExceeded;
@@ -938,16 +1117,7 @@ mod tests {
             PlanKind::FullScan,
         ] {
             let budget = QueryBudget::unbounded().with_page_cap(0);
-            let p = Plan {
-                table: &t,
-                smas: Some(&set),
-                query: q.clone(),
-                overlay: Vec::new(),
-                budget: None,
-                kind,
-                estimate: None,
-            }
-            .with_budget(&budget);
+            let p = forced(&t, Some(&set), q.clone(), kind).with_budget(&budget);
             let err = p.execute().unwrap_err();
             assert!(
                 matches!(err, ExecError::Budget(BudgetExceeded::Pages { .. })),
@@ -968,16 +1138,7 @@ mod tests {
             PlanKind::FullScan,
         ] {
             let expired = QueryBudget::unbounded().with_deadline(Duration::ZERO);
-            let p = Plan {
-                table: &t,
-                smas: Some(&set),
-                query: query(30),
-                overlay: Vec::new(),
-                budget: None,
-                kind,
-                estimate: None,
-            }
-            .with_budget(&expired);
+            let p = forced(&t, Some(&set), query(30), kind).with_budget(&expired);
             let err = p.execute().unwrap_err();
             assert!(
                 matches!(err, ExecError::Budget(BudgetExceeded::Deadline { .. })),
@@ -986,16 +1147,7 @@ mod tests {
 
             let cancelled = QueryBudget::unbounded();
             cancelled.cancel();
-            let p = Plan {
-                table: &t,
-                smas: Some(&set),
-                query: query(30),
-                overlay: Vec::new(),
-                budget: None,
-                kind,
-                estimate: None,
-            }
-            .with_budget(&cancelled);
+            let p = forced(&t, Some(&set), query(30), kind).with_budget(&cancelled);
             let err = p.execute().unwrap_err();
             assert!(
                 matches!(err, ExecError::Budget(BudgetExceeded::Cancelled)),
@@ -1010,29 +1162,13 @@ mod tests {
         let set = full_set(&t);
         let q = query(30);
         let budget = QueryBudget::unbounded();
-        let with_budget = Plan {
-            table: &t,
-            smas: Some(&set),
-            query: q.clone(),
-            overlay: Vec::new(),
-            budget: None,
-            kind: PlanKind::FullScan,
-            estimate: None,
-        }
-        .with_budget(&budget)
-        .execute()
-        .unwrap();
-        let bare = Plan {
-            table: &t,
-            smas: Some(&set),
-            query: q,
-            overlay: Vec::new(),
-            budget: None,
-            kind: PlanKind::FullScan,
-            estimate: None,
-        }
-        .execute()
-        .unwrap();
+        let with_budget = forced(&t, Some(&set), q.clone(), PlanKind::FullScan)
+            .with_budget(&budget)
+            .execute()
+            .unwrap();
+        let bare = forced(&t, Some(&set), q, PlanKind::FullScan)
+            .execute()
+            .unwrap();
         assert_eq!(with_budget, bare);
         // A full scan charges exactly one unit per data page: the same
         // logical-page count IoStats would tally single-threaded.

@@ -12,7 +12,7 @@ use sma_types::{RowLayout, Tuple};
 use crate::colkernel::filter_block;
 use crate::degrade::DegradationReport;
 use crate::op::{ExecError, PhysicalOp};
-use crate::parallel::{morsels, Parallelism};
+use crate::parallel::{run_morsels, Parallelism};
 
 /// Bucket-level counters a finished scan reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -212,24 +212,11 @@ impl PhysicalOp for SmaScan<'_> {
         let n_buckets = self.table.bucket_count();
         let threads = self.parallelism.get().min(n_buckets.max(1) as usize);
         if threads > 1 {
-            let pred = &self.pred;
-            let smas = self.smas;
-            let parts: Result<Vec<Vec<Grade>>, ExecError> = std::thread::scope(|scope| {
-                let handles: Vec<_> = morsels(n_buckets, threads)
-                    .into_iter()
-                    .map(|r| {
-                        scope.spawn(move || r.map(|b| pred.grade(b, smas)).collect::<Vec<Grade>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .map_err(|_| ExecError::Plan("grading worker panicked".into()))
-                    })
-                    .collect()
-            });
-            self.grades = parts?.into_iter().flatten().collect();
+            let (pred, smas) = (&self.pred, self.smas);
+            let parts = run_morsels(n_buckets, threads, |r| {
+                Ok(r.map(|b| pred.grade(b, smas)).collect::<Vec<Grade>>())
+            })?;
+            self.grades = parts.into_iter().flatten().collect();
         }
         Ok(())
     }

@@ -7,19 +7,24 @@
 //! aggregated tuple-by-tuple. A pipeline breaker: the whole result is
 //! computed in `open` ("within its init function, the result is
 //! computed"), `next` merely streams it.
+//!
+//! Buckets are graded once per query: the planner hands over the
+//! classification it priced the plan with, and a standalone operator
+//! classifies in `open` before any worker starts. The morsel loop only
+//! reads grades.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use sma_core::{BucketPred, Grade, Sma, SmaFile, SmaSet};
+use sma_core::{BucketPred, Classification, Grade, Sma, SmaFile, SmaSet};
 use sma_storage::QueryBudget;
 use sma_types::{RowLayout, Tuple, Value};
 
 use crate::colkernel::{aggregate_block, filter_block};
 use crate::gaggr::{AggSpec, DenseGroups, GroupState};
 use crate::op::{ExecError, PhysicalOp};
-use crate::parallel::{morsels, Parallelism};
+use crate::parallel::{run_morsels, Parallelism};
 use crate::scan::ScanCounters;
 
 /// How one query aggregate maps onto SMAs.
@@ -55,6 +60,9 @@ pub struct SmaGAggr<'a> {
     /// Cooperative per-query budget, shared by all morsel workers (its
     /// state is atomic): checked once per bucket, charged per page read.
     budget: Option<&'a QueryBudget>,
+    /// Every bucket's grade under `pred`, when the planner already
+    /// computed them; `open` classifies itself otherwise.
+    planned: Option<&'a [Grade]>,
 }
 
 fn resolve<'a>(
@@ -145,6 +153,7 @@ impl<'a> SmaGAggr<'a> {
             counters: ScanCounters::default(),
             parallelism: Parallelism::default(),
             budget: None,
+            planned: None,
         })
     }
 
@@ -162,6 +171,14 @@ impl<'a> SmaGAggr<'a> {
     /// answered from in-memory SMA entries and charge nothing.
     pub fn with_budget(mut self, budget: &'a QueryBudget) -> SmaGAggr<'a> {
         self.budget = Some(budget);
+        self
+    }
+
+    /// Reuses the planner's grades of `pred` — one per bucket, from
+    /// [`Classification::classify`] over the same table and SMA set — so
+    /// the query grades its buckets once.
+    pub(crate) fn with_grades(mut self, grades: &'a [Grade]) -> SmaGAggr<'a> {
+        self.planned = Some(grades);
         self
     }
 
@@ -216,16 +233,18 @@ impl<'a> SmaGAggr<'a> {
         }
     }
 
-    /// Fig. 7's bucket loop over one contiguous morsel: grade each bucket,
-    /// answer qualifying ones from SMA entries, scan ambivalent ones.
-    /// Buckets whose SMA entries cannot be trusted (quarantined) or do not
-    /// add up (inconsistent) are demoted to base-table scans — the base
-    /// table is the ground truth, so the answer stays exact and only the
-    /// fast path is lost. Pure with respect to `self`, so morsels run on
-    /// worker threads.
+    /// Fig. 7's bucket loop over one contiguous morsel: switch on each
+    /// bucket's grade (`grades` holds one per bucket of the table), answer
+    /// qualifying ones from SMA entries, scan ambivalent ones. Buckets
+    /// whose SMA entries cannot be trusted (quarantined) or do not add up
+    /// (inconsistent) are demoted to base-table scans — the base table is
+    /// the ground truth, so the answer stays exact and only the fast path
+    /// is lost. Pure with respect to `self`, so morsels run on worker
+    /// threads.
     fn process_buckets(
         &self,
         range: Range<u32>,
+        grades: &[Grade],
     ) -> Result<(ScanCounters, BTreeMap<Vec<Value>, GroupState>), ExecError> {
         let mut counters = ScanCounters::default();
         let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
@@ -245,7 +264,7 @@ impl<'a> SmaGAggr<'a> {
             if let Some(b) = self.budget {
                 b.check()?;
             }
-            match self.pred.grade(bucket, self.smas) {
+            match grades[bucket as usize] {
                 Grade::Qualifies => {
                     if self.aggregate_entries_quarantined(bucket) {
                         counters.ambivalent += 1;
@@ -345,44 +364,41 @@ impl PhysicalOp for SmaGAggr<'_> {
         self.counters = ScanCounters::default();
         let retries_at_open = self.table.io_stats().retried_reads;
         let n_buckets = self.table.bucket_count();
-        let threads = self.parallelism.get().min(n_buckets.max(1) as usize);
         // Fig. 7: "forall bucket in buckets: switch(grade(bucket, pred))".
-        // Buckets are independent (grading is in-memory arithmetic, pages
-        // are disjoint), so the loop runs as contiguous morsels on worker
+        // The grades come from one pass — the planner's, or this one —
+        // before any worker starts. Buckets are independent (pages are
+        // disjoint), so the loop runs as contiguous morsels on worker
         // threads; partials merge back in bucket order, which keeps both
         // the result rows and the counters identical to the serial loop.
-        let (mut counters, groups) = if threads <= 1 {
-            self.process_buckets(0..n_buckets)?
-        } else {
-            let shared: &SmaGAggr<'_> = &*self;
-            let partials: Vec<Result<_, ExecError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = morsels(n_buckets, threads)
-                    .into_iter()
-                    .map(|r| scope.spawn(move || shared.process_buckets(r)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
-                        Err(_) => Err(ExecError::Plan("bucket worker panicked".into())),
-                    })
-                    .collect()
-            });
-            let mut counters = ScanCounters::default();
-            let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-            for partial in partials {
-                let (c, partial_groups) = partial?;
-                counters.qualified += c.qualified;
-                counters.disqualified += c.disqualified;
-                counters.ambivalent += c.ambivalent;
-                // Bucket lists are sorted + deduplicated on merge, so the
-                // combined report is identical at any worker count.
-                counters.degradation.merge(&c.degradation);
-                absorb_groups(&mut groups, partial_groups);
+        let classified;
+        let grades = match self.planned {
+            Some(grades) => grades,
+            None => {
+                classified = Classification::classify(&self.pred, n_buckets, self.smas);
+                &classified.grades
             }
-            (counters, groups)
         };
+        if grades.len() != n_buckets as usize {
+            return Err(ExecError::Plan(format!(
+                "{} grades for a table of {n_buckets} buckets",
+                grades.len()
+            )));
+        }
+        let shared: &SmaGAggr<'_> = &*self;
+        let partials = run_morsels(n_buckets, self.parallelism.get(), |r| {
+            shared.process_buckets(r, grades)
+        })?;
+        let mut counters = ScanCounters::default();
+        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
+        for (c, partial_groups) in partials {
+            counters.qualified += c.qualified;
+            counters.disqualified += c.disqualified;
+            counters.ambivalent += c.ambivalent;
+            // Bucket lists are sorted + deduplicated on merge, so the
+            // combined report is identical at any worker count.
+            counters.degradation.merge(&c.degradation);
+            absorb_groups(&mut groups, partial_groups);
+        }
         // Retries are a pool-level tally (morsels share the pool), so the
         // per-execution figure is the delta across the whole bucket loop.
         counters.degradation.retries_spent = self
@@ -874,6 +890,66 @@ mod tests {
         let mut op = SmaGAggr::new(&t, wide.clone(), vec![1], specs(), &damaged).unwrap();
         assert_eq!(collect(&mut op).unwrap(), baseline(&t, wide));
         assert_eq!(op.counters().degradation.quarantined_buckets, vec![1, 3]);
+    }
+
+    /// Fed the planner's grades, the operator answers exactly as when it
+    /// grades itself — rows, counters and degradation report — at every
+    /// worker count, healthy and with set-wide or aggregate-SMA
+    /// quarantines.
+    #[test]
+    fn planner_grades_match_self_grading() {
+        let t = make_table(60); // 30 buckets
+        let healthy = full_set(&t);
+        let mut set_wide = healthy.clone();
+        set_wide.quarantine_bucket(0);
+        set_wide.quarantine_bucket(7);
+        let mut aggregate_only = SmaSet::new();
+        for sma in healthy.smas() {
+            let mut s = sma.clone();
+            if s.def().name == "sum_p" {
+                s.quarantine_bucket(3);
+            }
+            aggregate_only.push(s);
+        }
+        for (name, smas) in [
+            ("healthy", &healthy),
+            ("set-wide", &set_wide),
+            ("aggregate", &aggregate_only),
+        ] {
+            // Le 8 splits bucket 4; Le 100 qualifies every bucket.
+            for cutoff in [8i64, 100] {
+                let pred = BucketPred::cmp(0, CmpOp::Le, cutoff);
+                let grades = Classification::classify(&pred, t.bucket_count(), smas);
+                for threads in [1, 2, 8] {
+                    let run = |planned: Option<&[Grade]>| {
+                        let mut op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), smas)
+                            .unwrap()
+                            .with_parallelism(Parallelism::new(threads));
+                        if let Some(g) = planned {
+                            op = op.with_grades(g);
+                        }
+                        let rows = collect(&mut op).unwrap();
+                        (rows, op.counters())
+                    };
+                    let planned = run(Some(&grades.grades));
+                    let ctx = format!("{name}, cutoff {cutoff}, {threads} threads");
+                    assert_eq!(planned, run(None), "{ctx}");
+                    assert_eq!(planned.0, baseline(&t, pred.clone()), "{ctx}");
+                    assert_eq!(
+                        planned.1.degradation.demoted_buckets.is_empty(),
+                        name == "healthy",
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+        // Grades for another table's bucket count are refused, not misread.
+        let pred = BucketPred::cmp(0, CmpOp::Le, 8i64);
+        let short = Classification::classify(&pred, 5, &healthy);
+        let mut op = SmaGAggr::new(&t, pred, vec![1], specs(), &healthy)
+            .unwrap()
+            .with_grades(&short.grades);
+        assert!(matches!(op.open(), Err(ExecError::Plan(_))));
     }
 
     #[test]

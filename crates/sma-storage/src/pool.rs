@@ -6,8 +6,8 @@
 //! distinction with an explicit pool: *cold* runs call
 //! [`BufferPool::clear_cache`] first, *warm* runs reuse resident frames.
 //! Every physical read is classified as sequential (page follows the
-//! previously read page) or random, which feeds the deterministic cost
-//! model in [`crate::cost`].
+//! page the same thread last read from this pool) or random, which feeds
+//! the deterministic cost model in [`crate::cost`].
 //!
 //! The pool is also the durability checkpoint: every write-back stamps the
 //! page's checksum footer ([`crate::page::stamp_page`]) and every physical
@@ -34,6 +34,7 @@
 //! shard, which preserves the exact global LRU behaviour the unit tests
 //! and the paper's buffer-size experiments assume.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock};
@@ -56,7 +57,8 @@ pub struct IoStats {
     pub logical_reads: u64,
     /// Page requests that missed the pool and hit the store.
     pub physical_reads: u64,
-    /// Physical reads whose page number was `last + 1`.
+    /// Physical reads whose page number was `last + 1`, where `last` is
+    /// the page the same thread last read physically from this pool.
     pub sequential_reads: u64,
     /// Physical reads that required a seek (not `last + 1`).
     pub random_reads: u64,
@@ -181,8 +183,45 @@ const MIN_FRAMES_PER_SHARD: usize = 64;
 /// Upper bound on shards; 16 mutexes cover any core count we target.
 const MAX_SHARDS: usize = 16;
 
-/// Sentinel for "no physical read yet" in the `last_physical` atomic.
-const NO_LAST: u64 = u64::MAX;
+/// Source of read-stream ids. A pool takes a fresh one when it is built
+/// and on every stats reset or cache clear, which orphans what any thread
+/// remembered about its reads; 0 marks an empty slot, so ids start at 1.
+static NEXT_STREAM: AtomicU64 = AtomicU64::new(1);
+
+/// Pools one thread remembers its last physical read on. A thread
+/// interleaving reads over more pools than this loses the oldest stream,
+/// which can only turn a would-be sequential read into a random one.
+const READER_STREAMS: usize = 8;
+
+thread_local! {
+    /// This thread's last physical read on each pool it read most
+    /// recently, as `(stream id, page)`, most recent first. Fixed-size and
+    /// freed with the thread.
+    static LAST_READS: Cell<[(u64, PageNo); READER_STREAMS]> =
+        const { Cell::new([(0, 0); READER_STREAMS]) };
+}
+
+/// Records that this thread physically read `no` on read stream `stream`
+/// and returns whether that continues the thread's previous read there.
+///
+/// Concurrent readers scanning disjoint page ranges each keep their own
+/// sequential stream: a serial scan's trace is unchanged, and a scan
+/// split over T workers costs exactly T seeks however their misses
+/// interleave.
+fn continues_last_read(stream: u64, no: PageNo) -> bool {
+    LAST_READS
+        .try_with(|cell| {
+            let mut recent = cell.get();
+            let found = recent.iter().position(|&(s, _)| s == stream);
+            let sequential = found.is_some_and(|i| recent[i].1.checked_add(1) == Some(no));
+            // Move this stream to the front; a new one drops the oldest.
+            recent[..=found.unwrap_or(READER_STREAMS - 1)].rotate_right(1);
+            recent[0] = (stream, no);
+            cell.set(recent);
+            sequential
+        })
+        .unwrap_or(false)
+}
 
 /// [`IoStats`] kept in atomics so concurrent readers update them without a
 /// lock. Snapshots are exact whenever the pool is quiesced (tests,
@@ -258,8 +297,9 @@ pub struct BufferPool {
     shards: Vec<Mutex<Shard>>,
     store: RwLock<Box<dyn PageStore>>,
     stats: AtomicIoStats,
-    /// Page number of the last successful physical read, or [`NO_LAST`].
-    last_physical: AtomicU64,
+    /// Read-stream id that threads key their last physical read by; see
+    /// [`continues_last_read`].
+    stream: AtomicU64,
     /// How transient read faults are retried; see [`RetryPolicy`].
     retry: RwLock<RetryPolicy>,
 }
@@ -287,7 +327,7 @@ impl BufferPool {
                 .collect(),
             store: RwLock::new(store),
             stats: AtomicIoStats::default(),
-            last_physical: AtomicU64::new(NO_LAST),
+            stream: AtomicU64::new(NEXT_STREAM.fetch_add(1, Ordering::Relaxed)),
             retry: RwLock::new(RetryPolicy::default()),
         }
     }
@@ -385,7 +425,7 @@ impl BufferPool {
     }
 
     /// Flushes and then empties the cache — the next access pattern is
-    /// fully cold. Resets the sequential-read tracker too.
+    /// fully cold. Resets every thread's sequential-read tracking too.
     ///
     /// Like [`BufferPool::flush_all`], the fsync runs after the shard
     /// guards are dropped. Clearing the frames before the sync is safe:
@@ -402,7 +442,7 @@ impl BufferPool {
             }
         }
         self.write_store().sync()?;
-        self.last_physical.store(NO_LAST, Ordering::Relaxed);
+        self.new_read_stream();
         Ok(())
     }
 
@@ -411,10 +451,20 @@ impl BufferPool {
         self.stats.snapshot()
     }
 
-    /// Zeroes the traffic counters (keeps cache contents).
+    /// Zeroes the traffic counters (keeps cache contents) and every
+    /// thread's sequential-read tracking.
     pub fn reset_stats(&self) {
         self.stats.reset();
-        self.last_physical.store(NO_LAST, Ordering::Relaxed);
+        self.new_read_stream();
+    }
+
+    /// Starts a fresh read stream: the next physical read of every thread
+    /// counts as a seek.
+    fn new_read_stream(&self) {
+        self.stream.store(
+            NEXT_STREAM.fetch_add(1, Ordering::Relaxed),
+            Ordering::Relaxed,
+        );
     }
 
     /// Writes back every dirty frame across already-locked shards.
@@ -453,11 +503,11 @@ impl BufferPool {
     }
 
     /// Records one successful physical read of `no` and classifies it as
-    /// sequential or random against the previous physical read.
+    /// sequential or random against the same thread's previous physical
+    /// read on this pool.
     fn note_physical_read(&self, no: PageNo) {
         self.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
-        let prev = self.last_physical.swap(no as u64, Ordering::Relaxed);
-        if prev != NO_LAST && no as u64 == prev.wrapping_add(1) {
+        if continues_last_read(self.stream.load(Ordering::Relaxed), no) {
             self.stats.sequential_reads.fetch_add(1, Ordering::Relaxed);
         } else {
             self.stats.random_reads.fetch_add(1, Ordering::Relaxed);
@@ -630,6 +680,62 @@ mod tests {
         assert_eq!(s.physical_reads, 4, "cold pass all misses");
         assert_eq!(s.sequential_reads, 3);
         assert_eq!(s.random_reads, 1, "first read after cold start seeks");
+    }
+
+    /// Readers missing in lockstep on disjoint contiguous ranges each keep
+    /// their own sequential stream: one seek per reader, however their
+    /// misses interleave.
+    #[test]
+    fn concurrent_readers_each_keep_their_sequential_stream() {
+        const PER_READER: u32 = 16;
+        for readers in [2u32, 4, 8] {
+            let pages = readers * PER_READER;
+            let p = pool(pages as usize, pages);
+            p.clear_cache().unwrap();
+            let lockstep = std::sync::Barrier::new(readers as usize);
+            std::thread::scope(|scope| {
+                for r in 0..readers {
+                    let (p, lockstep) = (&p, &lockstep);
+                    scope.spawn(move || {
+                        for no in r * PER_READER..(r + 1) * PER_READER {
+                            p.with_page(no, |_| ()).unwrap();
+                            lockstep.wait();
+                        }
+                    });
+                }
+            });
+            let s = p.stats();
+            assert_eq!(s.physical_reads, u64::from(pages), "{readers} readers");
+            assert_eq!(s.random_reads, u64::from(readers), "{readers} readers");
+            assert_eq!(
+                s.sequential_reads,
+                u64::from(pages - readers),
+                "{readers} readers"
+            );
+        }
+    }
+
+    /// One thread alternating between two pools (a join reading both of
+    /// its inputs) keeps a sequential stream on each.
+    #[test]
+    fn one_reader_keeps_a_stream_per_pool() {
+        let (a, b) = (pool(8, 4), pool(8, 4));
+        a.clear_cache().unwrap();
+        b.clear_cache().unwrap();
+        for no in 0..4 {
+            a.with_page(no, |_| ()).unwrap();
+            b.with_page(no, |_| ()).unwrap();
+        }
+        for s in [a.stats(), b.stats()] {
+            assert_eq!((s.random_reads, s.sequential_reads), (1, 3));
+        }
+        // A stats reset starts every stream over: the next miss seeks.
+        a.clear_cache().unwrap();
+        a.with_page(0, |_| ()).unwrap();
+        a.reset_stats();
+        a.with_page(1, |_| ()).unwrap();
+        let s = a.stats();
+        assert_eq!((s.random_reads, s.sequential_reads), (1, 0));
     }
 
     /// A store whose `sync` parks until the test says go, recording
