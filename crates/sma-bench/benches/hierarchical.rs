@@ -1,32 +1,20 @@
-//! A2 — ablation: hierarchical (two-level) SMAs, §4.
+//! A2 — ablation: two-level SMAs, §4.
 //!
-//! Compares flat grading of every level-1 entry against two-level pruning
-//! at several fanouts, over clustered data where level 2 resolves most
-//! super-buckets without touching level 1.
+//! Compares grading every level-1 entry against the planner's two-level
+//! grading (`Classification::classify`), over clustered data where level
+//! 2 decides most super-buckets without touching level 1.
 
-use sma_bench::harness::{BenchmarkId, Criterion};
+use sma_bench::harness::Criterion;
 use sma_bench::{criterion_group, criterion_main};
 
 use sma_bench::bench_table;
-use sma_core::{
-    col, AggFn, BucketPred, Classification, CmpOp, HierarchicalMinMax, Sma, SmaDefinition, SmaSet,
-};
+use sma_core::{col, AggFn, BucketPred, Classification, CmpOp, Grade, SmaDefinition, SmaSet};
 use sma_exec::cutoff;
 use sma_tpcd::{schema::lineitem as li, Clustering};
 use sma_types::Value;
 
 fn bench_hierarchical(c: &mut Criterion) {
     let table = bench_table(Clustering::SortedByShipdate, 1);
-    let min = Sma::build(
-        &table,
-        SmaDefinition::new("min", AggFn::Min, col(li::SHIPDATE)),
-    )
-    .expect("build");
-    let max = Sma::build(
-        &table,
-        SmaDefinition::new("max", AggFn::Max, col(li::SHIPDATE)),
-    )
-    .expect("build");
     let set = SmaSet::build(
         &table,
         vec![
@@ -36,17 +24,15 @@ fn bench_hierarchical(c: &mut Criterion) {
     )
     .expect("build");
     let pred = BucketPred::cmp(li::SHIPDATE, CmpOp::Le, Value::Date(cutoff(90)));
+    let n = table.bucket_count();
 
-    let mut group = c.benchmark_group("a2_hierarchical");
+    let mut group = c.benchmark_group("a2_level2");
     group.bench_function("flat_grading", |b| {
-        b.iter(|| Classification::classify(&pred, table.bucket_count(), &set))
+        b.iter(|| (0..n).map(|b| pred.grade(b, &set)).collect::<Vec<Grade>>())
     });
-    for fanout in [8u32, 32, 128] {
-        let h = HierarchicalMinMax::from_smas(&min, &max, fanout).unwrap();
-        group.bench_with_input(BenchmarkId::new("two_level", fanout), &fanout, |b, _| {
-            b.iter(|| h.prune(&pred))
-        });
-    }
+    group.bench_function("two_level", |b| {
+        b.iter(|| Classification::classify(&pred, n, &set))
+    });
     group.finish();
 }
 

@@ -11,7 +11,7 @@
 //! * `e5` — Figure 2: diagonal data distribution
 //! * `e6` — Figure 1 / §2.2 selection example
 //! * `a1` — ablation: bucket size trade-off (§4)
-//! * `a2` — ablation: hierarchical SMAs (§4)
+//! * `a2` — ablation: two-level SMAs in the planner (§4)
 //! * `a3` — ablation: join SMAs / semi-join reduction (§4)
 //! * `e8` — thread scaling: bucket-parallel bulkload and `SmaGAggr`
 //! * `e9` — degraded-path overhead: quarantined buckets & transient retries
@@ -26,13 +26,16 @@
 
 use std::time::Instant;
 
+use sma_bench::harness::{black_box, fmt_ns};
 use sma_bench::{bench_scale_factor, bench_table, dial_ambivalence, q1, q1_smas};
-use sma_core::{col, AggFn, BucketPred, CmpOp, HierarchicalMinMax, Sma, SmaDefinition, SmaSet};
+use sma_core::{
+    col, AggFn, BucketPred, Classification, CmpOp, Grade, Sma, SmaDefinition, SmaSet, LEVEL2_FANOUT,
+};
 use sma_cube::CubeModel;
 use sma_exec::{collect, cutoff, plan, PlannerConfig, SemiJoin};
 use sma_storage::{CostModel, Table, PAGE_SIZE};
 use sma_tpcd::{generate, schema::lineitem as li, schema::orders as o, Clustering, GenConfig};
-use sma_types::{Date, Value};
+use sma_types::{Date, Decimal, Value};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -67,7 +70,7 @@ fn main() {
         a1_bucket_size();
     }
     if all || which == "a2" {
-        a2_hierarchical();
+        a2_level2();
     }
     if all || which == "a3" {
         a3_join_sma();
@@ -842,37 +845,105 @@ fn a1_bucket_size() {
     println!();
 }
 
-/// A2 — §4 hierarchical SMA ablation.
-fn a2_hierarchical() {
-    println!("--- A2: hierarchical SMAs (§4) ---");
+/// A2 — §4 two-level SMAs, as the planner grades with them: over each
+/// clustering and `olap_scan`'s three predicate shapes, level-2 grading
+/// (`Classification::classify`) against grading every bucket on its own.
+/// Every grade is asserted equal to the flat grade before anything
+/// prints. A super-bucket whose buckets all qualify is one `SmaGAggr`
+/// merges from level 2.
+fn a2_level2() {
+    println!("--- A2: two-level SMAs in the planner (§4) ---");
     println!("paper: if a 2nd-level bucket (dis)qualifies, the 1st-level file is skipped\n");
-    let table = bench_table(Clustering::SortedByShipdate, 1);
-    let min = Sma::build(
-        &table,
-        SmaDefinition::new("min", AggFn::Min, col(li::SHIPDATE)),
-    )
-    .expect("build");
-    let max = Sma::build(
-        &table,
-        SmaDefinition::new("max", AggFn::Max, col(li::SHIPDATE)),
-    )
-    .expect("build");
+    let cents = |c: i64| Value::Decimal(Decimal::from_cents(c));
+    let date = |y: i32| Value::Date(Date::from_ymd(y, 1, 1).expect("valid date"));
+    let shapes = [
+        (
+            "Q1",
+            BucketPred::cmp(li::SHIPDATE, CmpOp::Le, Value::Date(cutoff(90))),
+        ),
+        (
+            "Q6",
+            BucketPred::And(vec![
+                BucketPred::cmp(li::SHIPDATE, CmpOp::Ge, date(1994)),
+                BucketPred::cmp(li::SHIPDATE, CmpOp::Lt, date(1995)),
+                BucketPred::cmp(li::DISCOUNT, CmpOp::Ge, cents(5)),
+                BucketPred::cmp(li::DISCOUNT, CmpOp::Le, cents(7)),
+                BucketPred::cmp(li::QUANTITY, CmpOp::Lt, cents(2_400)),
+            ]),
+        ),
+        (
+            "L_TAX",
+            BucketPred::And(vec![
+                BucketPred::cmp(li::SHIPDATE, CmpOp::Ge, date(1992)),
+                BucketPred::cmp(li::TAX, CmpOp::Le, cents(4)),
+            ]),
+        ),
+    ];
+    // Medians of 101 alternating runs of the two sides, so drift on a
+    // shared host hits both alike.
+    let medians_ns = |flat: &mut dyn FnMut(), level2: &mut dyn FnMut()| {
+        let time = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos()
+        };
+        let (mut a, mut b): (Vec<u128>, Vec<u128>) =
+            (0..101).map(|_| (time(flat), time(level2))).unzip();
+        a.sort_unstable();
+        b.sort_unstable();
+        (a[a.len() / 2], b[b.len() / 2])
+    };
+    let mut lines = Vec::new();
+    for (name, clustering) in [
+        ("sorted", Clustering::SortedByShipdate),
+        ("diagonal", Clustering::diagonal_default()),
+        ("uniform", Clustering::Uniform),
+        ("shuffled", Clustering::Shuffled),
+    ] {
+        let table = bench_table(clustering, 1);
+        let smas = q1_smas(&table);
+        let n = table.bucket_count();
+        for (shape, pred) in &shapes {
+            let flat: Vec<Grade> = (0..n).map(|b| pred.grade(b, &smas)).collect();
+            let two_level = Classification::classify(pred, n, &smas);
+            assert_eq!(
+                two_level.grades, flat,
+                "A2: level-2 grades differ from flat grades ({name}, {shape})"
+            );
+            let whole = |g: Grade| {
+                flat.chunks_exact(LEVEL2_FANOUT as usize)
+                    .filter(|c| c.iter().all(|&x| x == g))
+                    .count()
+            };
+            let (flat_ns, level2_ns) = medians_ns(
+                &mut || {
+                    black_box((0..n).map(|b| pred.grade(b, &smas)).collect::<Vec<Grade>>());
+                },
+                &mut || {
+                    black_box(Classification::classify(pred, n, &smas));
+                },
+            );
+            lines.push(format!(
+                "{:>10} {:>6} {:>8} {:>6} {:>6} {:>6} {:>10} {:>10} {:>7.1}x",
+                name,
+                shape,
+                n,
+                n.div_ceil(LEVEL2_FANOUT),
+                whole(Grade::Qualifies),
+                whole(Grade::Disqualifies),
+                fmt_ns(flat_ns as f64),
+                fmt_ns(level2_ns as f64),
+                flat_ns as f64 / level2_ns.max(1) as f64,
+            ));
+        }
+    }
+    println!("level-2 grades equal flat grades on every clustering and shape");
     println!(
-        "{:>8} {:>10} {:>14} {:>14} {:>9}",
-        "fanout", "l2 size", "l1 inspected", "l1 skipped", "saving"
+        "{:>10} {:>6} {:>8} {:>6} {:>6} {:>6} {:>10} {:>10} {:>8}",
+        "clustering", "shape", "buckets", "super", "all-Q", "all-D", "flat", "level 2", "speedup"
     );
-    for fanout in [8u32, 32, 128] {
-        let h = HierarchicalMinMax::from_smas(&min, &max, fanout).unwrap();
-        let pred = BucketPred::cmp(li::SHIPDATE, CmpOp::Le, Value::Date(cutoff(90)));
-        let p = h.prune(&pred);
-        println!(
-            "{:>8} {:>10} {:>14} {:>14} {:>8.1}%",
-            fanout,
-            h.l2_len(),
-            p.l1_inspected,
-            p.l1_skipped,
-            100.0 * p.l1_skipped as f64 / (p.l1_inspected + p.l1_skipped).max(1) as f64,
-        );
+    for line in lines {
+        println!("{line}");
     }
     println!();
 }

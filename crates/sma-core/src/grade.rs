@@ -16,6 +16,8 @@ use std::cmp::Ordering;
 use sma_storage::BucketNo;
 use sma_types::Value;
 
+use crate::level2::{super_bucket_range, Level2Col, SuperGrader, FANOUT};
+
 /// The three-way classification of a bucket (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Grade {
@@ -108,6 +110,13 @@ pub trait StatsProvider {
     fn distinct_counts(&self, col: usize, bucket: BucketNo) -> Option<Vec<(Value, i64)>> {
         let _ = (col, bucket);
         None
+    }
+    /// What level 2 knows about `col` — resolved once per
+    /// [`Classification::classify`]. The default offers none, so every
+    /// bucket is graded on its own.
+    fn level2(&self, col: usize) -> Level2Col<'_> {
+        let _ = col;
+        Level2Col::Unknown
     }
 }
 
@@ -267,12 +276,17 @@ fn grade_minmax(
         // defined."
         return Grade::Ambivalent;
     };
+    minmax_rule(op, c, &lo, &hi, stats.null_free(col, bucket))
+}
+
+/// The `A op c` rules over bounds `[lo, hi]` of `A` — one bucket's, or a
+/// whole super-bucket's at level 2.
+pub(crate) fn minmax_rule(op: CmpOp, c: &Value, lo: &Value, hi: &Value, null_free: bool) -> Grade {
     let (Some(lo_c), Some(hi_c)) = (lo.partial_cmp_typed(c), hi.partial_cmp_typed(c)) else {
         return Grade::Ambivalent;
     };
     // A `Null` in the column fails every predicate but is invisible to the
     // bounds, so wholesale qualification needs a null-free bucket.
-    let null_free = stats.null_free(col, bucket);
     let qualify = |g: Grade| if null_free { g } else { Grade::Ambivalent };
     match op {
         CmpOp::Eq => {
@@ -378,48 +392,59 @@ fn grade_col_cmp(
         return Grade::Ambivalent;
     };
     let nulls_ok = stats.null_free(left, bucket) && stats.null_free(right, bucket);
+    col_cmp_rule(op, (&min_a, &max_a), (&min_b, &max_b), nulls_ok)
+}
+
+/// The `A op B` rules over bounds `(min, max)` of `A` and of `B` — one
+/// bucket's, or a whole super-bucket's at level 2.
+pub(crate) fn col_cmp_rule(
+    op: CmpOp,
+    (min_a, max_a): (&Value, &Value),
+    (min_b, max_b): (&Value, &Value),
+    nulls_ok: bool,
+) -> Grade {
     let qualify = |g: Grade| if nulls_ok { g } else { Grade::Ambivalent };
     let le = |a: &Value, b: &Value| CmpOp::Le.eval(a, b);
     let lt = |a: &Value, b: &Value| CmpOp::Lt.eval(a, b);
     match op {
         CmpOp::Le => {
-            if le(&max_a, &min_b) {
+            if le(max_a, min_b) {
                 qualify(Grade::Qualifies)
-            } else if lt(&max_b, &min_a) {
+            } else if lt(max_b, min_a) {
                 Grade::Disqualifies
             } else {
                 Grade::Ambivalent
             }
         }
         CmpOp::Lt => {
-            if lt(&max_a, &min_b) {
+            if lt(max_a, min_b) {
                 qualify(Grade::Qualifies)
-            } else if le(&max_b, &min_a) {
+            } else if le(max_b, min_a) {
                 Grade::Disqualifies
             } else {
                 Grade::Ambivalent
             }
         }
         CmpOp::Ge => {
-            if le(&max_b, &min_a) {
+            if le(max_b, min_a) {
                 qualify(Grade::Qualifies)
-            } else if lt(&max_a, &min_b) {
+            } else if lt(max_a, min_b) {
                 Grade::Disqualifies
             } else {
                 Grade::Ambivalent
             }
         }
         CmpOp::Gt => {
-            if lt(&max_b, &min_a) {
+            if lt(max_b, min_a) {
                 qualify(Grade::Qualifies)
-            } else if le(&max_a, &min_b) {
+            } else if le(max_a, min_b) {
                 Grade::Disqualifies
             } else {
                 Grade::Ambivalent
             }
         }
         CmpOp::Eq => {
-            if lt(&max_a, &min_b) || lt(&max_b, &min_a) {
+            if lt(max_a, min_b) || lt(max_b, min_a) {
                 Grade::Disqualifies
             } else if min_a == max_a && min_b == max_b && min_a == min_b {
                 qualify(Grade::Qualifies)
@@ -438,15 +463,25 @@ pub struct Classification {
 }
 
 impl Classification {
-    /// Grades buckets `0..n_buckets`.
+    /// Grades buckets `0..n_buckets`, exactly as [`BucketPred::grade`]
+    /// grades each one. Each super-bucket of [`FANOUT`] buckets is graded
+    /// at level 2 first; only where an atom with statistics is undecided
+    /// there are its buckets graded one by one (§4).
     pub fn classify(
         pred: &BucketPred,
         n_buckets: BucketNo,
         stats: &dyn StatsProvider,
     ) -> Classification {
-        Classification {
-            grades: (0..n_buckets).map(|b| pred.grade(b, stats)).collect(),
+        let level2 = SuperGrader::new(pred, stats);
+        let mut grades = Vec::with_capacity(n_buckets as usize);
+        for sb in 0..n_buckets.div_ceil(FANOUT) {
+            let buckets = super_bucket_range(sb, n_buckets);
+            match level2.grade(pred, &buckets) {
+                Some(g) => grades.extend(buckets.map(|_| g)),
+                None => grades.extend(buckets.map(|b| pred.grade(b, stats))),
+            }
         }
+        Classification { grades }
     }
 
     /// Buckets graded `g`.

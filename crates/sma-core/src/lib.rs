@@ -15,7 +15,7 @@
 //! Module map: [`def`] (the `define sma` statement) → [`sma`]
 //! (bulkload + maintenance) → [`mod@file`] (the sequential SMA-files) →
 //! [`set`] (SMA sets, grading provider) → [`grade`] (§3.1 algebra) →
-//! [`hierarchical`] / [`join_sma`] (§4 extensions) → [`parse`] /
+//! [`level2`] / [`join_sma`] (§4 extensions) → [`parse`] /
 //! [`catalog`] (the declarative front end) → [`persist`] (page-store
 //! serialization) → [`projection`] (the structure SMAs generalize).
 //! [`expr`] and [`agg`] are the shared scalar-expression and accumulator
@@ -66,8 +66,8 @@ pub mod def;
 pub mod expr;
 pub mod file;
 pub mod grade;
-pub mod hierarchical;
 pub mod join_sma;
+pub mod level2;
 pub mod parse;
 pub mod persist;
 pub mod projection;
@@ -81,8 +81,8 @@ pub use def::{DefError, SmaDefinition};
 pub use expr::{col, dec_lit, lit, DecProgram, ExprError, IntProgram, ScalarExpr};
 pub use file::SmaFile;
 pub use grade::{BucketPred, Classification, CmpOp, Grade, NoStats, StatsProvider};
-pub use hierarchical::{HierarchicalMinMax, HierarchicalPrune};
 pub use join_sma::{semijoin_prune, MinimaxOf};
+pub use level2::{Level2Col, SuperFlags, FANOUT as LEVEL2_FANOUT};
 pub use parse::{parse_define_sma, ParseError};
 pub use persist::{
     decode_definition, decode_sma_stream, encode_definition, encode_sma_stream, load_sma,
@@ -91,4 +91,4 @@ pub use persist::{
 pub use projection::ProjectionIndex;
 pub use set::{merge_bucket_into_group, SmaSet};
 pub use sma::{block_bucket_accs, build_many, build_many_parallel, GroupKey, Sma, SmaError};
-pub use validate::{check_set, check_sma, debug_check_sma, Violation};
+pub use validate::{check_level2, check_set, check_sma, debug_check_sma, Violation};

@@ -368,7 +368,7 @@ fn decode_payload(buf: &[u8]) -> Result<Sma, SmaError> {
             buf.len() - r.pos
         )));
     }
-    Ok(Sma {
+    let mut sma = Sma {
         def,
         entry_bytes,
         n_buckets,
@@ -378,7 +378,11 @@ fn decode_payload(buf: &[u8]) -> Result<Sma, SmaError> {
         // Quarantine is runtime state: a freshly decoded image carries
         // none (damaged SMAs are never saved in the first place).
         quarantined: vec![false; n_buckets as usize],
-    })
+        level2: Default::default(),
+    };
+    // Level 2 is derived, so the image does not carry it.
+    sma.rebuild_level2();
+    Ok(sma)
 }
 
 // ----------------------------------------------------------- stream layer

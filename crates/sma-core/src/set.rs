@@ -14,6 +14,7 @@ use crate::agg::{Accumulator, AggFn};
 use crate::def::SmaDefinition;
 use crate::expr::{col, dec_lit, ScalarExpr};
 use crate::grade::StatsProvider;
+use crate::level2::Level2Col;
 use crate::sma::{build_many, build_many_parallel, GroupKey, Sma, SmaError};
 
 /// A collection of SMAs over one table.
@@ -265,6 +266,16 @@ impl StatsProvider for SmaSet {
             .unwrap_or(false)
     }
 
+    fn level2(&self, c: usize) -> Level2Col<'_> {
+        match (self.min_sma_for(c), self.max_sma_for(c)) {
+            (Some(min), Some(max)) => Level2Col::MinMax { min, max },
+            // Without a min/max pair the bounds rules never fire, and
+            // without a count SMA on `c` neither do the count rules.
+            _ if self.count_sma_grouped_by(c).is_none() => Level2Col::Absent,
+            _ => Level2Col::Unknown,
+        }
+    }
+
     fn distinct_counts(&self, c: usize, bucket: BucketNo) -> Option<Vec<(Value, i64)>> {
         let sma = self.count_sma_grouped_by(c)?;
         if sma.is_quarantined(bucket) {
@@ -440,23 +451,40 @@ mod tests {
     fn maintenance_fans_out() {
         let t = fig1_table();
         let mut set = fig1_set(&t);
+        // Level 2 equals the fold of level 1 after every call.
+        let level2_ok = |set: &SmaSet| {
+            for sma in set.smas() {
+                assert_eq!(crate::validate::check_level2(sma), vec![]);
+            }
+        };
         let tuple = vec![
             date("1997-01-01"),
             Value::Char(b'Z'),
             Value::Str("p".into()),
         ];
         set.note_insert(0, &tuple).unwrap();
+        level2_ok(&set);
         assert_eq!(set.min_of(0, 0), Some(date("1997-01-01")));
         let counts = set.distinct_counts(1, 0).unwrap();
         assert!(counts.contains(&(Value::Char(b'Z'), 1)));
         set.note_delete(0, &tuple).unwrap();
+        level2_ok(&set);
         let counts = set.distinct_counts(1, 0).unwrap();
         assert!(counts.contains(&(Value::Char(b'Z'), 0)));
         // Min is now stale/loose; refresh retightens.
         assert!(!set.null_free(0, 0), "stale bucket loses null-free status");
         set.refresh_bucket(&t, 0).unwrap();
+        level2_ok(&set);
         assert_eq!(set.min_of(0, 0), Some(date("1997-02-02")));
         assert!(set.null_free(0, 0));
+        // An insert past the end grows level 1 and level 2 together.
+        set.note_insert(40, &tuple).unwrap();
+        level2_ok(&set);
+        set.note_update(40, &tuple, &tuple).unwrap();
+        level2_ok(&set);
+        set.quarantine_bucket(17);
+        level2_ok(&set);
+        assert!(!set.smas()[0].super_flags(1).clean);
     }
 
     #[test]

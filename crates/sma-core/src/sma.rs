@@ -21,6 +21,7 @@ use crate::agg::{Accumulator, AggFn};
 use crate::def::{DefError, SmaDefinition};
 use crate::expr::ExprError;
 use crate::file::SmaFile;
+use crate::level2::Level2;
 
 /// Group key: the projected grouping-column values (empty if ungrouped).
 pub type GroupKey = Vec<Value>;
@@ -110,6 +111,10 @@ pub struct Sma {
     /// never persisted (a damaged SMA is simply not saved; recovery
     /// rebuilds it from the table).
     pub(crate) quarantined: Vec<bool>,
+    /// The second level (§4): one entry per super-bucket for each group
+    /// file, plus per-super-bucket flags. Derived from the fields above
+    /// by every constructor and maintenance call; never persisted.
+    pub(crate) level2: Level2,
 }
 
 impl Sma {
@@ -190,8 +195,10 @@ impl Sma {
     /// [`Sma::refresh_bucket`] (the heal path) clears the flag by
     /// recomputing the entries from the table.
     pub fn quarantine_bucket(&mut self, bucket: BucketNo) {
+        let from = self.n_buckets;
         self.ensure_bucket(bucket);
         self.quarantined[bucket as usize] = true;
+        self.sync_level2(from, bucket, None);
     }
 
     /// Whether `bucket`'s entries are quarantined. Out-of-range buckets
@@ -261,8 +268,19 @@ impl Sma {
     }
 
     /// Maintains the SMA for a tuple inserted into `bucket`. Exact for all
-    /// aggregates. O(1) — the paper's cheap-maintenance property.
+    /// aggregates. O(1) — the paper's cheap-maintenance property — level 2
+    /// included: one entry refolds from at most [`crate::level2::FANOUT`].
     pub fn note_insert(&mut self, bucket: BucketNo, tuple: &Tuple) -> Result<(), SmaError> {
+        let from = self.n_buckets;
+        let key = self.insert_level1(bucket, tuple);
+        // Level 1 may have grown even when the call failed.
+        self.sync_level2(from, bucket, key.as_ref().ok());
+        key.map(drop)
+    }
+
+    /// Level 1 of [`Sma::note_insert`], returning the tuple's group key;
+    /// bulk paths rebuild level 2 once instead.
+    fn insert_level1(&mut self, bucket: BucketNo, tuple: &Tuple) -> Result<GroupKey, SmaError> {
         self.ensure_bucket(bucket);
         let key = self.def.group_key(tuple);
         self.ensure_group(&key);
@@ -279,13 +297,21 @@ impl Sma {
         let mut acc = Accumulator::new(self.def.agg);
         acc.merge_entry_then_update(file.get(bucket), &v);
         file.set(bucket, acc.finish());
-        Ok(())
+        Ok(key)
     }
 
     /// Maintains the SMA for a tuple deleted from `bucket`. Exact for
     /// `sum`/`count`; for `min`/`max` the old (now possibly loose) bound is
     /// kept and the bucket is marked stale.
     pub fn note_delete(&mut self, bucket: BucketNo, tuple: &Tuple) -> Result<(), SmaError> {
+        let from = self.n_buckets;
+        let key = self.delete_level1(bucket, tuple);
+        self.sync_level2(from, bucket, key.as_ref().ok());
+        key.map(drop)
+    }
+
+    /// Level 1 of [`Sma::note_delete`], returning the tuple's group key.
+    fn delete_level1(&mut self, bucket: BucketNo, tuple: &Tuple) -> Result<GroupKey, SmaError> {
         self.ensure_bucket(bucket);
         let key = self.def.group_key(tuple);
         let v = self.def.input_value(tuple)?;
@@ -293,7 +319,7 @@ impl Sma {
             AggFn::Min | AggFn::Max => {
                 // Bound stays a superset of the bucket — sound but loose.
                 self.stale[bucket as usize] = true;
-                Ok(())
+                Ok(key)
             }
             AggFn::Sum | AggFn::Count => {
                 let agg = self.def.agg;
@@ -308,7 +334,7 @@ impl Sma {
                 acc.retract(&v)
                     .map_err(|e| SmaError::Def(DefError(e.to_string())))?;
                 file.set(bucket, acc.finish());
-                Ok(())
+                Ok(key)
             }
         }
     }
@@ -328,6 +354,14 @@ impl Sma {
     /// clearing staleness. Costs one bucket read — the "one additional
     /// page access" of §2.1.
     pub fn refresh_bucket(&mut self, table: &Table, bucket: BucketNo) -> Result<(), SmaError> {
+        let from = self.n_buckets;
+        let refreshed = self.refresh_level1(table, bucket);
+        self.sync_level2(from, bucket, None);
+        refreshed
+    }
+
+    /// Level 1 of [`Sma::refresh_bucket`].
+    fn refresh_level1(&mut self, table: &Table, bucket: BucketNo) -> Result<(), SmaError> {
         self.ensure_bucket(bucket);
         // Reset every known group's entry, then re-accumulate.
         let def_entry = self.default_entry();
@@ -341,7 +375,7 @@ impl Sma {
         } else {
             let rows = table.scan_bucket(bucket)?;
             for (_, tuple) in &rows {
-                self.note_insert(bucket, tuple)?;
+                self.insert_level1(bucket, tuple)?;
             }
         }
         self.stale[bucket as usize] = false;
@@ -361,7 +395,7 @@ impl Accumulator {
     }
 }
 
-fn default_entry(agg: AggFn) -> Value {
+pub(crate) fn default_entry(agg: AggFn) -> Value {
     match agg {
         AggFn::Count => Value::Int(0),
         _ => Value::Null,
@@ -384,6 +418,7 @@ pub fn build_many(table: &Table, defs: Vec<SmaDefinition>) -> Result<Vec<Sma>, S
             null_seen: Vec::new(),
             stale: Vec::new(),
             quarantined: Vec::new(),
+            level2: Level2::default(),
         });
     }
     let n_buckets = table.bucket_count();
@@ -404,6 +439,9 @@ pub fn build_many(table: &Table, defs: Vec<SmaDefinition>) -> Result<Vec<Sma>, S
             fill_bucket_from_rows(sma, bucket, rows.iter().map(|(_, t)| t))?;
         }
         rows.clear();
+    }
+    for sma in &mut smas {
+        sma.rebuild_level2();
     }
     Ok(smas)
 }
@@ -503,6 +541,7 @@ pub fn build_many_parallel(
                 null_seen: vec![false; n_buckets as usize],
                 stale: vec![false; n_buckets as usize],
                 quarantined: vec![false; n_buckets as usize],
+                level2: Level2::default(),
             })
         })
         .collect::<Result<_, SmaError>>()?;
@@ -535,6 +574,7 @@ pub fn build_many_parallel(
                 file.push(def_entry.clone());
             }
         }
+        sma.rebuild_level2();
     }
     Ok(smas)
 }
@@ -546,7 +586,7 @@ fn fill_bucket_from_rows<'a>(
 ) -> Result<(), SmaError> {
     sma.ensure_bucket(bucket);
     for tuple in rows {
-        sma.note_insert(bucket, tuple)?;
+        sma.insert_level1(bucket, tuple)?;
     }
     Ok(())
 }

@@ -9,11 +9,14 @@
 //! buckets that hold qualifying tuples. [`check_sma`] reports violations;
 //! [`debug_check_sma`] turns them into a `debug_assert!` so every
 //! `Sma::build` in a debug build self-verifies at zero release cost.
+//! [`check_level2`], part of both, checks level 2 against level 1: every
+//! super-bucket entry and flag must equal the fold of its buckets.
 
 use sma_storage::Table;
 use sma_types::Value;
 
 use crate::agg::{Accumulator, AggFn};
+use crate::level2::{super_bucket_range, SuperFlags};
 use crate::set::SmaSet;
 use crate::sma::{GroupKey, Sma, SmaError};
 
@@ -70,10 +73,11 @@ fn max_dominates(stored: &Value, actual: &Value) -> bool {
 ///   the maintenance path failed to create.
 ///
 /// Quarantined buckets are skipped (their entries are declared garbage by
-/// contract). Scan errors propagate; they are I/O failures, not
-/// invariant violations.
+/// contract). Level 2 is checked against level 1 by [`check_level2`].
+/// Scan errors propagate; they are I/O failures, not invariant
+/// violations.
 pub fn check_sma(table: &Table, sma: &Sma) -> Result<Vec<Violation>, SmaError> {
-    let mut out = Vec::new();
+    let mut out = check_level2(sma);
     let def = sma.def();
     for bucket in 0..table.bucket_count() {
         if sma.is_quarantined(bucket) {
@@ -174,6 +178,61 @@ pub fn check_sma(table: &Table, sma: &Sma) -> Result<Vec<Violation>, SmaError> {
         }
     }
     Ok(out)
+}
+
+/// Checks `sma`'s level 2 against its level 1: each group file's entry
+/// for a super-bucket equals the fold of the file's entries over its
+/// buckets, and each super-bucket's flags equal the conjunction of its
+/// buckets' level-1 flags. Quarantined buckets count like any other:
+/// level 2 folds whatever level 1 holds.
+pub fn check_level2(sma: &Sma) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let n = sma.n_buckets();
+    for sb in 0..sma.super_bucket_count() {
+        let buckets = super_bucket_range(sb, n);
+        let mut violation = |group: &GroupKey, detail: String| {
+            out.push(Violation {
+                bucket: buckets.start,
+                group: group.clone(),
+                detail: format!("super-bucket {sb}: {detail}"),
+            });
+        };
+        for (key, file) in sma.groups() {
+            let mut acc = Accumulator::new(sma.def().agg);
+            for b in buckets.clone() {
+                if let Some(v) = file.get(b) {
+                    acc.merge(v);
+                }
+            }
+            let folded = acc.finish();
+            let stored = sma.super_entries(key).and_then(|e| e.get(sb as usize));
+            if stored != Some(&folded) {
+                violation(
+                    key,
+                    format!("level-2 entry {stored:?} != fold of level 1 {folded:?}"),
+                );
+            }
+        }
+        let folded = SuperFlags {
+            defined: buckets.clone().all(|b| {
+                sma.groups()
+                    .any(|(_, f)| f.get(b).is_some_and(|v| !v.is_null()))
+            }),
+            null_free: buckets.clone().all(|b| !sma.saw_null(b)),
+            fresh: buckets.clone().all(|b| !sma.is_stale(b)),
+            clean: buckets.clone().all(|b| !sma.is_quarantined(b)),
+        };
+        if sma.super_flags(sb) != folded {
+            violation(
+                &Vec::new(),
+                format!(
+                    "level-2 flags {:?} != fold of level 1 {folded:?}",
+                    sma.super_flags(sb)
+                ),
+            );
+        }
+    }
+    out
 }
 
 /// Validates every SMA in `set`, concatenating violations.

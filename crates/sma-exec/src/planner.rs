@@ -147,6 +147,10 @@ impl<'a> Plan<'a> {
     /// had to give up: buckets demoted to base-table scans (quarantined or
     /// inconsistent SMA entries) and transient-I/O retries spent. The
     /// report is empty on a healthy run and for the SMA-less full scan.
+    ///
+    /// An ungrouped query answers one row even when no row qualifies, as
+    /// SQL requires: `0` for `count(*)`, `NULL` for every other aggregate.
+    /// A grouped one answers no rows then.
     pub fn execute_with_report(&self) -> Result<(Vec<Tuple>, DegradationReport), ExecError> {
         // Admission checkpoint: a budget that is already expired or
         // cancelled refuses even plans that would touch no data page
@@ -154,9 +158,20 @@ impl<'a> Plan<'a> {
         if let Some(b) = self.budget {
             b.check()?;
         }
-        if self.overlay.is_empty() {
-            return self.run_base(&self.query.specs);
+        let (mut rows, report) = if self.overlay.is_empty() {
+            self.run_base(&self.query.specs)?
+        } else {
+            self.run_with_overlay()?
+        };
+        if rows.is_empty() && self.query.group_by.is_empty() {
+            rows.push(GroupState::new(&self.query.specs).finish(&self.query.specs));
         }
+        Ok((rows, report))
+    }
+
+    /// Runs the plan over the sealed table and the overlay, merging the
+    /// two partial results.
+    fn run_with_overlay(&self) -> Result<(Vec<Tuple>, DegradationReport), ExecError> {
         // Rewrite every `avg` to its decomposable base (`sum`) and make
         // sure a `count(*)` column exists to divide by after the merge.
         let mut eff: Vec<AggSpec> = self
@@ -759,6 +774,71 @@ mod tests {
                 }
                 assert_eq!(answers[0], answers[1], "sorted={sorted} cutoff={cutoff}");
                 assert_eq!(answers[1], answers[2], "sorted={sorted} cutoff={cutoff}");
+            }
+        }
+    }
+
+    /// An ungrouped aggregate over no qualifying row answers one row —
+    /// `0` for `count(*)`, NULL for the rest — from every plan kind, with
+    /// and without an overlay; a grouped one answers none.
+    #[test]
+    fn empty_input_answers_one_ungrouped_row() {
+        let t = make_table(60, true);
+        let set = full_set(&t);
+        let nothing = BucketPred::cmp(0, CmpOp::Lt, -1i64);
+        let ungrouped = AggregateQuery {
+            pred: nothing.clone(),
+            group_by: vec![],
+            specs: vec![
+                AggSpec::CountStar,
+                AggSpec::Sum(col(2)),
+                AggSpec::Avg(col(2)),
+                AggSpec::Min(col(0)),
+                AggSpec::Max(col(0)),
+            ],
+        };
+        let grouped = AggregateQuery {
+            pred: nothing,
+            ..query(0)
+        };
+        let covering = SmaSet::build(
+            &t,
+            vec![
+                SmaDefinition::new("min", AggFn::Min, col(0)),
+                SmaDefinition::new("max", AggFn::Max, col(0)),
+                SmaDefinition::count("count").group_by(vec![1]),
+                SmaDefinition::new("sum_p", AggFn::Sum, col(2)).group_by(vec![1]),
+                SmaDefinition::new("min_k", AggFn::Min, col(0)).group_by(vec![1]),
+                SmaDefinition::new("max_k", AggFn::Max, col(0)).group_by(vec![1]),
+            ],
+        )
+        .unwrap();
+        // An overlay row that fails the predicate too.
+        let overlay = vec![vec![
+            Value::Int(5),
+            Value::Char(b'A'),
+            Value::Decimal(Decimal::from_int(5)),
+            Value::Str("x".into()),
+        ]];
+        let one_row = vec![vec![
+            Value::Int(0),
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null,
+        ]];
+        for kind in [
+            PlanKind::SmaGAggr,
+            PlanKind::SmaScanGAggr,
+            PlanKind::FullScan,
+        ] {
+            for extra in [Vec::new(), overlay.clone()] {
+                let ctx = format!("{kind:?}, overlay {}", extra.len());
+                let p = forced(&t, Some(&covering), ungrouped.clone(), kind)
+                    .with_overlay(extra.clone());
+                assert_eq!(p.execute().unwrap(), one_row, "{ctx}");
+                let p = forced(&t, Some(&set), grouped.clone(), kind).with_overlay(extra);
+                assert!(p.execute().unwrap().is_empty(), "{ctx}");
             }
         }
     }

@@ -12,12 +12,15 @@
 //! classification it priced the plan with, and a standalone operator
 //! classifies in `open` before any worker starts. The morsel loop only
 //! reads grades.
+//!
+//! A super-bucket (§4) whose buckets all qualify is answered from level 2:
+//! one entry per group file instead of one per bucket and file.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use sma_core::{BucketPred, Classification, Grade, Sma, SmaFile, SmaSet};
+use sma_core::{BucketPred, Classification, Grade, Sma, SmaSet, LEVEL2_FANOUT};
 use sma_storage::QueryBudget;
 use sma_types::{RowLayout, Tuple, Value};
 
@@ -31,10 +34,18 @@ use crate::scan::ScanCounters;
 struct ResolvedSpec<'a> {
     /// SMA holding the base aggregate (`avg` → its `sum` SMA).
     sma: &'a Sma,
-    /// Each of the SMA's group files, with the output-group slot its key
-    /// projects to. Several files share a slot when the SMA grouping
-    /// refines the query's.
-    files: Vec<(usize, &'a SmaFile)>,
+    /// Each of the SMA's group files. Several files share a slot when the
+    /// SMA grouping refines the query's.
+    files: Vec<SlotFile<'a>>,
+}
+
+/// One SMA group file as the operator reads it.
+struct SlotFile<'a> {
+    /// The output-group slot the file's key projects to.
+    slot: usize,
+    /// The file's entries at level 1 (one per bucket) and at level 2 (one
+    /// per super-bucket).
+    levels: [&'a [Value]; 2],
 }
 
 /// The SMA-driven grouping/aggregation operator.
@@ -50,6 +61,10 @@ pub struct SmaGAggr<'a> {
     /// Qualifying buckets merge their entries straight into per-slot
     /// states, so answering one from SMAs allocates nothing.
     slot_keys: Vec<Vec<Value>>,
+    /// Level-2 entries of the aggregate files whose slot no count file
+    /// maps to: a super-bucket where any of them is defined fails the
+    /// count-coverage check.
+    uncounted: Vec<&'a [Value]>,
     /// Byte offsets of the row codec, computed once so ambivalent buckets
     /// can be filtered and aggregated on zero-copy views.
     layout: RowLayout,
@@ -92,7 +107,10 @@ fn resolve<'a>(
         .map(|(key, file)| {
             let target: Vec<Value> = key_positions.iter().map(|&p| key[p].clone()).collect();
             let next = slot_of.len();
-            (*slot_of.entry(target).or_insert(next), file)
+            SlotFile {
+                slot: *slot_of.entry(target).or_insert(next),
+                levels: [file.entries(), sma.super_entries(key).unwrap_or_default()],
+            }
         })
         .collect();
     Ok(ResolvedSpec { sma, files })
@@ -137,6 +155,16 @@ impl<'a> SmaGAggr<'a> {
         for (key, slot) in slot_of {
             slot_keys[slot] = key;
         }
+        let mut counted = vec![false; slot_keys.len()];
+        for f in &count_sma.files {
+            counted[f.slot] = true;
+        }
+        let uncounted = resolved
+            .iter()
+            .flat_map(|r| &r.files)
+            .filter(|f| !counted[f.slot])
+            .map(|f| f.levels[1])
+            .collect();
         let layout = RowLayout::new(table.schema());
         Ok(SmaGAggr {
             table,
@@ -147,6 +175,7 @@ impl<'a> SmaGAggr<'a> {
             resolved,
             count_sma,
             slot_keys,
+            uncounted,
             layout,
             results: Vec::new(),
             pos: 0,
@@ -203,43 +232,63 @@ impl<'a> SmaGAggr<'a> {
     /// per-slot scratch, reused across buckets.
     fn count_covers_aggregates(&self, bucket: u32, covered: &mut [bool]) -> bool {
         covered.fill(false);
-        for &(slot, file) in &self.count_sma.files {
-            if file.get(bucket).is_some() {
-                covered[slot] = true;
+        for f in &self.count_sma.files {
+            if f.levels[0].get(bucket as usize).is_some() {
+                covered[f.slot] = true;
             }
         }
-        self.resolved
-            .iter()
-            .flat_map(|r| &r.files)
-            .all(|&(slot, file)| {
-                covered[slot] || matches!(file.get(bucket), None | Some(Value::Null))
-            })
+        self.resolved.iter().flat_map(|r| &r.files).all(|f| {
+            covered[f.slot] || matches!(f.levels[0].get(bucket as usize), None | Some(Value::Null))
+        })
     }
 
-    /// Merges one qualifying bucket's SMA entries straight into the
-    /// morsel's per-slot group states.
-    fn merge_qualifying_entries(&self, bucket: u32, slots: &mut [GroupState]) {
+    /// Whether super-bucket `sb` can be answered from level 2: all its
+    /// grades are Qualifies, every SMA the answer draws on covers it with
+    /// no quarantined bucket, and the count SMA covers every aggregate
+    /// value in it. Then every one of its buckets would pass the
+    /// per-bucket checks, and merging its level-2 entries equals merging
+    /// each bucket's.
+    fn super_bucket_qualifies(&self, sb: u32, grades: &[Grade]) -> bool {
+        let start = (sb * LEVEL2_FANOUT) as usize;
+        let end = start + LEVEL2_FANOUT as usize;
+        grades
+            .get(start..end)
+            .is_some_and(|g| g.iter().all(|&g| g == Grade::Qualifies))
+            && std::iter::once(self.count_sma.sma)
+                .chain(self.resolved.iter().map(|r| r.sma))
+                .all(|sma| sma.n_buckets() as usize >= end && sma.super_flags(sb).clean)
+            && self
+                .uncounted
+                .iter()
+                .all(|e| matches!(e.get(sb as usize), None | Some(Value::Null)))
+    }
+
+    /// Merges the SMA entries at `index` of `level` — one qualifying
+    /// bucket's (level 0) or one qualifying super-bucket's (level 1) —
+    /// straight into the morsel's per-slot group states.
+    fn merge_entries(&self, level: usize, index: u32, slots: &mut [GroupState]) {
         for (i, r) in self.resolved.iter().enumerate() {
-            for &(slot, file) in &r.files {
-                if let Some(v) = file.get(bucket) {
-                    slots[slot].accs[i].merge(v);
+            for f in &r.files {
+                if let Some(v) = f.levels[level].get(index as usize) {
+                    slots[f.slot].accs[i].merge(v);
                 }
             }
         }
-        for &(slot, file) in &self.count_sma.files {
-            if let Some(v) = file.get(bucket) {
-                slots[slot].hidden_count += v.as_int().unwrap_or(0);
+        for f in &self.count_sma.files {
+            if let Some(v) = f.levels[level].get(index as usize) {
+                slots[f.slot].hidden_count += v.as_int().unwrap_or(0);
             }
         }
     }
 
     /// Fig. 7's bucket loop over one contiguous morsel: switch on each
     /// bucket's grade (`grades` holds one per bucket of the table), answer
-    /// qualifying ones from SMA entries, scan ambivalent ones. Buckets
-    /// whose SMA entries cannot be trusted (quarantined) or do not add up
-    /// (inconsistent) are demoted to base-table scans — the base table is
-    /// the ground truth, so the answer stays exact and only the fast path
-    /// is lost. Pure with respect to `self`, so morsels run on worker
+    /// qualifying ones from SMA entries — a whole qualifying super-bucket
+    /// inside the morsel from its level-2 entries — and scan ambivalent
+    /// ones. Buckets whose SMA entries cannot be trusted (quarantined) or
+    /// do not add up (inconsistent) are demoted to base-table scans — the
+    /// base table is the ground truth, so the answer stays exact and only
+    /// the fast path is lost. Pure with respect to `self`, so morsels run on worker
     /// threads.
     fn process_buckets(
         &self,
@@ -260,9 +309,20 @@ impl<'a> SmaGAggr<'a> {
             .map(|_| GroupState::new(&self.specs))
             .collect();
         let mut covered = vec![false; self.slot_keys.len()];
-        for bucket in range {
+        let mut bucket = range.start;
+        while bucket < range.end {
             if let Some(b) = self.budget {
                 b.check()?;
+            }
+            let sb = bucket / LEVEL2_FANOUT;
+            if bucket.is_multiple_of(LEVEL2_FANOUT)
+                && bucket + LEVEL2_FANOUT <= range.end
+                && self.super_bucket_qualifies(sb, grades)
+            {
+                counters.qualified += u64::from(LEVEL2_FANOUT);
+                self.merge_entries(1, sb, &mut slots);
+                bucket += LEVEL2_FANOUT;
+                continue;
             }
             match grades[bucket as usize] {
                 Grade::Qualifies => {
@@ -272,7 +332,7 @@ impl<'a> SmaGAggr<'a> {
                         self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
                     } else if self.count_covers_aggregates(bucket, &mut covered) {
                         counters.qualified += 1;
-                        self.merge_qualifying_entries(bucket, &mut slots);
+                        self.merge_entries(0, bucket, &mut slots);
                     } else {
                         counters.ambivalent += 1;
                         counters.degradation.note_inconsistent(bucket);
@@ -292,6 +352,7 @@ impl<'a> SmaGAggr<'a> {
                     self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
                 }
             }
+            bucket += 1;
         }
         if let Some(d) = dense {
             absorb_groups(&mut groups, d.into_groups());
@@ -612,26 +673,70 @@ mod tests {
         assert_eq!(op.counters().disqualified, 20 / 2);
     }
 
+    /// Every worker count answers like the serial loop. The 70-bucket
+    /// table holds four whole super-buckets, so at 2 threads a morsel
+    /// boundary (bucket 35) falls inside super-bucket 2 and whole
+    /// qualifying super-buckets sit on both sides of it; at 8 threads
+    /// every morsel is shorter than a super-bucket.
     #[test]
     fn parallel_open_matches_serial_exactly() {
-        let t = make_table(60);
-        let smas = full_set(&t);
         // Le 8 splits bucket 4: qualifying, disqualified, and ambivalent
-        // buckets all present, so every merge path runs.
-        let pred = BucketPred::cmp(0, CmpOp::Le, 8i64);
-        let mut serial = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
-            .unwrap()
-            .with_parallelism(Parallelism::serial());
-        let expected = collect(&mut serial).unwrap();
-        let expected_counters = serial.counters();
-        assert!(!expected.is_empty());
-        for threads in [2, 3, 4, 8, 64] {
-            let mut par = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
+        // buckets all present, so every merge path runs. Le 100 splits
+        // bucket 50; Le 1000 qualifies every bucket.
+        for (rows, cutoff) in [(60, 8i64), (140, 8), (140, 100), (140, 1000)] {
+            let t = make_table(rows);
+            let smas = full_set(&t);
+            let pred = BucketPred::cmp(0, CmpOp::Le, cutoff);
+            let mut serial = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
                 .unwrap()
-                .with_parallelism(Parallelism::new(threads));
-            assert_eq!(collect(&mut par).unwrap(), expected, "{threads} threads");
-            assert_eq!(par.counters(), expected_counters, "{threads} threads");
+                .with_parallelism(Parallelism::serial());
+            let expected = collect(&mut serial).unwrap();
+            let expected_counters = serial.counters();
+            assert!(!expected.is_empty());
+            assert_eq!(
+                expected,
+                baseline(&t, pred.clone()),
+                "{rows} rows, Le {cutoff}"
+            );
+            for threads in [2, 3, 4, 8, 64] {
+                let ctx = format!("{rows} rows, Le {cutoff}, {threads} threads");
+                let mut par = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
+                    .unwrap()
+                    .with_parallelism(Parallelism::new(threads));
+                assert_eq!(collect(&mut par).unwrap(), expected, "{ctx}");
+                assert_eq!(par.counters(), expected_counters, "{ctx}");
+            }
         }
+    }
+
+    /// Exactly the whole super-buckets whose grades are all Qualifies,
+    /// whose SMAs are clean and whose count SMA covers every aggregate
+    /// value take the level-2 merge; the partial last one never does.
+    #[test]
+    fn whole_qualifying_super_buckets_merge_from_level_2() {
+        let t = make_table(140); // 70 buckets: super-buckets 0..=3 whole
+        let smas = full_set(&t);
+        let pred = BucketPred::cmp(0, CmpOp::Le, 100i64); // splits bucket 50
+        let grades = Classification::classify(&pred, t.bucket_count(), &smas).grades;
+        let op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas).unwrap();
+        let level2: Vec<bool> = (0..5)
+            .map(|sb| op.super_bucket_qualifies(sb, &grades))
+            .collect();
+        assert_eq!(level2, [true, true, true, false, false]);
+        let mut damaged = SmaSet::new();
+        for sma in smas.smas() {
+            let mut s = sma.clone();
+            if s.def().name == "sum_p" {
+                s.quarantine_bucket(20);
+            }
+            damaged.push(s);
+        }
+        let op = SmaGAggr::new(&t, pred, vec![1], specs(), &damaged).unwrap();
+        assert!(op.super_bucket_qualifies(0, &grades));
+        assert!(
+            !op.super_bucket_qualifies(1, &grades),
+            "bucket 20 is quarantined"
+        );
     }
 
     /// A count SMA whose files stop short of a bucket that the aggregate
@@ -685,9 +790,18 @@ mod tests {
     /// SMAs grouped by `(G, H)` answer a query grouped by `G` and an
     /// ungrouped one, so several SMA group files fold into each output
     /// slot. A count SMA with no entry for one finer group — `(B, y)`,
-    /// whose only row sits in bucket 6 — demotes exactly that bucket.
+    /// whose only row sits in bucket 6 — demotes exactly that bucket. The
+    /// 70-bucket input puts bucket 6 in an all-Qualifies super-bucket,
+    /// which then falls back to the per-bucket path while the other whole
+    /// super-buckets merge from level 2.
     #[test]
     fn refined_groupings_fold_into_slots_and_demote_a_count_gap() {
+        for n_rows in [40i64, 140] {
+            refined_groupings_case(n_rows);
+        }
+    }
+
+    fn refined_groupings_case(n_rows: i64) {
         let build = || {
             let schema = Arc::new(Schema::new(vec![
                 Column::new("K", DataType::Int),
@@ -699,7 +813,7 @@ mod tests {
             let mut t = Table::in_memory("t", schema, 1);
             let pad = "p".repeat(1700);
             let mut lone_b = None;
-            for k in 0..40i64 {
+            for k in 0..n_rows {
                 let g = match k {
                     13 => b'B',
                     _ if k % 2 == 0 => b'A',
@@ -721,7 +835,8 @@ mod tests {
             (t, lone_b.unwrap())
         };
         let (t, _) = build();
-        assert_eq!(t.bucket_count(), 20);
+        let n = u64::from(t.bucket_count());
+        assert_eq!(n, n_rows as u64 / 2);
         let fine = vec![1, 2];
         let count_def = || SmaDefinition::count("count").group_by(fine.clone());
         let smas = SmaSet::build(
@@ -743,7 +858,7 @@ mod tests {
             AggSpec::Min(col(0)),
             AggSpec::Max(col(0)),
         ];
-        let pred = BucketPred::cmp(0, CmpOp::Le, 100i64); // every bucket qualifies
+        let pred = BucketPred::cmp(0, CmpOp::Le, 1000i64); // every bucket qualifies
         let scan = |group_by: &[usize]| {
             let mut g = HashGAggr::new(
                 Box::new(Filter::new(Box::new(SeqScan::new(&t)), pred.clone())),
@@ -765,7 +880,7 @@ mod tests {
             for threads in [1, 2, 8] {
                 let (rows, c) = run(&group_by, &smas, threads);
                 assert_eq!(rows, expected, "by {group_by:?}, {threads} threads");
-                assert_eq!(c.qualified, 20, "answered from SMAs alone");
+                assert_eq!(c.qualified, n, "answered from SMAs alone");
                 assert!(c.degradation.demoted_buckets.is_empty());
             }
         }
@@ -793,43 +908,46 @@ mod tests {
                 "{threads} threads"
             );
             assert_eq!(c.degradation.demoted_buckets, vec![6], "{threads} threads");
-            assert_eq!((c.qualified, c.ambivalent), (19, 1));
+            assert_eq!((c.qualified, c.ambivalent), (n - 1, 1));
             assert_eq!(c, serial, "{threads} threads");
         }
     }
 
-    /// Quarantined aggregate-SMA entries must not be trusted even when the
-    /// selection SMAs still grade the bucket as fully qualifying.
+    /// The 70-bucket input quarantines one bucket of an all-Qualifies
+    /// super-bucket: that super-bucket falls back to the per-bucket path.
     #[test]
     fn quarantined_aggregate_bucket_demotes_even_when_qualifying() {
-        let t = make_table(60); // 30 buckets
-        let full = full_set(&t);
-        let mut damaged = SmaSet::new();
-        for sma in full.smas() {
-            let mut s = sma.clone();
-            if s.def().name == "sum_p" {
-                s.quarantine_bucket(3);
+        for rows in [60, 140] {
+            let t = make_table(rows);
+            let n = u64::from(t.bucket_count());
+            let full = full_set(&t);
+            let mut damaged = SmaSet::new();
+            for sma in full.smas() {
+                let mut s = sma.clone();
+                if s.def().name == "sum_p" {
+                    s.quarantine_bucket(3);
+                }
+                damaged.push(s);
             }
-            damaged.push(s);
-        }
-        let pred = BucketPred::cmp(0, CmpOp::Le, 100i64); // every bucket qualifies
-        let mut op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &damaged)
-            .unwrap()
-            .with_parallelism(Parallelism::serial());
-        let rows = collect(&mut op).unwrap();
-        assert_eq!(rows, baseline(&t, pred.clone()));
-        let c = op.counters();
-        assert_eq!(c.degradation.quarantined_buckets, vec![3]);
-        assert_eq!(c.degradation.demoted_buckets, vec![3]);
-        assert_eq!(c.qualified, 29);
-        assert_eq!(c.ambivalent, 1);
-        // Deterministic across worker counts.
-        for threads in [2, 4, 8] {
-            let mut par = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &damaged)
+            let pred = BucketPred::cmp(0, CmpOp::Le, 1000i64); // every bucket qualifies
+            let mut op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &damaged)
                 .unwrap()
-                .with_parallelism(Parallelism::new(threads));
-            assert_eq!(collect(&mut par).unwrap(), rows, "{threads} threads");
-            assert_eq!(par.counters(), c, "{threads} threads");
+                .with_parallelism(Parallelism::serial());
+            let rows = collect(&mut op).unwrap();
+            assert_eq!(rows, baseline(&t, pred.clone()));
+            let c = op.counters();
+            assert_eq!(c.degradation.quarantined_buckets, vec![3]);
+            assert_eq!(c.degradation.demoted_buckets, vec![3]);
+            assert_eq!(c.qualified, n - 1);
+            assert_eq!(c.ambivalent, 1);
+            // Deterministic across worker counts.
+            for threads in [1, 2, 4, 8] {
+                let mut par = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &damaged)
+                    .unwrap()
+                    .with_parallelism(Parallelism::new(threads));
+                assert_eq!(collect(&mut par).unwrap(), rows, "{threads} threads");
+                assert_eq!(par.counters(), c, "{threads} threads");
+            }
         }
     }
 

@@ -1,14 +1,19 @@
-//! Hierarchical (two-level) SMAs — the §4 tuning measure.
+//! Two-level SMAs — the §4 tuning measure, as the planner grades with it.
 //!
-//! Builds min/max SMAs over a sorted integer table, stacks a level-2 SMA
-//! on top, and sweeps the predicate selectivity to show how many level-1
-//! entries the second level lets us skip.
+//! Every SMA carries a second level: one entry per super-bucket of
+//! [`LEVEL2_FANOUT`] buckets. `Classification::classify` grades each
+//! super-bucket from it and reads level-1 entries only where level 2
+//! leaves the grade open. This example builds min/max SMAs over a sorted
+//! integer table and sweeps the predicate selectivity to show how many
+//! level-1 entries the second level lets grading skip.
 //!
 //! Run with: `cargo run --release --example hierarchical_smas`
 
 use std::sync::Arc;
 
-use smadb::sma::{col, AggFn, BucketPred, CmpOp, HierarchicalMinMax, Sma, SmaDefinition};
+use smadb::sma::{
+    col, AggFn, BucketPred, Classification, CmpOp, SmaDefinition, SmaSet, LEVEL2_FANOUT,
+};
 use smadb::storage::Table;
 use smadb::types::{Column, DataType, Schema, Value};
 
@@ -25,35 +30,53 @@ fn main() {
         t.append(&vec![Value::Int(k), Value::Str(pad.clone())])
             .unwrap();
     }
-    let min = Sma::build(&t, SmaDefinition::new("min", AggFn::Min, col(0))).unwrap();
-    let max = Sma::build(&t, SmaDefinition::new("max", AggFn::Max, col(0))).unwrap();
+    let set = SmaSet::build(
+        &t,
+        vec![
+            SmaDefinition::new("min", AggFn::Min, col(0)),
+            SmaDefinition::new("max", AggFn::Max, col(0)),
+        ],
+    )
+    .unwrap();
+    let (min, max) = (set.min_sma_for(0).unwrap(), set.max_sma_for(0).unwrap());
     println!(
-        "table: {} buckets; level-1 SMA entries: {}",
+        "table: {} buckets; level 1: {} entries per SMA; level 2: {} (fanout {LEVEL2_FANOUT})",
         t.bucket_count(),
-        min.n_buckets()
+        min.n_buckets(),
+        min.super_bucket_count()
     );
-
-    for fanout in [8u32, 32, 128] {
-        let h = HierarchicalMinMax::from_smas(&min, &max, fanout).expect("well-formed inputs");
-        println!("\nfanout {fanout}: {} level-2 entries", h.l2_len());
+    println!(
+        "\n  {:>12} {:>16} {:>14} {:>10}",
+        "selectivity", "l2 decided", "l1 graded", "saving"
+    );
+    for sel_pct in [1u32, 5, 25, 50, 95, 99] {
+        let cutoff = (n * sel_pct as i64) / 100;
+        let pred = BucketPred::cmp(0, CmpOp::Le, cutoff);
+        // `K <= c` is decided for a whole super-bucket when its level-2
+        // bounds lie on one side of `c`.
+        let decided = (0..min.super_bucket_count())
+            .filter(|&sb| {
+                let (lo, hi) = (
+                    min.super_value_across_groups(sb),
+                    max.super_value_across_groups(sb),
+                );
+                CmpOp::Le.eval(&hi, &Value::Int(cutoff)) || CmpOp::Gt.eval(&lo, &Value::Int(cutoff))
+            })
+            .count() as u32;
+        let graded = t.bucket_count() - decided * LEVEL2_FANOUT;
+        let c = Classification::classify(&pred, t.bucket_count(), &set);
+        let flat: Vec<_> = (0..t.bucket_count()).map(|b| pred.grade(b, &set)).collect();
+        assert_eq!(c.grades, flat, "level 2 never changes a grade");
         println!(
-            "  {:>12} {:>14} {:>14} {:>10}",
-            "selectivity", "l1 inspected", "l1 skipped", "saving"
+            "  {:>11}% {:>10} of {:>3} {:>14} {:>9.1}%",
+            sel_pct,
+            decided,
+            min.super_bucket_count(),
+            graded,
+            100.0 * f64::from(t.bucket_count() - graded) / f64::from(t.bucket_count())
         );
-        for sel_pct in [1u32, 5, 25, 50, 95, 99] {
-            let cutoff = (n * sel_pct as i64) / 100;
-            let pred = BucketPred::cmp(0, CmpOp::Le, cutoff);
-            let p = h.prune(&pred);
-            println!(
-                "  {:>11}% {:>14} {:>14} {:>9.1}%",
-                sel_pct,
-                p.l1_inspected,
-                p.l1_skipped,
-                100.0 * p.l1_skipped as f64 / (p.l1_inspected + p.l1_skipped) as f64
-            );
-        }
     }
-    println!("\nreading: on clustered data almost every level-2 entry resolves its whole");
-    println!("super-bucket, so the level-1 SMA-file is barely touched — the I/O saving");
+    println!("\nreading: on clustered data almost every level-2 entry decides its whole");
+    println!("super-bucket, so grading barely touches the level-1 SMA-file — the saving");
     println!("the paper predicts for \"rather high and rather low selectivities\".");
 }

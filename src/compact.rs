@@ -4,9 +4,9 @@
 //! segments; left alone, a table's committed segment list grows without
 //! bound and every reopen pays one file open per segment. Compaction is
 //! the merge half of that LSM-shaped bargain: rewrite each table as a
-//! single full segment, refresh its SMAs, rebuild the hierarchical
-//! min/max summaries on top of them, and commit the new generation —
-//! manifest-last, exactly like a flush.
+//! single full segment, refresh its SMAs (level 2 included, see
+//! `sma_core::level2`), and commit the new generation — manifest-last,
+//! exactly like a flush.
 //!
 //! The rewrite runs one worker thread per table via [`std::thread::scope`]
 //! (the same discipline as `sma_exec::parallel`: spawn, join, merge in
@@ -28,13 +28,7 @@ use std::path::Path;
 
 use crate::ingest::{FlushStage, IngestError, StreamingWarehouse};
 use crate::warehouse::{commit_manifest, CommitMeta, SegmentLists, SegmentMeta, WarehouseError};
-use sma_core::HierarchicalMinMax;
 use sma_storage::{FileStore, PageStore, Table};
-
-/// Fan-out of the hierarchical min/max summaries rebuilt after a
-/// compaction (§4.2 of the paper discusses the trade-off; 16 keeps the
-/// upper levels tiny while still skipping 16× the buckets per probe).
-const HIERARCHY_FANOUT: u32 = 16;
 
 /// The stages of the compaction protocol, in order — the crash-injection
 /// seam, mirroring [`FlushStage`]:
@@ -50,8 +44,8 @@ pub enum CompactStage {
     /// Manifest atomically replaced — **the commit point**. The merged
     /// segments are live; the superseded delta files are still on disk.
     Committed,
-    /// Superseded segment files deleted and hierarchical SMAs rebuilt. A
-    /// full [`StreamingWarehouse::compact`].
+    /// Superseded segment files deleted. A full
+    /// [`StreamingWarehouse::compact`].
     Complete,
 }
 
@@ -74,20 +68,14 @@ pub struct CompactionReport {
     pub segments_before: usize,
     /// Total committed segments after (one per table).
     pub segments_after: usize,
-    /// Hierarchical min/max summaries rebuilt over the refreshed SMAs.
-    pub hierarchies_rebuilt: usize,
 }
 
 impl fmt::Display for CompactionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "epoch {}: {} table(s), {} -> {} segment(s), {} hierarchy(ies) rebuilt",
-            self.epoch,
-            self.tables,
-            self.segments_before,
-            self.segments_after,
-            self.hierarchies_rebuilt
+            "epoch {}: {} table(s), {} -> {} segment(s)",
+            self.epoch, self.tables, self.segments_before, self.segments_after
         )
     }
 }
@@ -213,35 +201,9 @@ impl<S: PageStore> StreamingWarehouse<S> {
         if stage == CompactStage::Committed {
             return Ok(report);
         }
-        // Post-commit: rebuild the hierarchical min/max summaries over
-        // the refreshed flat SMAs, then delete the superseded segments.
-        report.hierarchies_rebuilt = self.rebuild_hierarchies();
+        // Post-commit: delete the superseded segments.
         crate::ingest::remove_unreferenced(&dir)?;
         Ok(report)
-    }
-
-    /// Rebuilds the hierarchical min/max summaries from every min/max SMA
-    /// pair over the same column, replacing the previous set. Returns how
-    /// many were (re)built.
-    fn rebuild_hierarchies(&mut self) -> usize {
-        self.hierarchies.clear();
-        let names: Vec<String> = self.warehouse.table_names().map(str::to_string).collect();
-        for name in &names {
-            let Some(set) = self.warehouse.smas(name) else {
-                continue;
-            };
-            for min_sma in set.smas() {
-                for max_sma in set.smas() {
-                    if let Some(h) =
-                        HierarchicalMinMax::from_smas(min_sma, max_sma, HIERARCHY_FANOUT)
-                    {
-                        let key = format!("{name}:{}/{}", min_sma.def().name, max_sma.def().name);
-                        self.hierarchies.insert(key, h);
-                    }
-                }
-            }
-        }
-        self.hierarchies.len()
     }
 
     /// Triggers a compaction when the policy threshold is exceeded —
@@ -263,23 +225,5 @@ impl<S: PageStore> StreamingWarehouse<S> {
     /// Replaces the automatic-compaction policy.
     pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
         self.compaction = policy;
-    }
-
-    /// The hierarchical min/max summary rebuilt by the last compaction
-    /// for `relation`'s SMA pair `min_name`/`max_name`, if any.
-    pub fn hierarchy(
-        &self,
-        relation: &str,
-        min_name: &str,
-        max_name: &str,
-    ) -> Option<&HierarchicalMinMax> {
-        self.hierarchies
-            .get(&format!("{relation}:{min_name}/{max_name}"))
-    }
-
-    /// Number of hierarchical min/max summaries currently held (rebuilt
-    /// by the last compaction).
-    pub fn hierarchy_count(&self) -> usize {
-        self.hierarchies.len()
     }
 }

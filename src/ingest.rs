@@ -27,8 +27,8 @@
 //! 4. **Compaction** — delta segments accumulate until a
 //!    [`CompactionPolicy`](crate::compact::CompactionPolicy) threshold
 //!    triggers a [`compact`](StreamingWarehouse::compact): a full rewrite
-//!    that merges every table back to a single segment and rebuilds
-//!    hierarchical SMAs (see [`crate::compact`]).
+//!    that merges every table back to a single segment (see
+//!    [`crate::compact`]).
 //!
 //! The flush protocol's commit point is the manifest rename. Every earlier
 //! step only adds files the old manifest does not reference; every later
@@ -41,7 +41,7 @@
 //! cleanup, so an error after the commit point is finished by the next
 //! flush instead of leaking debris until restart.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -53,7 +53,6 @@ use crate::warehouse::{
     commit_manifest, manifest_files, CommitMeta, QueryResult, RecoveryReport, Warehouse,
     WarehouseError,
 };
-use sma_core::HierarchicalMinMax;
 use sma_exec::AggregateQuery;
 use sma_storage::{
     make_wal_record, FileStore, Memtable, PageStore, QueryBudget, Stopwatch, StoreError, Table, Wal,
@@ -274,9 +273,6 @@ pub struct StreamingWarehouse<S: PageStore = FileStore> {
     /// on never changes query results — only the physical layout of
     /// sealed buckets (see `Table::convert_bucket_to_columnar`).
     pub(crate) columnar: bool,
-    /// Hierarchical min/max SMAs rebuilt by the last compaction, keyed
-    /// `"RELATION:min_name/max_name"`.
-    pub(crate) hierarchies: BTreeMap<String, HierarchicalMinMax>,
 }
 
 impl StreamingWarehouse {
@@ -383,7 +379,6 @@ impl StreamingWarehouse {
                 pending: None,
                 compaction: CompactionPolicy::default(),
                 columnar: false,
-                hierarchies: BTreeMap::new(),
             },
             report,
         ))
@@ -446,7 +441,6 @@ impl<S: PageStore> StreamingWarehouse<S> {
             pending: None,
             compaction: CompactionPolicy::default(),
             columnar: false,
-            hierarchies: BTreeMap::new(),
         })
     }
 

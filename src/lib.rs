@@ -15,7 +15,7 @@
 //! [`warehouse`] (named tables + SMAs + crash-safe persistence),
 //! [`ingest`] (WAL + memtable streaming ingest with group commit and
 //! crash-recoverable incremental flush), and [`compact`] (background
-//! segment compaction with hierarchical-SMA rebuild).
+//! segment compaction).
 //!
 //! # Quickstart
 //!

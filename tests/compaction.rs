@@ -17,7 +17,7 @@ use std::sync::Arc;
 use smadb::compact::{CompactStage, CompactionPolicy};
 use smadb::exec::{AggSpec, AggregateQuery};
 use smadb::ingest::{CommitPolicy, StreamingWarehouse};
-use smadb::sma::{col, BucketPred, CmpOp};
+use smadb::sma::{check_level2, col, BucketPred, Classification, CmpOp, Grade};
 use smadb::storage::test_util::scratch_path;
 use smadb::storage::Table;
 use smadb::types::{Column, DataType, Schema, Tuple, Value};
@@ -276,8 +276,8 @@ fn rows_acknowledged_after_a_compaction_survive_a_crash() {
 }
 
 /// Automatic compaction: threshold flushes fragment the table, the policy
-/// merges it back, the segment list stays bounded, hierarchical SMAs are
-/// rebuilt, and answers never change — in-process and across a restart.
+/// merges it back, the segment list stays bounded, level-2 grades equal
+/// flat grades, and answers never change — in-process and across a restart.
 #[test]
 fn compaction_policy_keeps_the_segment_list_bounded() {
     let dir = scratch_path("compact-policy");
@@ -297,14 +297,20 @@ fn compaction_policy_keeps_the_segment_list_bounded() {
         "got {} segments",
         sw.warehouse().segment_count("S")
     );
-    assert!(
-        sw.hierarchy_count() >= 1,
-        "a compaction ran and rebuilt hierarchies"
-    );
-    assert!(
-        sw.hierarchy("S", "s_min", "s_max").is_some(),
-        "the min/max pair over X forms a hierarchy"
-    );
+    // After compaction, level-2 grades equal flat grades.
+    let table = sw.warehouse().table("S").unwrap();
+    let smas = sw.warehouse().smas("S").unwrap();
+    for sma in smas.smas() {
+        assert_eq!(check_level2(sma), vec![], "{}", sma.def().name);
+    }
+    for cutoff in [-1i64, 5, 31, 63, 100] {
+        let pred = BucketPred::cmp(1, CmpOp::Le, cutoff);
+        let flat: Vec<Grade> = (0..table.bucket_count())
+            .map(|b| pred.grade(b, smas))
+            .collect();
+        let graded = Classification::classify(&pred, table.bucket_count(), smas);
+        assert_eq!(graded.grades, flat, "cutoff {cutoff}");
+    }
     let got = sw.query("S", small_query(i64::MAX)).unwrap();
     assert_eq!(got.rows, bulk_reference(&all, i64::MAX));
 

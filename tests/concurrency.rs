@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smadb::exec::AggSpec;
 use smadb::exec::{collect, run_query1, Parallelism, Query1Config, SmaGAggr};
-use smadb::sma::{build_many_parallel, col, BucketPred, CmpOp, SmaSet};
+use smadb::sma::{build_many_parallel, col, BucketPred, CmpOp, SmaSet, LEVEL2_FANOUT};
 use smadb::storage::{BufferPool, MemStore, PAGE_FOOTER_LEN, PAGE_SIZE};
 use smadb::tpcd::{generate_lineitem_table, q1_cutoff, q1_reference_table, Clustering, GenConfig};
 
@@ -206,33 +206,41 @@ fn parallel_execution_is_deterministic_across_clusterings() {
             AggSpec::Avg(col(4)),
         ];
         let group_by = vec![8usize, 9];
-        let mut serial = SmaGAggr::new(
-            &table,
-            pred.clone(),
-            group_by.clone(),
-            specs.clone(),
-            &serial_set,
-        )
-        .unwrap()
-        .with_parallelism(Parallelism::serial());
-        let expected = collect(&mut serial).unwrap();
-        let expected_counters = serial.counters();
-        for threads in [2, 4, 8] {
-            let mut par = SmaGAggr::new(
-                &table,
-                pred.clone(),
-                group_by.clone(),
-                specs.clone(),
-                &serial_set,
-            )
-            .unwrap()
-            .with_parallelism(Parallelism::new(threads));
-            assert_eq!(
-                collect(&mut par).unwrap(),
-                expected,
-                "{clustering:?} with {threads} threads"
-            );
-            assert_eq!(par.counters(), expected_counters, "{clustering:?}");
+        // The table spans at least four super-buckets, so at 2 and 8
+        // threads morsel boundaries fall inside super-buckets. A second
+        // input quarantines bucket 1 of the `qty` SMA: on the sorted
+        // clustering it sits in an all-Qualifies super-bucket, which then
+        // takes the per-bucket path.
+        assert!(table.bucket_count() >= 4 * LEVEL2_FANOUT, "{clustering:?}");
+        let mut quarantined = SmaSet::new();
+        for sma in serial_set.smas() {
+            let mut sma = sma.clone();
+            if sma.def().name == "qty" {
+                sma.quarantine_bucket(1);
+            }
+            quarantined.push(sma);
+        }
+        let run = |set: &SmaSet, threads: usize| {
+            let mut op = SmaGAggr::new(&table, pred.clone(), group_by.clone(), specs.clone(), set)
+                .unwrap()
+                .with_parallelism(Parallelism::new(threads));
+            (collect(&mut op).unwrap(), op.counters())
+        };
+        let (expected, expected_counters) = run(&serial_set, 1);
+        for (name, set) in [("healthy", &serial_set), ("quarantined", &quarantined)] {
+            let (rows, counters) = run(set, 1);
+            assert_eq!(rows, expected, "{clustering:?} {name}");
+            if name == "healthy" {
+                assert_eq!(counters, expected_counters);
+            } else if clustering == Clustering::SortedByShipdate {
+                assert_eq!(counters.degradation.quarantined_buckets, vec![1]);
+            }
+            for threads in [2, 4, 8] {
+                let ctx = format!("{clustering:?} {name} with {threads} threads");
+                let (par_rows, par_counters) = run(set, threads);
+                assert_eq!(par_rows, rows, "{ctx}");
+                assert_eq!(par_counters, counters, "{ctx}");
+            }
         }
     }
 }

@@ -1,31 +1,22 @@
-//! Cross-crate tests of the §4 extensions: hierarchical SMAs and join
+//! Cross-crate tests of the §4 extensions: two-level SMAs and join
 //! SMAs over TPC-D data, plus the data-cube and B+-tree comparators
 //! agreeing with the SMA-based answers.
 
 use smadb::cube::{page_sized_order, BPlusTree, Query1Cube};
 use smadb::exec::{collect, SemiJoin};
-use smadb::sma::{
-    col, AggFn, BucketPred, CmpOp, Grade, HierarchicalMinMax, Sma, SmaDefinition, SmaSet,
-};
+use smadb::sma::{col, AggFn, BucketPred, Classification, CmpOp, Grade, SmaDefinition, SmaSet};
 use smadb::tpcd::{
     generate, generate_lineitem_table, q1_cutoff, q1_reference_table, schema::lineitem as li,
     schema::orders as o, start_date, Clustering, GenConfig,
 };
 use smadb::types::{Date, Value};
 
+/// The planner's two-level grading equals flat grading on TPC-D data,
+/// and on clustered data level 2 decides most super-buckets of a
+/// selective predicate without their level-1 entries.
 #[test]
 fn hierarchical_smas_agree_with_flat_grading_on_tpcd() {
     let table = generate_lineitem_table(&GenConfig::tiny(Clustering::diagonal_default()));
-    let min = Sma::build(
-        &table,
-        SmaDefinition::new("min", AggFn::Min, col(li::SHIPDATE)),
-    )
-    .unwrap();
-    let max = Sma::build(
-        &table,
-        SmaDefinition::new("max", AggFn::Max, col(li::SHIPDATE)),
-    )
-    .unwrap();
     let set = SmaSet::build(
         &table,
         vec![
@@ -34,22 +25,32 @@ fn hierarchical_smas_agree_with_flat_grading_on_tpcd() {
         ],
     )
     .unwrap();
-    let hier = HierarchicalMinMax::from_smas(&min, &max, 16).expect("well-formed inputs");
+    let (min, max) = (
+        set.min_sma_for(li::SHIPDATE).unwrap(),
+        set.max_sma_for(li::SHIPDATE).unwrap(),
+    );
+    assert!(min.super_bucket_count() >= 4);
     for delta in [30, 90, 500, 1500] {
-        let pred = BucketPred::cmp(li::SHIPDATE, CmpOp::Le, Value::Date(q1_cutoff(delta)));
+        let cutoff = Value::Date(q1_cutoff(delta));
+        let pred = BucketPred::cmp(li::SHIPDATE, CmpOp::Le, cutoff.clone());
         let flat: Vec<Grade> = (0..table.bucket_count())
             .map(|b| pred.grade(b, &set))
             .collect();
-        let pruned = hier.prune(&pred);
-        assert_eq!(pruned.grades, flat, "delta {delta}");
-        // Clustered data: level 2 must save level-1 inspections for
-        // selective predicates.
+        let two_level = Classification::classify(&pred, table.bucket_count(), &set);
+        assert_eq!(two_level.grades, flat, "delta {delta}");
+        // Clustered data: for selective predicates most super-buckets lie
+        // wholly on one side of the cutoff.
         if delta >= 500 {
+            let decided = (0..min.super_bucket_count())
+                .filter(|&sb| {
+                    CmpOp::Le.eval(&max.super_value_across_groups(sb), &cutoff)
+                        || CmpOp::Gt.eval(&min.super_value_across_groups(sb), &cutoff)
+                })
+                .count() as u32;
             assert!(
-                pruned.l1_skipped > pruned.l1_inspected,
-                "delta {delta}: skipped {} vs inspected {}",
-                pruned.l1_skipped,
-                pruned.l1_inspected
+                2 * decided > min.super_bucket_count(),
+                "delta {delta}: level 2 decided {decided} of {} super-buckets",
+                min.super_bucket_count()
             );
         }
     }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use smadb::exec::{collect, AggSpec, Filter, HashGAggr, SeqScan, SmaGAggr};
-use smadb::sma::{col, AggFn, BucketPred, CmpOp, Grade, SmaDefinition, SmaSet};
+use smadb::sma::{check_level2, col, AggFn, BucketPred, CmpOp, Grade, SmaDefinition, SmaSet};
 use smadb::storage::{Table, TupleId};
 use smadb::types::{Column, DataType, Schema, StdRng, Value};
 
@@ -47,6 +47,14 @@ fn check_answers(t: &Table, smas: &SmaSet) {
     }
 }
 
+/// Every member's level 2 equals the fold of its level 1 — checked after
+/// each maintenance call.
+fn assert_level2(smas: &SmaSet) {
+    for sma in smas.smas() {
+        assert_eq!(check_level2(sma), vec![], "{}", sma.def().name);
+    }
+}
+
 fn check_grading_sound(t: &Table, smas: &SmaSet) {
     for c in [10i64, 50, 90] {
         let pred = BucketPred::cmp(0, CmpOp::Le, c);
@@ -70,6 +78,7 @@ fn inserts_keep_smas_exact() {
         let tu = tuple((k * 13) % 100, b'A' + (k % 2) as u8);
         let tid = t.append(&tu).unwrap();
         smas.note_insert(t.bucket_of_page(tid.page), &tu).unwrap();
+        assert_level2(&smas);
     }
     check_grading_sound(&t, &smas);
     check_answers(&t, &smas);
@@ -97,6 +106,7 @@ fn deletes_leave_sound_but_loose_bounds() {
     for (tid, tu) in ids.iter().step_by(3) {
         t.delete(*tid).unwrap();
         smas.note_delete(t.bucket_of_page(tid.page), tu).unwrap();
+        assert_level2(&smas);
     }
     check_grading_sound(&t, &smas);
     check_answers(&t, &smas);
@@ -104,6 +114,7 @@ fn deletes_leave_sound_but_loose_bounds() {
     let mut refreshed = smas.clone();
     for b in 0..t.bucket_count() {
         refreshed.refresh_bucket(&t, b).unwrap();
+        assert_level2(&refreshed);
     }
     check_grading_sound(&t, &refreshed);
     check_answers(&t, &refreshed);
@@ -129,6 +140,7 @@ fn updates_combine_delete_and_insert() {
         );
         smas.note_update(t.bucket_of_page(tid.page), old, &new)
             .unwrap();
+        assert_level2(&smas);
     }
     check_grading_sound(&t, &smas);
     check_answers(&t, &smas);
@@ -154,6 +166,7 @@ fn random_workload_stays_consistent() {
                     let tu = tuple(k, b'A' + (k % 3) as u8);
                     let tid = t.append(&tu).unwrap();
                     smas.note_insert(t.bucket_of_page(tid.page), &tu).unwrap();
+                    assert_level2(&smas);
                     live.push((tid, tu));
                 }
                 6 | 7 => {
@@ -163,6 +176,7 @@ fn random_workload_stays_consistent() {
                     let (tid, tu) = live.swap_remove(pick % live.len());
                     t.delete(tid).unwrap();
                     smas.note_delete(t.bucket_of_page(tid.page), &tu).unwrap();
+                    assert_level2(&smas);
                 }
                 _ => {
                     if live.is_empty() {
@@ -175,6 +189,7 @@ fn random_workload_stays_consistent() {
                     let new_tid = t.update(tid, &new).unwrap();
                     smas.note_update(t.bucket_of_page(tid.page), &old, &new)
                         .unwrap();
+                    assert_level2(&smas);
                     live[idx] = (new_tid, new);
                 }
             }

@@ -164,6 +164,41 @@ fn round_trip_ddl_insert_query_shutdown() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// SQL's answer to an ungrouped aggregate over no rows is one row: `0`
+/// for `count(*)`, NULL for every other aggregate. A grouped one answers
+/// no rows.
+#[test]
+fn ungrouped_aggregate_over_no_rows_answers_one_row() {
+    let (handle, dir) = spawn_server("server-empty-aggregate", ServerConfig::default());
+    let mut c = client(&handle);
+    let r = c.request("create table S (G char, X int)").unwrap();
+    assert_eq!(r.status, Status::Ok, "{}", r.info);
+    let r = c.request("select count(*), min(X) from S").unwrap();
+    assert_eq!(r.status, Status::Ok, "{}", r.info);
+    assert_eq!(r.rows, vec![vec!["0".to_string(), "NULL".to_string()]]);
+    for i in 0..10i64 {
+        let r = c
+            .request(&format!("insert into S values ('A', {i})"))
+            .unwrap();
+        assert_eq!(r.status, Status::Ok, "{}", r.info);
+    }
+    let r = c
+        .request("select count(*), sum(X), avg(X), max(X) from S where X > 100")
+        .unwrap();
+    assert_eq!(r.status, Status::Ok, "{}", r.info);
+    let null = || "NULL".to_string();
+    assert_eq!(r.rows, vec![vec!["0".to_string(), null(), null(), null()]]);
+    let r = c
+        .request("select count(*), sum(X) from S where X > 100 group by G")
+        .unwrap();
+    assert_eq!(r.status, Status::Ok, "{}", r.info);
+    assert!(r.rows.is_empty(), "{:?}", r.rows);
+    let r = c.request("shutdown").unwrap();
+    assert_eq!(r.status, Status::Ok);
+    handle.wait().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ------------------------------------------------- admission and budgets
 
 #[test]
