@@ -19,7 +19,7 @@
 //!   (also writes `BENCH_scan_kernels.json` at the repo root)
 //! * `e11` — durable streaming ingest: WAL overhead per acked insert and
 //!   memtable-overlay query interference, plus the E12 group-commit batch
-//!   sweep (writes `BENCH_ingest.json`)
+//!   sweep (appends a run to `BENCH_ingest.json`)
 //!
 //! Scale with `SMA_SF` (default 0.002). Shapes, not absolute numbers, are
 //! the reproduction target: the paper ran on 1997 SCSI disks at SF 1.
@@ -94,7 +94,8 @@ fn main() {
 /// latency with the load live in the memtable overlay against sealed
 /// segments with SMAs, plus the flush and cold-recovery transitions.
 /// Every timed path is asserted byte-identical to a bulk load first;
-/// medians land in `BENCH_ingest.json` at the repo root.
+/// medians are *appended* as a dated run to `BENCH_ingest.json` at the
+/// repo root, as E10 does.
 fn e11_ingest() {
     println!("--- E11: streaming ingest — WAL overhead & overlay interference ---");
     let r = sma_bench::ingest::ingest_timings(9);
@@ -140,18 +141,20 @@ fn e11_ingest() {
             e12_entries.push_str(",\n");
         }
         e12_entries.push_str(&format!(
-            "    {{\"batch_rows\": {}, \"streamed_insert_ns_per_row\": {}, \"wal_overhead_factor\": {:.3}}}",
+            "        {{\"batch_rows\": {}, \"streamed_insert_ns_per_row\": {}, \"wal_overhead_factor\": {:.3}}}",
             p.batch_rows, p.streamed_insert_ns, p.wal_overhead_factor
         ));
     }
 
-    let json = format!(
-        "{{\n  \"experiment\": \"ingest\",\n  \"rows\": {},\n  \
-         \"streamed_insert_ns_per_row\": {},\n  \"bulk_insert_ns_per_row\": {},\n  \
-         \"wal_overhead_factor\": {:.3},\n  \"overlay_query_ns\": {},\n  \
-         \"flushed_query_ns\": {},\n  \"overlay_penalty_factor\": {:.3},\n  \
-         \"flush_ns\": {},\n  \"recovery_replay_ns\": {},\n  \
-         \"e12_group_commit\": [\n{}\n  ]\n}}\n",
+    let run = format!(
+        "    {{\n      \"date\": \"{}\",\n      \"git\": \"{}\",\n      \"rows\": {},\n      \
+         \"streamed_insert_ns_per_row\": {},\n      \"bulk_insert_ns_per_row\": {},\n      \
+         \"wal_overhead_factor\": {:.3},\n      \"overlay_query_ns\": {},\n      \
+         \"flushed_query_ns\": {},\n      \"overlay_penalty_factor\": {:.3},\n      \
+         \"flush_ns\": {},\n      \"recovery_replay_ns\": {},\n      \
+         \"e12_group_commit\": [\n{}\n      ]\n    }}",
+        command_line("date", &["+%F"]),
+        git_revision(),
         r.rows,
         r.streamed_insert_ns,
         r.bulk_insert_ns,
@@ -164,8 +167,8 @@ fn e11_ingest() {
         e12_entries
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("  wrote {path}\n"),
+    match append_run(path, "ingest", &run) {
+        Ok(()) => println!("  appended run to {path}\n"),
         Err(e) => println!("  could not write {path}: {e}\n"),
     }
 }
@@ -208,16 +211,7 @@ fn e10_scan_kernels() {
     let run = format!(
         "    {{\n      \"date\": \"{}\",\n      \"git\": \"{}\",\n      \"scale_factor\": {},\n      \"kernels\": [\n{}\n      ]\n    }}",
         command_line("date", &["+%F"]),
-        command_line(
-            "git",
-            &[
-                "-C",
-                concat!(env!("CARGO_MANIFEST_DIR"), "/../.."),
-                "describe",
-                "--always",
-                "--dirty",
-            ],
-        ),
+        git_revision(),
         bench_scale_factor(),
         entries
     );
@@ -241,6 +235,21 @@ fn command_line(cmd: &str, args: &[&str]) -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".into())
+}
+
+/// The checkout's `git describe --always --dirty`, which tags each
+/// appended run.
+fn git_revision() -> String {
+    command_line(
+        "git",
+        &[
+            "-C",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../.."),
+            "describe",
+            "--always",
+            "--dirty",
+        ],
+    )
 }
 
 /// Appends `run` to the `runs` array of the benchmark file at `path`,

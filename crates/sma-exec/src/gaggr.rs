@@ -1,6 +1,7 @@
 //! Grouping with aggregation — Dayal's GAggr operator (\[4\] in the paper),
-//! implemented as a hash aggregation over any child operator. This is the
-//! plain (SMA-less) baseline `SMA_GAggr` is measured against.
+//! implemented as a hash aggregation over any child operator. It is the
+//! plain (SMA-less) reference the tests check every plan against; the
+//! plans themselves fold into `GroupState`s in `SmaGAggr`'s bucket loop.
 
 use std::collections::BTreeMap;
 

@@ -5,7 +5,8 @@
 //! * [`colkernel`] — selection-vector batch kernels over columnar buckets,
 //! * [`scan`] — `SmaScan` (Fig. 6),
 //! * [`gaggr`] — Dayal-style grouping/aggregation (`HashGAggr`),
-//! * [`sma_gaggr`] — `SmaGAggr` (Fig. 7),
+//! * [`sma_gaggr`] — `SmaGAggr` (Fig. 7), whose bucket loop every
+//!   aggregate plan but the SMA scan runs,
 //! * [`parallel`] — the bucket-parallelism knob and morsel partitioning,
 //! * [`degrade`] — degradation accounting: buckets demoted to base scans
 //!   when SMA entries cannot be trusted, and retries spent underneath,

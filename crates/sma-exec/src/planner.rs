@@ -9,10 +9,10 @@
 //! (sequential vs. random page reads) and picks the cheapest:
 //!
 //! 1. `SmaGAggr` — reads the SMA files plus only ambivalent buckets;
-//! 2. `SmaScan` + `HashGAggr` — reads min/max SMAs plus qualifying and
-//!    ambivalent buckets;
-//! 3. plain `SeqScan` + `Filter` + `HashGAggr` — reads everything,
-//!    perfectly sequentially.
+//! 2. `SmaScan`, its tuples folded into the group states — reads min/max
+//!    SMAs plus qualifying and ambivalent buckets;
+//! 3. the full scan, `SmaGAggr`'s bucket loop with every bucket
+//!    ambivalent — reads everything, perfectly sequentially.
 //!
 //! Each candidate's reads are counted as whole (random, sequential) page
 //! numbers and priced by one [`CostModel::cost_ms`] call, so two plans
@@ -22,22 +22,20 @@
 //! decision rule.
 //!
 //! The classification that priced the plans is kept in the [`Plan`], and
-//! `SmaGAggr` executes on it: a query grades its buckets once.
+//! `SmaGAggr` executes on it: a query grades its buckets once. Every plan
+//! yields unfinished group states; the memtable overlay folds into them as
+//! one more bucket, and one finish turns them into rows.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use std::ops::Range;
-
-use sma_core::{Accumulator, BucketPred, Classification, Grade, SmaSet};
-use sma_storage::{CostModel, IoStats, QueryBudget, Table};
-use sma_types::{RowLayout, Tuple, Value};
+use sma_core::{BucketPred, Classification, Grade, SmaSet};
+use sma_storage::{CostModel, IoStats, MemRow, QueryBudget, Table};
+use sma_types::{Tuple, Value};
 
 use crate::degrade::DegradationReport;
-use crate::gaggr::{AggSpec, DenseGroups, GroupState, HashGAggr};
-use crate::op::{collect, ExecError, PhysicalOp};
-use crate::parallel::{run_morsels, Parallelism};
+use crate::gaggr::{AggSpec, GroupState};
+use crate::op::{ExecError, PhysicalOp};
+use crate::parallel::Parallelism;
 use crate::scan::SmaScan;
-use crate::sma_gaggr::{absorb_groups, SmaGAggr};
+use crate::sma_gaggr::{finish_groups, Groups, SmaGAggr};
 
 /// An aggregate query: `select <group_by>, <specs> from R where <pred>
 /// group by <group_by>` (output sorted by the group key).
@@ -67,9 +65,11 @@ pub struct PlannerConfig {
 pub enum PlanKind {
     /// `SmaGAggr`: aggregate + selection SMAs.
     SmaGAggr,
-    /// `SmaScan` feeding a `HashGAggr`: selection SMAs only.
+    /// `SmaScan`, its tuples folded into the group states: selection SMAs
+    /// only.
     SmaScanGAggr,
-    /// Plain sequential scan + filter + aggregation.
+    /// Plain sequential scan + filter + aggregation: `SmaGAggr`'s bucket
+    /// loop with every bucket ambivalent.
     FullScan,
 }
 
@@ -97,7 +97,7 @@ pub struct Plan<'a> {
     query: AggregateQuery,
     /// Unsealed tuples (a streaming memtable) unioned with the table at
     /// execution time — see [`Plan::with_overlay`].
-    overlay: Vec<Tuple>,
+    overlay: &'a [MemRow],
     /// Cooperative per-query budget — see [`Plan::with_budget`].
     budget: Option<&'a QueryBudget>,
     /// The planner's grading of `query.pred` over every bucket (`None`
@@ -113,26 +113,26 @@ pub struct Plan<'a> {
 }
 
 impl<'a> Plan<'a> {
-    /// Attaches unsealed tuples to the plan: rows that logically belong to
-    /// the relation but have not been flushed into the sealed, SMA-indexed
-    /// table yet. Execution aggregates them separately (the predicate
-    /// applied per tuple, no SMA pruning — there are no SMAs over volatile
-    /// data) and merges the partial groups into the sealed result, which
-    /// is exact because every aggregate here is decomposable: min/max/sum/
-    /// count are associative, and `avg` is rewritten to `sum` + `count(*)`
-    /// and divided after the merge, exactly as §3.3 computes it.
-    pub fn with_overlay(mut self, rows: Vec<Tuple>) -> Plan<'a> {
+    /// Attaches unsealed rows, borrowed from a streaming memtable: rows
+    /// that logically belong to the relation but have not been flushed
+    /// into the sealed, SMA-indexed table yet. Execution folds them in as
+    /// one more ambivalent bucket — no SMA covers volatile data, so the
+    /// predicate is applied per row — into the same group states as the
+    /// sealed buckets. That is exact because every aggregate here is
+    /// decomposable, and `avg` stays a partial sum until the one finish
+    /// divides it, as §3.3 computes it.
+    pub fn with_overlay(mut self, rows: &'a [MemRow]) -> Plan<'a> {
         self.overlay = rows;
         self
     }
 
     /// Attaches a cooperative [`QueryBudget`]: execution checks it at
-    /// every bucket/page boundary and charges it one unit per data page
-    /// read, so a deadline, a page cap, or an external cancellation cuts
-    /// the query off with [`ExecError::Budget`] instead of letting it run
-    /// to completion. Charges are deterministic (the page counts the
-    /// operators request), so a budget verdict reproduces exactly in a
-    /// single-threaded replay.
+    /// every bucket boundary and charges it one unit per data page, a
+    /// bucket's whole page range before the bucket is read, so a deadline,
+    /// a page cap, or an external cancellation cuts the query off with
+    /// [`ExecError::Budget`] instead of letting it run to completion.
+    /// Charges are deterministic (the page counts the operators request),
+    /// so a budget verdict reproduces exactly in a single-threaded replay.
     pub fn with_budget(mut self, budget: &'a QueryBudget) -> Plan<'a> {
         self.budget = Some(budget);
         self
@@ -158,177 +158,70 @@ impl<'a> Plan<'a> {
         if let Some(b) = self.budget {
             b.check()?;
         }
-        let (mut rows, report) = if self.overlay.is_empty() {
-            self.run_base(&self.query.specs)?
-        } else {
-            self.run_with_overlay()?
+        let (mut groups, report) = self.run_base()?;
+        let q = &self.query;
+        for (_, row) in self.overlay {
+            if q.pred.eval_tuple(row) {
+                fold_tuple(&mut groups, q, row)?;
+            }
+        }
+        let mut rows = finish_groups(groups, &q.specs);
+        if rows.is_empty() && q.group_by.is_empty() {
+            rows.push(GroupState::new(&q.specs).finish(&q.specs));
+        }
+        Ok((rows, report))
+    }
+
+    /// Runs the chosen physical strategy over the sealed table, up to its
+    /// unfinished group states.
+    fn run_base(&self) -> Result<(Groups, DegradationReport), ExecError> {
+        let q = &self.query;
+        let smas = || {
+            self.smas
+                .ok_or_else(|| ExecError::Plan("SMA plan chosen without a SMA set".into()))
         };
-        if rows.is_empty() && self.query.group_by.is_empty() {
-            rows.push(GroupState::new(&self.query.specs).finish(&self.query.specs));
-        }
-        Ok((rows, report))
-    }
-
-    /// Runs the plan over the sealed table and the overlay, merging the
-    /// two partial results.
-    fn run_with_overlay(&self) -> Result<(Vec<Tuple>, DegradationReport), ExecError> {
-        // Rewrite every `avg` to its decomposable base (`sum`) and make
-        // sure a `count(*)` column exists to divide by after the merge.
-        let mut eff: Vec<AggSpec> = self
-            .query
-            .specs
-            .iter()
-            .map(|s| match s {
-                AggSpec::Avg(e) => AggSpec::Sum(e.clone()),
-                other => other.clone(),
-            })
-            .collect();
-        let count_at = self
-            .query
-            .specs
-            .iter()
-            .position(|s| matches!(s, AggSpec::CountStar));
-        if count_at.is_none() {
-            eff.push(AggSpec::CountStar);
-        }
-        let (base_rows, report) = self.run_base(&eff)?;
-        let key_len = self.query.group_by.len();
-        let mut merged: BTreeMap<Vec<Value>, Vec<Value>> = base_rows
-            .into_iter()
-            .map(|mut row| {
-                let aggs = row.split_off(key_len);
-                (row, aggs)
-            })
-            .collect();
-        for (key, state) in self.aggregate_overlay(&eff)? {
-            // `eff` holds no `avg`, so `finish` yields the raw partials.
-            let partial = state.finish(&eff);
-            match merged.entry(key) {
-                Entry::Occupied(mut e) => {
-                    for (i, spec) in eff.iter().enumerate() {
-                        let mut acc = Accumulator::new(spec.base_fn());
-                        acc.merge(&e.get()[i]);
-                        acc.merge(&partial[i]);
-                        e.get_mut()[i] = acc.finish();
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(partial);
-                }
-            }
-        }
-        let count_idx = count_at.unwrap_or(eff.len() - 1);
-        let mut rows = Vec::with_capacity(merged.len());
-        for (key, mut aggs) in merged {
-            let n = match aggs.get(count_idx) {
-                Some(Value::Int(n)) => *n,
-                _ => 0,
-            };
-            if count_at.is_none() {
-                aggs.pop(); // drop the count column the rewrite added
-            }
-            for (i, spec) in self.query.specs.iter().enumerate() {
-                if spec.is_avg() && n > 0 {
-                    aggs[i] = match std::mem::replace(&mut aggs[i], Value::Null) {
-                        Value::Decimal(d) => Value::Decimal(d.div_count(n)),
-                        Value::Int(v) => Value::Int(v / n),
-                        other => other,
-                    };
-                }
-            }
-            let mut row = key;
-            row.extend(aggs);
-            rows.push(row);
-        }
-        Ok((rows, report))
-    }
-
-    /// Groups and aggregates the overlay tuples under `specs` (which must
-    /// be decomposable — no `avg`), applying the query predicate per tuple.
-    fn aggregate_overlay(
-        &self,
-        specs: &[AggSpec],
-    ) -> Result<BTreeMap<Vec<Value>, GroupState>, ExecError> {
-        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-        for t in &self.overlay {
-            if !self.query.pred.eval_tuple(t) {
-                continue;
-            }
-            let mut key = Vec::with_capacity(self.query.group_by.len());
-            for &g in &self.query.group_by {
-                key.push(t.get(g).cloned().ok_or_else(|| {
-                    ExecError::Plan(format!(
-                        "group column {g} out of range for an overlay tuple"
-                    ))
-                })?);
-            }
-            groups
-                .entry(key)
-                .or_insert_with(|| GroupState::new(specs))
-                .update(specs, t)?;
-        }
-        Ok(groups)
-    }
-
-    /// Runs the chosen physical strategy over the sealed table with the
-    /// given aggregate list (the query's own, or the decomposable rewrite
-    /// the overlay path substitutes).
-    fn run_base(&self, specs: &[AggSpec]) -> Result<(Vec<Tuple>, DegradationReport), ExecError> {
-        match self.kind {
+        let op = match self.kind {
             PlanKind::SmaGAggr => {
-                let Some(smas) = self.smas else {
-                    return Err(ExecError::Plan("SMA plan chosen without a SMA set".into()));
-                };
-                let mut op = SmaGAggr::new(
+                let op = SmaGAggr::new(
                     self.table,
-                    self.query.pred.clone(),
-                    self.query.group_by.clone(),
-                    specs.to_vec(),
-                    smas,
-                )?
-                .with_parallelism(self.parallelism);
-                if let Some(b) = self.budget {
-                    op = op.with_budget(b);
+                    q.pred.clone(),
+                    q.group_by.clone(),
+                    q.specs.clone(),
+                    smas()?,
+                )?;
+                match &self.grades {
+                    Some(c) => op.with_grades(&c.grades),
+                    None => op,
                 }
-                if let Some(c) = &self.grades {
-                    op = op.with_grades(&c.grades);
-                }
-                let rows = collect(&mut op)?;
-                Ok((rows, op.counters().degradation))
             }
+            PlanKind::FullScan => SmaGAggr::full_scan(
+                self.table,
+                q.pred.clone(),
+                q.group_by.clone(),
+                q.specs.clone(),
+            ),
             PlanKind::SmaScanGAggr => {
-                let Some(smas) = self.smas else {
-                    return Err(ExecError::Plan("SMA plan chosen without a SMA set".into()));
-                };
-                // Drive the scan directly so its counters survive the
-                // aggregation; the filtered tuples are buffered, which
-                // leaves the page I/O pattern identical to the pipelined
-                // form (the scan does all its I/O either way).
-                let mut scan = SmaScan::new(self.table, self.query.pred.clone(), smas);
+                // `SmaScan` materializes every tuple it passes, already
+                // filtered; each one folds straight into its group.
+                let mut scan = SmaScan::new(self.table, q.pred.clone(), smas()?);
                 if let Some(b) = self.budget {
                     scan = scan.with_budget(b);
                 }
-                let filtered = collect(&mut scan)?;
-                let report = scan.counters().degradation;
-                let mut op = HashGAggr::new(
-                    Box::new(Buffered::new(filtered)),
-                    self.query.group_by.clone(),
-                    specs.to_vec(),
-                );
-                let rows = collect(&mut op)?;
-                Ok((rows, report))
+                let mut groups = Groups::new();
+                scan.open()?;
+                while let Some(row) = scan.next()? {
+                    fold_tuple(&mut groups, q, &row)?;
+                }
+                scan.close();
+                return Ok((groups, scan.counters().degradation));
             }
-            PlanKind::FullScan => {
-                let rows = full_scan_aggregate(
-                    self.table,
-                    &self.query,
-                    specs,
-                    self.budget,
-                    self.parallelism,
-                )?;
-                Ok((rows, DegradationReport::default()))
-            }
+        };
+        let mut op = op.with_parallelism(self.parallelism);
+        if let Some(b) = self.budget {
+            op = op.with_budget(b);
         }
+        let groups = op.aggregate()?;
+        Ok((groups, op.counters().degradation))
     }
 
     /// EXPLAIN-style description of the choice and its rationale.
@@ -363,134 +256,20 @@ impl<'a> Plan<'a> {
     }
 }
 
-/// Replays an already-materialized tuple vector through the operator
-/// interface (used by [`Plan::execute_with_report`] to keep a scan's
-/// counters accessible after aggregation consumes its output).
-struct Buffered {
-    rows: Vec<Tuple>,
-    pos: usize,
-}
-
-impl Buffered {
-    fn new(rows: Vec<Tuple>) -> Buffered {
-        Buffered { rows, pos: 0 }
+/// Folds one passing tuple into its group's state under `query`.
+fn fold_tuple(groups: &mut Groups, query: &AggregateQuery, row: &[Value]) -> Result<(), ExecError> {
+    let mut key = Vec::with_capacity(query.group_by.len());
+    for &g in &query.group_by {
+        key.push(
+            row.get(g)
+                .cloned()
+                .ok_or_else(|| ExecError::Plan(format!("group column {g} out of range")))?,
+        );
     }
-}
-
-impl PhysicalOp for Buffered {
-    fn open(&mut self) -> Result<(), ExecError> {
-        self.pos = 0;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        if self.pos < self.rows.len() {
-            let t = std::mem::take(&mut self.rows[self.pos]);
-            self.pos += 1;
-            Ok(Some(t))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn close(&mut self) {}
-
-    fn describe(&self) -> String {
-        format!("Buffered({} rows)", self.rows.len())
-    }
-}
-
-/// The SMA-less baseline, fused: one pass over the data pages,
-/// evaluating the predicate and folding aggregate inputs directly on
-/// zero-copy views — no per-tuple materialization anywhere. The paper's
-/// `forall bucket` loop runs as contiguous morsels on worker threads, each
-/// visiting its pages in [`crate::basic::SeqScan`]'s order and folding
-/// into its own groups (an ordered map, or the flat `Char` table that
-/// folds back into one). The partials merge in bucket order, so the rows
-/// match what `SeqScan → Filter → HashGAggr` produces at any worker count.
-fn full_scan_aggregate(
-    table: &Table,
-    query: &AggregateQuery,
-    specs: &[AggSpec],
-    budget: Option<&QueryBudget>,
-    parallelism: Parallelism,
-) -> Result<Vec<Tuple>, ExecError> {
-    let layout = RowLayout::new(table.schema());
-    let partials = run_morsels(table.bucket_count(), parallelism.get(), |buckets| {
-        full_scan_buckets(table, &layout, query, specs, budget, buckets)
-    })?;
-    let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-    for partial in partials {
-        absorb_groups(&mut groups, partial);
-    }
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key, state) in groups {
-        let mut row = key;
-        row.extend(state.finish(specs));
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// The full scan's body over one morsel of buckets.
-fn full_scan_buckets(
-    table: &Table,
-    layout: &RowLayout,
-    query: &AggregateQuery,
-    specs: &[AggSpec],
-    budget: Option<&QueryBudget>,
-    buckets: Range<u32>,
-) -> Result<BTreeMap<Vec<Value>, GroupState>, ExecError> {
-    let mut dense = DenseGroups::try_new(table.schema(), &query.group_by);
-    let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
-    // Bucket-wise so columnar buckets run through the batch kernels;
-    // bucket ranges tile `0..page_count`, and a columnar bucket charges
-    // its whole range at once while a row bucket charges page by page,
-    // so the budget total is exactly one unit per data page either way.
-    for bucket in buckets {
-        let range = table.bucket_range(bucket);
-        if let Some(block) = table.columnar_bucket(bucket)? {
-            if let Some(b) = budget {
-                b.charge(range.len() as u64)?;
-            }
-            let sel = crate::colkernel::filter_block(&block, &query.pred);
-            crate::colkernel::aggregate_block(
-                &block,
-                &sel,
-                &query.group_by,
-                specs,
-                &mut groups,
-                &mut dense,
-            )?;
-            continue;
-        }
-        for page in range {
-            if let Some(b) = budget {
-                b.charge(1)?;
-            }
-            table.for_each_on_page::<ExecError, _>(page, |_, image| {
-                let row = layout.view(image)?;
-                if !query.pred.eval_view(&row)? {
-                    return Ok(());
-                }
-                if let Some(d) = &mut dense {
-                    return d.update(specs, &row);
-                }
-                let mut key = Vec::with_capacity(query.group_by.len());
-                for &g in &query.group_by {
-                    key.push(row.get(g)?);
-                }
-                groups
-                    .entry(key)
-                    .or_insert_with(|| GroupState::new(specs))
-                    .update_view(specs, &row)
-            })?;
-        }
-    }
-    if let Some(d) = dense {
-        absorb_groups(&mut groups, d.into_groups());
-    }
-    Ok(groups)
+    groups
+        .entry(key)
+        .or_insert_with(|| GroupState::new(&query.specs))
+        .update(&query.specs, row)
 }
 
 /// Whether `smas` can answer every aggregate of `query`.
@@ -565,7 +344,7 @@ pub fn plan<'a>(
             table,
             smas,
             query,
-            overlay: Vec::new(),
+            overlay: &[],
             budget: None,
             grades: None,
             parallelism: Parallelism::default(),
@@ -627,7 +406,7 @@ pub fn plan<'a>(
         table,
         smas,
         query,
-        overlay: Vec::new(),
+        overlay: &[],
         budget: None,
         grades: Some(grades),
         parallelism: Parallelism::default(),
@@ -690,7 +469,7 @@ mod tests {
             table: t,
             smas,
             query,
-            overlay: Vec::new(),
+            overlay: &[],
             budget: None,
             grades: None,
             parallelism: Parallelism::default(),
@@ -814,12 +593,15 @@ mod tests {
         )
         .unwrap();
         // An overlay row that fails the predicate too.
-        let overlay = vec![vec![
-            Value::Int(5),
-            Value::Char(b'A'),
-            Value::Decimal(Decimal::from_int(5)),
-            Value::Str("x".into()),
-        ]];
+        let overlay: Vec<MemRow> = vec![(
+            1,
+            vec![
+                Value::Int(5),
+                Value::Char(b'A'),
+                Value::Decimal(Decimal::from_int(5)),
+                Value::Str("x".into()),
+            ],
+        )];
         let one_row = vec![vec![
             Value::Int(0),
             Value::Null,
@@ -834,34 +616,45 @@ mod tests {
         ] {
             for extra in [Vec::new(), overlay.clone()] {
                 let ctx = format!("{kind:?}, overlay {}", extra.len());
-                let p = forced(&t, Some(&covering), ungrouped.clone(), kind)
-                    .with_overlay(extra.clone());
+                let p = forced(&t, Some(&covering), ungrouped.clone(), kind).with_overlay(&extra);
                 assert_eq!(p.execute().unwrap(), one_row, "{ctx}");
-                let p = forced(&t, Some(&set), grouped.clone(), kind).with_overlay(extra);
+                let p = forced(&t, Some(&set), grouped.clone(), kind).with_overlay(&extra);
                 assert!(p.execute().unwrap().is_empty(), "{ctx}");
             }
         }
     }
 
+    /// Every plan kind over (sealed + overlay) equals the full scan over
+    /// one table bulk-loaded with the same rows, at 1, 2 and 8 workers:
+    /// grouped and ungrouped, `avg` included, with a group (`Z`) that only
+    /// the overlay holds. With a quarantined bucket the degradation report
+    /// is the same with the overlay as without it.
     #[test]
     fn overlay_matches_bulk_load_for_every_plan_kind() {
-        // Sealed table holds rows 0..40; the overlay holds rows 40..60.
-        // Every plan kind over (sealed + overlay) must equal the full
-        // scan over a single 60-row table — including `avg`, which the
-        // overlay path rewrites to sum + count(*).
-        let sealed = make_table(60, true); // template for tuples
-        let all_rows: Vec<Tuple> = {
-            let mut t = Vec::new();
-            for (_, row) in sealed.scan().unwrap() {
-                t.push(row);
+        // Sealed table holds rows 0..40; the overlay holds rows 40..60
+        // and the lone `Z` row.
+        let template = make_table(60, true);
+        let mut all_rows: Vec<Tuple> = template
+            .scan()
+            .unwrap()
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect();
+        all_rows.push(vec![
+            Value::Int(50),
+            Value::Char(b'Z'),
+            Value::Decimal(Decimal::from_int(7)),
+            Value::Str("z".into()),
+        ]);
+        let mut bulk = Table::in_memory("t", template.schema().clone(), 1);
+        let mut base = Table::in_memory("t", template.schema().clone(), 1);
+        for (i, row) in all_rows.iter().enumerate() {
+            bulk.append(row).unwrap();
+            if i < 40 {
+                base.append(row).unwrap();
             }
-            t
-        };
-        let schema = sealed.schema().clone();
-        let mut base = Table::in_memory("t", schema, 1);
-        for row in &all_rows[..40] {
-            base.append(row).unwrap();
         }
+        let overlay: Vec<MemRow> = all_rows[40..].iter().map(|r| (1, r.clone())).collect();
         // Aggregate SMAs covering every spec below, so the forced
         // SmaGAggr kind is actually executable.
         let set = SmaSet::build(
@@ -876,33 +669,49 @@ mod tests {
             ],
         )
         .unwrap();
+        let mut damaged = set.clone();
+        damaged.quarantine_bucket(3);
         for cutoff in [5i64, 39, 45, 59] {
-            for specs in [
-                vec![AggSpec::CountStar, AggSpec::Sum(col(2))],
-                vec![AggSpec::Avg(col(2)), AggSpec::Min(col(0))],
-                vec![AggSpec::Avg(col(0))],
-            ] {
-                let q = AggregateQuery {
-                    pred: BucketPred::cmp(0, CmpOp::Le, cutoff),
-                    group_by: vec![1],
-                    specs,
-                };
-                let expected = {
-                    let p = plan(&sealed, q.clone(), None, &PlannerConfig::default());
-                    p.execute().unwrap()
-                };
-                for kind in [
-                    PlanKind::SmaGAggr,
-                    PlanKind::SmaScanGAggr,
-                    PlanKind::FullScan,
+            for group_by in [vec![1], vec![]] {
+                for specs in [
+                    vec![AggSpec::CountStar, AggSpec::Sum(col(2))],
+                    vec![AggSpec::Avg(col(2)), AggSpec::Min(col(0))],
+                    vec![AggSpec::Avg(col(0))],
                 ] {
-                    let p = forced(&base, Some(&set), q.clone(), kind)
-                        .with_overlay(all_rows[40..].to_vec());
-                    assert_eq!(
-                        p.execute().unwrap(),
-                        expected,
-                        "kind={kind:?} cutoff={cutoff}"
-                    );
+                    let q = AggregateQuery {
+                        pred: BucketPred::cmp(0, CmpOp::Le, cutoff),
+                        group_by: group_by.clone(),
+                        specs,
+                    };
+                    let expected = plan(&bulk, q.clone(), None, &PlannerConfig::default())
+                        .execute()
+                        .unwrap();
+                    for kind in [
+                        PlanKind::SmaGAggr,
+                        PlanKind::SmaScanGAggr,
+                        PlanKind::FullScan,
+                    ] {
+                        for threads in [1, 2, 8] {
+                            let run = |smas: &SmaSet, rows: &[MemRow]| {
+                                let mut p =
+                                    forced(&base, Some(smas), q.clone(), kind).with_overlay(rows);
+                                p.parallelism = Parallelism::new(threads);
+                                p.execute_with_report().unwrap()
+                            };
+                            let ctx = format!(
+                                "{kind:?} cutoff={cutoff} by={group_by:?} {threads} threads"
+                            );
+                            assert_eq!(run(&set, &overlay).0, expected, "{ctx}");
+                            let (rows, report) = run(&damaged, &overlay);
+                            assert_eq!(rows, expected, "quarantined: {ctx}");
+                            assert_eq!(report, run(&damaged, &[]).1, "{ctx}");
+                            assert_eq!(
+                                report.quarantined_buckets.is_empty(),
+                                kind == PlanKind::FullScan,
+                                "{ctx}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -910,10 +719,9 @@ mod tests {
 
     #[test]
     fn empty_overlay_is_a_true_noop_for_every_plan_kind() {
-        // `with_overlay(vec![])` must leave the plan exactly as planned —
-        // same kind, same rows, same Avg→Sum/Count rewrite, no merge
-        // layer — so a fully-flushed streaming warehouse is
-        // indistinguishable from a bulk-loaded one.
+        // `with_overlay(&[])` must leave the plan exactly as planned —
+        // same kind, same rows — so a fully-flushed streaming warehouse
+        // is indistinguishable from a bulk-loaded one.
         let t = make_table(60, true);
         let set = full_set(&t);
         let q = AggregateQuery {
@@ -928,8 +736,7 @@ mod tests {
         let baseline = plan(&t, q.clone(), Some(&set), &PlannerConfig::default());
         let kind = baseline.kind;
         let want = baseline.execute().unwrap();
-        let wrapped =
-            plan(&t, q.clone(), Some(&set), &PlannerConfig::default()).with_overlay(Vec::new());
+        let wrapped = plan(&t, q.clone(), Some(&set), &PlannerConfig::default()).with_overlay(&[]);
         assert_eq!(
             wrapped.kind, kind,
             "an empty overlay must not change the plan kind"
@@ -955,7 +762,7 @@ mod tests {
             Value::Str("x".into()),
         ];
         let with_new_group = plan(&t, q.clone(), Some(&set), &PlannerConfig::default())
-            .with_overlay(vec![extra.clone()])
+            .with_overlay(&[(1, extra.clone())])
             .execute()
             .unwrap();
         assert_eq!(with_new_group.len(), baseline.len() + 1);
@@ -964,7 +771,7 @@ mod tests {
         assert_eq!(z[1], Value::Int(1));
         // Filtered-out overlay tuple: identical to baseline.
         let filtered = plan(&t, query(5), Some(&set), &PlannerConfig::default())
-            .with_overlay(vec![extra])
+            .with_overlay(&[(1, extra)])
             .execute()
             .unwrap();
         let narrow = plan(&t, query(5), Some(&set), &PlannerConfig::default())
@@ -1024,12 +831,12 @@ mod tests {
                 group_by: Vec::new(),
                 ..q1.clone()
             };
-            let overlay: Vec<Tuple> = t
+            let overlay: Vec<MemRow> = t
                 .scan()
                 .unwrap()
                 .into_iter()
                 .take(40)
-                .map(|(_, r)| r)
+                .map(|(_, r)| (1, r))
                 .collect();
             for columnar in [false, true] {
                 if columnar {
@@ -1039,7 +846,7 @@ mod tests {
                     for extra in [Vec::new(), overlay.clone()] {
                         let run = |threads: usize| {
                             let mut p = forced(&t, None, q.clone(), PlanKind::FullScan)
-                                .with_overlay(extra.clone());
+                                .with_overlay(&extra);
                             p.parallelism = Parallelism::new(threads);
                             t.make_cold().unwrap();
                             t.reset_io_stats();
@@ -1073,28 +880,67 @@ mod tests {
         let t = make_table(60, true);
         let q = query(30);
         for threads in [2, 4, 8] {
-            let capped = QueryBudget::unbounded().with_page_cap(0);
-            let err =
-                full_scan_aggregate(&t, &q, &q.specs, Some(&capped), Parallelism::new(threads))
-                    .unwrap_err();
+            let run = |budget: &QueryBudget| {
+                SmaGAggr::full_scan(&t, q.pred.clone(), q.group_by.clone(), q.specs.clone())
+                    .with_parallelism(Parallelism::new(threads))
+                    .with_budget(budget)
+                    .aggregate()
+                    .unwrap_err()
+            };
+            let err = run(&QueryBudget::unbounded().with_page_cap(0));
             assert!(
                 matches!(err, ExecError::Budget(BudgetExceeded::Pages { .. })),
                 "{threads} threads: {err}"
             );
             let cancelled = QueryBudget::unbounded();
             cancelled.cancel();
-            let err = full_scan_aggregate(
-                &t,
-                &q,
-                &q.specs,
-                Some(&cancelled),
-                Parallelism::new(threads),
-            )
-            .unwrap_err();
+            let err = run(&cancelled);
             assert!(
                 matches!(err, ExecError::Budget(BudgetExceeded::Cancelled)),
                 "{threads} threads: {err}"
             );
+        }
+    }
+
+    /// One budget rule for every aggregate plan: a bucket's whole page
+    /// range is charged before any page of it is read. A page cap that
+    /// ends inside a four-page bucket stops the full scan and `SmaGAggr`
+    /// over all-ambivalent buckets with the same error, and neither reads
+    /// a page of the bucket whose charge tripped.
+    #[test]
+    fn page_cap_inside_a_bucket_stops_every_plan_before_that_bucket() {
+        use sma_storage::BudgetExceeded;
+        let template = make_table(60, true);
+        let mut t = Table::in_memory("t", template.schema().clone(), 4);
+        for (_, row) in template.scan().unwrap() {
+            t.append(&row).unwrap();
+        }
+        assert_eq!(t.bucket_range(1), 4..8);
+        let set = full_set(&t);
+        // No SMA grades `P`, so every bucket is ambivalent.
+        let q = AggregateQuery {
+            pred: BucketPred::cmp(2, CmpOp::Le, Decimal::from_int(30)),
+            ..query(0)
+        };
+        let grades = Classification::classify(&q.pred, t.bucket_count(), &set);
+        assert_eq!(grades.ambivalent_fraction(), 1.0);
+        for kind in [PlanKind::FullScan, PlanKind::SmaGAggr] {
+            let budget = QueryBudget::unbounded().with_page_cap(6);
+            let mut p = forced(&t, Some(&set), q.clone(), kind).with_budget(&budget);
+            p.parallelism = Parallelism::serial();
+            t.reset_io_stats();
+            let err = p.execute().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ExecError::Budget(BudgetExceeded::Pages {
+                        charged: 8,
+                        limit: 6
+                    })
+                ),
+                "{kind:?}: {err}"
+            );
+            assert_eq!(t.io_stats().logical_reads, 4, "{kind:?}: bucket 0 only");
         }
     }
 

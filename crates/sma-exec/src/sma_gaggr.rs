@@ -1,4 +1,5 @@
-//! The `SMA_GAggr` operator — Fig. 7 of the paper.
+//! The `SMA_GAggr` operator — Fig. 7 of the paper — and the one bucket
+//! loop every aggregate plan runs.
 //!
 //! Computes grouping + aggregation under a selection predicate using two
 //! kinds of SMAs: *selection SMAs* (min/max, via the grading provider) to
@@ -15,6 +16,10 @@
 //!
 //! A super-bucket (§4) whose buckets all qualify is answered from level 2:
 //! one entry per group file instead of one per bucket and file.
+//!
+//! The full scan is the same loop with no SMAs, so every bucket is
+//! ambivalent. The planner takes the loop's unfinished group states, folds
+//! the memtable overlay into them, and finishes them once.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -29,6 +34,10 @@ use crate::gaggr::{AggSpec, DenseGroups, GroupState};
 use crate::op::{ExecError, PhysicalOp};
 use crate::parallel::{run_morsels, Parallelism};
 use crate::scan::ScanCounters;
+
+/// Unfinished group states by group key: what the bucket loop yields
+/// before the one `finish`, with `avg` still a sum.
+pub(crate) type Groups = BTreeMap<Vec<Value>, GroupState>;
 
 /// How one query aggregate maps onto SMAs.
 struct ResolvedSpec<'a> {
@@ -48,13 +57,10 @@ struct SlotFile<'a> {
     levels: [&'a [Value]; 2],
 }
 
-/// The SMA-driven grouping/aggregation operator.
-pub struct SmaGAggr<'a> {
-    table: &'a sma_storage::Table,
-    pred: BucketPred,
-    group_by: Vec<usize>,
-    specs: Vec<AggSpec>,
-    smas: &'a SmaSet,
+/// The SMAs a `SmaGAggr` plan draws on: the set that graded the buckets,
+/// and every aggregate mapped onto output-group slots.
+struct SmaSlots<'a> {
+    set: &'a SmaSet,
     resolved: Vec<ResolvedSpec<'a>>,
     count_sma: ResolvedSpec<'a>,
     /// The output-group key of every slot the SMA group files map to.
@@ -65,6 +71,16 @@ pub struct SmaGAggr<'a> {
     /// maps to: a super-bucket where any of them is defined fails the
     /// count-coverage check.
     uncounted: Vec<&'a [Value]>,
+}
+
+/// The SMA-driven grouping/aggregation operator.
+pub struct SmaGAggr<'a> {
+    table: &'a sma_storage::Table,
+    pred: BucketPred,
+    group_by: Vec<usize>,
+    specs: Vec<AggSpec>,
+    /// `None` for the full scan, which consults no SMA.
+    smas: Option<SmaSlots<'a>>,
     /// Byte offsets of the row codec, computed once so ambivalent buckets
     /// can be filtered and aggregated on zero-copy views.
     layout: RowLayout,
@@ -73,7 +89,8 @@ pub struct SmaGAggr<'a> {
     counters: ScanCounters,
     parallelism: Parallelism,
     /// Cooperative per-query budget, shared by all morsel workers (its
-    /// state is atomic): checked once per bucket, charged per page read.
+    /// state is atomic): checked once per bucket, and charged a bucket's
+    /// whole page range before the bucket is read.
     budget: Option<&'a QueryBudget>,
     /// Every bucket's grade under `pred`, when the planner already
     /// computed them; `open` classifies itself otherwise.
@@ -116,28 +133,23 @@ fn resolve<'a>(
     Ok(ResolvedSpec { sma, files })
 }
 
-impl<'a> SmaGAggr<'a> {
-    /// Creates the operator (Fig. 7's constructor: `SMA_GAggr(R, pred,
-    /// aggregateSpec, groupSpec, selectionSMAs, aggregateSMAs)`; here one
-    /// [`SmaSet`] plays both SMA roles). Fails fast with
-    /// [`ExecError::MissingSma`] when an aggregate SMA is missing — the
-    /// planner then falls back to a plain scan.
-    pub fn new(
-        table: &'a sma_storage::Table,
-        pred: BucketPred,
-        group_by: Vec<usize>,
-        specs: Vec<AggSpec>,
+impl<'a> SmaSlots<'a> {
+    /// Maps every aggregate of `specs`, plus the hidden `count(*)`, onto
+    /// its SMA in `smas`; every distinct projected group key becomes one
+    /// output slot.
+    fn resolve(
         smas: &'a SmaSet,
-    ) -> Result<SmaGAggr<'a>, ExecError> {
-        // Every distinct projected group key becomes one output slot.
+        group_by: &[usize],
+        specs: &[AggSpec],
+    ) -> Result<SmaSlots<'a>, ExecError> {
         let mut slot_of = BTreeMap::new();
         let mut resolved = Vec::with_capacity(specs.len());
-        for spec in &specs {
+        for spec in specs {
             resolved.push(resolve(
                 smas,
                 spec.base_fn(),
                 spec.input(),
-                &group_by,
+                group_by,
                 &format!("{spec:?}"),
                 &mut slot_of,
             )?);
@@ -147,7 +159,7 @@ impl<'a> SmaGAggr<'a> {
             smas,
             sma_core::AggFn::Count,
             None,
-            &group_by,
+            group_by,
             "count(*)",
             &mut slot_of,
         )?;
@@ -165,58 +177,16 @@ impl<'a> SmaGAggr<'a> {
             .filter(|f| !counted[f.slot])
             .map(|f| f.levels[1])
             .collect();
-        let layout = RowLayout::new(table.schema());
-        Ok(SmaGAggr {
-            table,
-            pred,
-            group_by,
-            specs,
-            smas,
+        Ok(SmaSlots {
+            set: smas,
             resolved,
             count_sma,
             slot_keys,
             uncounted,
-            layout,
-            results: Vec::new(),
-            pos: 0,
-            counters: ScanCounters::default(),
-            parallelism: Parallelism::default(),
-            budget: None,
-            planned: None,
         })
     }
 
-    /// Sets the number of worker threads `open` uses for the bucket loop
-    /// (default: one per available core). Results and counters are
-    /// identical at any setting.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> SmaGAggr<'a> {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Attaches a cooperative budget. Every morsel worker checks it at
-    /// each bucket boundary and charges it the bucket's page count before
-    /// an ambivalent (or demoted) base-table read; qualifying buckets are
-    /// answered from in-memory SMA entries and charge nothing.
-    pub fn with_budget(mut self, budget: &'a QueryBudget) -> SmaGAggr<'a> {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Reuses the planner's grades of `pred` — one per bucket, from
-    /// [`Classification::classify`] over the same table and SMA set — so
-    /// the query grades its buckets once.
-    pub(crate) fn with_grades(mut self, grades: &'a [Grade]) -> SmaGAggr<'a> {
-        self.planned = Some(grades);
-        self
-    }
-
-    /// Bucket-level counters (meaningful after `open`).
-    pub fn counters(&self) -> ScanCounters {
-        self.counters.clone()
-    }
-
-    /// Whether any SMA this operator would draw entries from has `bucket`
+    /// Whether any SMA the answer would draw entries from has `bucket`
     /// quarantined — if so the entries may be garbage and the bucket must
     /// be answered from the base table instead.
     fn aggregate_entries_quarantined(&self, bucket: u32) -> bool {
@@ -280,76 +250,151 @@ impl<'a> SmaGAggr<'a> {
             }
         }
     }
+}
+
+impl<'a> SmaGAggr<'a> {
+    /// Creates the operator (Fig. 7's constructor: `SMA_GAggr(R, pred,
+    /// aggregateSpec, groupSpec, selectionSMAs, aggregateSMAs)`; here one
+    /// [`SmaSet`] plays both SMA roles). Fails fast with
+    /// [`ExecError::MissingSma`] when an aggregate SMA is missing — the
+    /// planner then falls back to a plain scan.
+    pub fn new(
+        table: &'a sma_storage::Table,
+        pred: BucketPred,
+        group_by: Vec<usize>,
+        specs: Vec<AggSpec>,
+        smas: &'a SmaSet,
+    ) -> Result<SmaGAggr<'a>, ExecError> {
+        let slots = SmaSlots::resolve(smas, &group_by, &specs)?;
+        Ok(SmaGAggr {
+            smas: Some(slots),
+            ..SmaGAggr::full_scan(table, pred, group_by, specs)
+        })
+    }
+
+    /// The full scan: the same loop with no SMA consulted, so every bucket
+    /// is ambivalent and is read and filtered.
+    pub(crate) fn full_scan(
+        table: &'a sma_storage::Table,
+        pred: BucketPred,
+        group_by: Vec<usize>,
+        specs: Vec<AggSpec>,
+    ) -> SmaGAggr<'a> {
+        SmaGAggr {
+            table,
+            pred,
+            group_by,
+            specs,
+            smas: None,
+            layout: RowLayout::new(table.schema()),
+            results: Vec::new(),
+            pos: 0,
+            counters: ScanCounters::default(),
+            parallelism: Parallelism::default(),
+            budget: None,
+            planned: None,
+        }
+    }
+
+    /// Sets the number of worker threads `open` uses for the bucket loop
+    /// (default: one per available core). Results and counters are
+    /// identical at any setting.
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> SmaGAggr<'a> {
+        self.parallelism = parallelism;
+        self
+    }
+
+    /// Attaches a cooperative budget. Every morsel worker checks it at
+    /// each bucket boundary and charges it the bucket's whole page range
+    /// before an ambivalent (or demoted) base-table read; qualifying
+    /// buckets are answered from in-memory SMA entries and charge nothing.
+    pub fn with_budget(mut self, budget: &'a QueryBudget) -> SmaGAggr<'a> {
+        self.budget = Some(budget);
+        self
+    }
+
+    /// Reuses the planner's grades of `pred` — one per bucket, from
+    /// [`Classification::classify`] over the same table and SMA set — so
+    /// the query grades its buckets once.
+    pub(crate) fn with_grades(mut self, grades: &'a [Grade]) -> SmaGAggr<'a> {
+        self.planned = Some(grades);
+        self
+    }
+
+    /// Bucket-level counters (meaningful after `open`).
+    pub fn counters(&self) -> ScanCounters {
+        self.counters.clone()
+    }
 
     /// Fig. 7's bucket loop over one contiguous morsel: switch on each
     /// bucket's grade (`grades` holds one per bucket of the table), answer
     /// qualifying ones from SMA entries — a whole qualifying super-bucket
-    /// inside the morsel from its level-2 entries — and scan ambivalent
-    /// ones. Buckets whose SMA entries cannot be trusted (quarantined) or
-    /// do not add up (inconsistent) are demoted to base-table scans — the
-    /// base table is the ground truth, so the answer stays exact and only
-    /// the fast path is lost. Pure with respect to `self`, so morsels run on worker
-    /// threads.
+    /// inside the morsel from its level-2 entries — and read the others
+    /// through the per-bucket kernel. Buckets whose SMA entries cannot be
+    /// trusted (quarantined) or do not add up (inconsistent) are demoted
+    /// to base-table reads — the base table is the ground truth, so the
+    /// answer stays exact and only the fast path is lost. Pure with
+    /// respect to `self`, so morsels run on worker threads.
     fn process_buckets(
         &self,
         range: Range<u32>,
         grades: &[Grade],
-    ) -> Result<(ScanCounters, BTreeMap<Vec<Value>, GroupState>), ExecError> {
+    ) -> Result<(ScanCounters, Groups), ExecError> {
         let mut counters = ScanCounters::default();
-        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
+        let mut groups = Groups::new();
         // All-`Char` group keys (the Q1 shape) accumulate in a flat
         // direct-indexed table instead of the ordered map; it folds back
         // into `groups` once at the end of the morsel. Aggregate merging
         // is commutative, so the deferred fold changes nothing. The same
         // holds for the SMA slots qualifying buckets merge into.
         let mut dense = DenseGroups::try_new(self.table.schema(), &self.group_by);
-        let mut slots: Vec<GroupState> = self
-            .slot_keys
+        let slot_keys = self.smas.as_ref().map_or(&[][..], |s| &s.slot_keys);
+        let mut slots: Vec<GroupState> = slot_keys
             .iter()
             .map(|_| GroupState::new(&self.specs))
             .collect();
-        let mut covered = vec![false; self.slot_keys.len()];
+        let mut covered = vec![false; slot_keys.len()];
         let mut bucket = range.start;
         while bucket < range.end {
             if let Some(b) = self.budget {
                 b.check()?;
             }
-            let sb = bucket / LEVEL2_FANOUT;
-            if bucket.is_multiple_of(LEVEL2_FANOUT)
-                && bucket + LEVEL2_FANOUT <= range.end
-                && self.super_bucket_qualifies(sb, grades)
-            {
-                counters.qualified += u64::from(LEVEL2_FANOUT);
-                self.merge_entries(1, sb, &mut slots);
-                bucket += LEVEL2_FANOUT;
-                continue;
+            if let Some(s) = &self.smas {
+                let sb = bucket / LEVEL2_FANOUT;
+                if bucket.is_multiple_of(LEVEL2_FANOUT)
+                    && bucket + LEVEL2_FANOUT <= range.end
+                    && s.super_bucket_qualifies(sb, grades)
+                {
+                    counters.qualified += u64::from(LEVEL2_FANOUT);
+                    s.merge_entries(1, sb, &mut slots);
+                    bucket += LEVEL2_FANOUT;
+                    continue;
+                }
             }
-            match grades[bucket as usize] {
-                Grade::Qualifies => {
-                    if self.aggregate_entries_quarantined(bucket) {
+            match (grades[bucket as usize], self.smas.as_ref()) {
+                (Grade::Disqualifies, _) => counters.disqualified += 1,
+                (Grade::Qualifies, Some(s)) => {
+                    if s.aggregate_entries_quarantined(bucket) {
                         counters.ambivalent += 1;
                         counters.degradation.note_quarantined(bucket);
-                        self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
-                    } else if self.count_covers_aggregates(bucket, &mut covered) {
+                        self.aggregate_bucket(bucket, &mut groups, &mut dense)?;
+                    } else if s.count_covers_aggregates(bucket, &mut covered) {
                         counters.qualified += 1;
-                        self.merge_entries(0, bucket, &mut slots);
+                        s.merge_entries(0, bucket, &mut slots);
                     } else {
                         counters.ambivalent += 1;
                         counters.degradation.note_inconsistent(bucket);
-                        self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
+                        self.aggregate_bucket(bucket, &mut groups, &mut dense)?;
                     }
                 }
-                Grade::Disqualifies => {
-                    counters.disqualified += 1;
-                }
-                Grade::Ambivalent => {
+                (_, smas) => {
                     counters.ambivalent += 1;
                     // Selection SMAs with a quarantined bucket grade it
-                    // Ambivalent; the base scan below is the demotion.
-                    if self.smas.is_bucket_quarantined(bucket) {
+                    // Ambivalent; the base read below is the demotion.
+                    if smas.is_some_and(|s| s.set.is_bucket_quarantined(bucket)) {
                         counters.degradation.note_quarantined(bucket);
                     }
-                    self.scan_ambivalent_bucket(bucket, &mut groups, &mut dense)?;
+                    self.aggregate_bucket(bucket, &mut groups, &mut dense)?;
                 }
             }
             bucket += 1;
@@ -357,18 +402,20 @@ impl<'a> SmaGAggr<'a> {
         if let Some(d) = dense {
             absorb_groups(&mut groups, d.into_groups());
         }
-        absorb_groups(&mut groups, self.slot_keys.iter().cloned().zip(slots));
+        absorb_groups(&mut groups, slot_keys.iter().cloned().zip(slots));
         Ok((counters, groups))
     }
 
-    /// Reads one bucket straight out of the buffer pool's page frames:
-    /// the predicate and the aggregate inputs are evaluated on zero-copy
-    /// [`sma_types::RowView`]s, so qualifying tuples fold into their group
-    /// without ever being materialized (no image copy, no `Vec<Value>`).
-    fn scan_ambivalent_bucket(
+    /// The per-bucket kernel. It charges the bucket's whole page range,
+    /// then reads the bucket straight out of the buffer pool's page
+    /// frames: the predicate and the aggregate inputs are evaluated on
+    /// zero-copy [`sma_types::RowView`]s, or by the batch kernels over a
+    /// columnar bucket, so qualifying tuples fold into their group
+    /// without ever being materialized.
+    fn aggregate_bucket(
         &self,
         bucket: u32,
-        groups: &mut BTreeMap<Vec<Value>, GroupState>,
+        groups: &mut Groups,
         dense: &mut Option<DenseGroups>,
     ) -> Result<(), ExecError> {
         if let Some(b) = self.budget {
@@ -401,42 +448,31 @@ impl<'a> SmaGAggr<'a> {
                     .update_view(&self.specs, &row)
             })
     }
-}
 
-/// Merges morsel-local groups into the combined map.
-pub(crate) fn absorb_groups(
-    into: &mut BTreeMap<Vec<Value>, GroupState>,
-    from: impl IntoIterator<Item = (Vec<Value>, GroupState)>,
-) {
-    for (key, state) in from {
-        match into.entry(key) {
-            Entry::Occupied(e) => e.into_mut().absorb(state),
-            Entry::Vacant(e) => {
-                e.insert(state);
-            }
-        }
-    }
-}
-
-impl PhysicalOp for SmaGAggr<'_> {
-    fn open(&mut self) -> Result<(), ExecError> {
-        self.results.clear();
-        self.pos = 0;
+    /// Runs the bucket loop and returns the unfinished group states, so a
+    /// caller can fold more rows into them before [`finish_groups`]; the
+    /// counters are set as by `open`.
+    pub(crate) fn aggregate(&mut self) -> Result<Groups, ExecError> {
         self.counters = ScanCounters::default();
         let retries_at_open = self.table.io_stats().retried_reads;
         let n_buckets = self.table.bucket_count();
         // Fig. 7: "forall bucket in buckets: switch(grade(bucket, pred))".
         // The grades come from one pass — the planner's, or this one —
-        // before any worker starts. Buckets are independent (pages are
-        // disjoint), so the loop runs as contiguous morsels on worker
-        // threads; partials merge back in bucket order, which keeps both
-        // the result rows and the counters identical to the serial loop.
-        let classified;
-        let grades = match self.planned {
-            Some(grades) => grades,
-            None => {
-                classified = Classification::classify(&self.pred, n_buckets, self.smas);
-                &classified.grades
+        // before any worker starts; with no SMA every bucket is
+        // ambivalent. Buckets are independent (pages are disjoint), so the
+        // loop runs as contiguous morsels on worker threads; partials
+        // merge back in bucket order, which keeps both the result rows and
+        // the counters identical to the serial loop.
+        let computed;
+        let grades = match (self.planned, &self.smas) {
+            (Some(grades), _) => grades,
+            (None, Some(s)) => {
+                computed = Classification::classify(&self.pred, n_buckets, s.set).grades;
+                &computed
+            }
+            (None, None) => {
+                computed = vec![Grade::Ambivalent; n_buckets as usize];
+                &computed
             }
         };
         if grades.len() != n_buckets as usize {
@@ -450,7 +486,7 @@ impl PhysicalOp for SmaGAggr<'_> {
             shared.process_buckets(r, grades)
         })?;
         let mut counters = ScanCounters::default();
-        let mut groups: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
+        let mut groups = Groups::new();
         for (c, partial_groups) in partials {
             counters.qualified += c.qualified;
             counters.disqualified += c.disqualified;
@@ -460,24 +496,54 @@ impl PhysicalOp for SmaGAggr<'_> {
             counters.degradation.merge(&c.degradation);
             absorb_groups(&mut groups, partial_groups);
         }
-        // Retries are a pool-level tally (morsels share the pool), so the
-        // per-execution figure is the delta across the whole bucket loop.
-        counters.degradation.retries_spent = self
-            .table
-            .io_stats()
-            .retried_reads
-            .saturating_sub(retries_at_open);
-        self.counters = counters;
-        // "Perform post processing for average aggregates" + drop groups
-        // with no qualifying tuples.
-        for (key, state) in groups {
-            if state.hidden_count == 0 {
-                continue;
-            }
-            let mut row = key;
-            row.extend(state.finish(&self.specs));
-            self.results.push(row);
+        if self.smas.is_some() {
+            // Retries are a pool-level tally (morsels share the pool), so
+            // the per-execution figure is the delta across the whole
+            // bucket loop. The full scan consults no SMA and reports
+            // nothing.
+            counters.degradation.retries_spent = self
+                .table
+                .io_stats()
+                .retried_reads
+                .saturating_sub(retries_at_open);
         }
+        self.counters = counters;
+        Ok(groups)
+    }
+}
+
+/// Merges morsel-local groups into the combined map.
+fn absorb_groups(into: &mut Groups, from: impl IntoIterator<Item = (Vec<Value>, GroupState)>) {
+    for (key, state) in from {
+        match into.entry(key) {
+            Entry::Occupied(e) => e.into_mut().absorb(state),
+            Entry::Vacant(e) => {
+                e.insert(state);
+            }
+        }
+    }
+}
+
+/// Fig. 7's "perform post processing for average aggregates": every group
+/// with at least one qualifying tuple becomes one `key ++ aggregates`
+/// row, in key order, with averages divided by the count.
+pub(crate) fn finish_groups(groups: Groups, specs: &[AggSpec]) -> Vec<Tuple> {
+    groups
+        .into_iter()
+        .filter(|(_, state)| state.hidden_count > 0)
+        .map(|(mut key, state)| {
+            key.extend(state.finish(specs));
+            key
+        })
+        .collect()
+}
+
+impl PhysicalOp for SmaGAggr<'_> {
+    fn open(&mut self) -> Result<(), ExecError> {
+        self.results.clear();
+        self.pos = 0;
+        let groups = self.aggregate()?;
+        self.results = finish_groups(groups, &self.specs);
         Ok(())
     }
 
@@ -718,7 +784,7 @@ mod tests {
         let smas = full_set(&t);
         let pred = BucketPred::cmp(0, CmpOp::Le, 100i64); // splits bucket 50
         let grades = Classification::classify(&pred, t.bucket_count(), &smas).grades;
-        let op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas).unwrap();
+        let op = SmaSlots::resolve(&smas, &[1], &specs()).unwrap();
         let level2: Vec<bool> = (0..5)
             .map(|sb| op.super_bucket_qualifies(sb, &grades))
             .collect();
@@ -731,7 +797,7 @@ mod tests {
             }
             damaged.push(s);
         }
-        let op = SmaGAggr::new(&t, pred, vec![1], specs(), &damaged).unwrap();
+        let op = SmaSlots::resolve(&damaged, &[1], &specs()).unwrap();
         assert!(op.super_bucket_qualifies(0, &grades));
         assert!(
             !op.super_bucket_qualifies(1, &grades),

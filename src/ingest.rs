@@ -568,25 +568,16 @@ impl<S: PageStore> StreamingWarehouse<S> {
             .warehouse
             .table(relation)
             .ok_or_else(|| IngestError::UnknownRelation(relation.to_string()))?;
-        let overlay: Vec<Tuple> = self
-            .memtable
-            .rows_for(relation)
-            .iter()
-            .map(|(_, t)| t.clone())
-            .collect();
-        let base = sma_exec::plan(
+        // The memtable's rows fold in as one more bucket, borrowed; an
+        // empty memtable folds nothing, so a fully-flushed relation runs
+        // exactly as a bulk-loaded one.
+        let mut chosen = sma_exec::plan(
             table,
             query,
             self.warehouse.catalog().set_for(relation),
             self.warehouse.planner(),
-        );
-        // A fully-flushed relation must plan *identically* to a
-        // bulk-loaded warehouse — don't wrap an empty overlay.
-        let mut chosen = if overlay.is_empty() {
-            base
-        } else {
-            base.with_overlay(overlay)
-        };
+        )
+        .with_overlay(self.memtable.rows_for(relation));
         if let Some(b) = budget {
             chosen = chosen.with_budget(b);
         }
