@@ -23,7 +23,6 @@ fn bench_ambivalence(c: &mut Criterion) {
     let force_sma = Query1Config {
         planner: PlannerConfig {
             cost_model: CostModel::uniform(1.0),
-            hard_breakeven: None,
         },
         ..Default::default()
     };

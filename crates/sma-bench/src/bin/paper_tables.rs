@@ -18,8 +18,8 @@
 //! * `e10` — zero-copy scan kernels vs their materializing predecessors
 //!   (also writes `BENCH_scan_kernels.json` at the repo root)
 //! * `e11` — durable streaming ingest: WAL overhead per acked insert and
-//!   memtable-overlay query interference, plus the E12 group-commit batch
-//!   sweep (appends a run to `BENCH_ingest.json`)
+//!   memtable-overlay query interference, plus the E12 `insert_batch`
+//!   size sweep (appends a run to `BENCH_ingest.json`)
 //!
 //! Scale with `SMA_SF` (default 0.002). Shapes, not absolute numbers, are
 //! the reproduction target: the paper ran on 1997 SCSI disks at SF 1.
@@ -123,8 +123,8 @@ fn e11_ingest() {
         r.overlay_penalty()
     );
 
-    println!("\n--- E12: group commit — the fsync amortized over the batch ---");
-    let points = sma_bench::ingest::group_commit_timings(9, &[1, 8, 64]);
+    println!("\n--- E12: insert_batch — the fsync amortized over the batch ---");
+    let points = sma_bench::ingest::batch_insert_timings(9, &[1, 8, 64]);
     println!(
         "{:>12} {:>18} {:>14}",
         "batch_rows", "insert (median)", "wal overhead"
@@ -693,7 +693,6 @@ fn time_forced(table: &Table, smas: Option<&SmaSet>, force_sma: bool) -> std::ti
                     write_ms: 0.0,
                     failed_read_ms: 0.0,
                 },
-                hard_breakeven: None,
             },
             ..Default::default()
         }

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use sma_server::proto::Status;
 use sma_server::{Client, Server, ServerConfig, ServerHandle};
-use smadb::ingest::{CommitPolicy, StreamingWarehouse};
+use smadb::ingest::StreamingWarehouse;
 use smadb::storage::test_util::scratch_path;
 use smadb::storage::Table;
 use smadb::types::{Column, DataType, Schema, Value};
@@ -49,10 +49,6 @@ fn load_warehouse(dir: &std::path::Path) -> StreamingWarehouse {
         Column::new("PAD", DataType::Str),
     ]));
     let mut sw = StreamingWarehouse::create(dir, Warehouse::new(), 0).unwrap();
-    sw.set_commit_policy(CommitPolicy {
-        batch_rows: 4096,
-        max_delay: Duration::from_millis(5),
-    });
     // Four pages per bucket: enough buckets that the K-sma prunes the
     // point query down to a handful of pages while the V predicate
     // (pseudo-random, so min/max never excludes a bucket) forces the
@@ -68,15 +64,19 @@ fn load_warehouse(dir: &std::path::Path) -> StreamingWarehouse {
     ] {
         sw.define_sma(stmt).unwrap();
     }
-    for i in 0..ROWS {
-        let tuple = vec![
-            Value::Int(i),
-            Value::Int((i * 7919) % 10_000),
-            Value::Str("p".repeat(PAD)),
-        ];
-        sw.insert("L", &tuple).unwrap();
+    let rows: Vec<_> = (0..ROWS)
+        .map(|i| {
+            vec![
+                Value::Int(i),
+                Value::Int((i * 7919) % 10_000),
+                Value::Str("p".repeat(PAD)),
+            ]
+        })
+        .collect();
+    // One fsync per 4,096 rows.
+    for batch in rows.chunks(4096) {
+        sw.insert_batch("L", batch).unwrap();
     }
-    sw.commit().unwrap();
     sw.flush().unwrap();
     sw
 }

@@ -22,11 +22,11 @@
 //! answer of a plain bulk load, so the numbers compare equals.
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use smadb::compact::CompactionPolicy;
 use smadb::exec::{AggSpec, AggregateQuery};
-use smadb::ingest::{CommitPolicy, StreamingWarehouse};
+use smadb::ingest::StreamingWarehouse;
 use smadb::sma::{col, BucketPred, CmpOp};
 use smadb::storage::Table;
 use smadb::tpcd::{generate_lineitem_table, lineitem_schema, Clustering, GenConfig};
@@ -269,29 +269,29 @@ pub fn ingest_timings(samples: usize) -> IngestReport {
     }
 }
 
-/// One group-commit batch size, measured for E12.
+/// One `insert_batch` size, measured for E12.
 #[derive(Debug, Clone)]
-pub struct GroupCommitPoint {
-    /// Rows per commit group ([`CommitPolicy::batch_rows`]).
+pub struct BatchInsertPoint {
+    /// Rows per [`StreamingWarehouse::insert_batch`] call; each call
+    /// costs one fsync.
     pub batch_rows: usize,
-    /// Per-row cost of a streamed acknowledged insert under that policy
-    /// (the trailing open group is committed inside the timed region, so
-    /// every row is durable when the clock stops).
+    /// Per-row cost of a streamed acknowledged insert at that batch size
+    /// (every row is durable and visible when the clock stops).
     pub streamed_insert_ns: u64,
     /// Durability price against the no-WAL bulk baseline.
     pub wal_overhead_factor: f64,
 }
 
-/// Times streamed ingest under each group-commit batch size against the
-/// bulk baseline — the E12 claim that one fsync per group amortizes the
-/// durability price across the whole group.
+/// Times streamed ingest through `insert_batch` at each batch size
+/// against the bulk baseline — the E12 claim that one fsync per batch
+/// amortizes the durability price across the whole batch.
 ///
 /// Before timing, each batch size is run once through the full machinery —
 /// threshold flushes cutting delta segments and the automatic compactor
 /// merging them — and asserted byte-identical to the bulk answer, so the
 /// numbers describe a configuration whose correctness was just proved.
-pub fn group_commit_timings(samples: usize, batches: &[usize]) -> Vec<GroupCommitPoint> {
-    let fx = IngestFixture::new("group-commit", 150);
+pub fn batch_insert_timings(samples: usize, batches: &[usize]) -> Vec<BatchInsertPoint> {
+    let fx = IngestFixture::new("batch-insert", 150);
     let n = fx.rows.len().max(1) as u64;
     let expected = fx.bulk_answer();
     let bulk_insert_ns = median_ns(samples, || {
@@ -305,42 +305,35 @@ pub fn group_commit_timings(samples: usize, batches: &[usize]) -> Vec<GroupCommi
     batches
         .iter()
         .map(|&batch| {
-            let policy = CommitPolicy {
-                batch_rows: batch,
-                max_delay: Duration::ZERO,
-            };
             // Correctness first: stream with threshold flushes and the
             // compactor running, and demand the bulk answer.
             let check_dir = fx.sample_dir(&format!("batch-{batch}-check"));
             let mut sw =
                 StreamingWarehouse::create(&check_dir, fx.fresh_warehouse(), 64).expect("create");
-            sw.set_commit_policy(policy);
             sw.set_compaction_policy(CompactionPolicy { max_segments: 4 });
-            for t in &fx.rows {
-                sw.insert("LINEITEM", t).expect("insert");
+            for chunk in fx.rows.chunks(batch) {
+                sw.insert_batch("LINEITEM", chunk).expect("insert");
                 assert!(sw.take_flush_error().is_none(), "threshold flush failed");
             }
             sw.flush().expect("final flush");
             assert_eq!(
                 sw.query("LINEITEM", fx.query.clone()).expect("query").rows,
                 expected,
-                "batch {batch}: group commit + compaction must not change answers"
+                "batch {batch}: batched inserts + compaction must not change answers"
             );
             drop(sw);
 
-            // Then the timed path: pure ingest, one fsync per group.
+            // Then the timed path: pure ingest, one fsync per batch.
             let dir = fx.sample_dir(&format!("batch-{batch}"));
             let streamed_insert_ns = median_ns(samples, || {
                 let mut sw =
                     StreamingWarehouse::create(&dir, fx.fresh_warehouse(), 0).expect("create");
-                sw.set_commit_policy(policy);
-                for t in &fx.rows {
-                    sw.insert("LINEITEM", t).expect("insert");
+                for chunk in fx.rows.chunks(batch) {
+                    sw.insert_batch("LINEITEM", chunk).expect("insert");
                 }
-                sw.commit().expect("trailing group");
                 std::hint::black_box(&sw);
             }) / n;
-            GroupCommitPoint {
+            BatchInsertPoint {
                 batch_rows: batch,
                 streamed_insert_ns,
                 wal_overhead_factor: streamed_insert_ns as f64 / bulk_insert_ns.max(1) as f64,

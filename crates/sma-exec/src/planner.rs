@@ -17,9 +17,7 @@
 //! Each candidate's reads are counted as whole (random, sequential) page
 //! numbers and priced by one [`CostModel::cost_ms`] call, so two plans
 //! that read the same pages cost exactly the same; a tie keeps the plan
-//! that spends less CPU per page (the full scan, then `SmaGAggr`). An
-//! optional hard breakeven threshold reproduces the paper's simpler
-//! decision rule.
+//! that spends less CPU per page (the full scan, then `SmaGAggr`).
 //!
 //! The classification that priced the plans is kept in the [`Plan`], and
 //! `SmaGAggr` executes on it: a query grades its buckets once. Every plan
@@ -54,10 +52,6 @@ pub struct AggregateQuery {
 pub struct PlannerConfig {
     /// The I/O price list used to compare candidate plans.
     pub cost_model: CostModel,
-    /// Optional hard rule on top of the cost comparison: when the
-    /// ambivalent fraction exceeds this, fall back to the full scan
-    /// outright (the paper's Fig. 5 rule with 0.25).
-    pub hard_breakeven: Option<f64>,
 }
 
 /// Which physical strategy the planner chose.
@@ -381,27 +375,20 @@ pub fn plan<'a>(
         sma_gaggr_cost_ms,
         sma_scan_cost_ms,
     };
-    let over_hard_breakeven = cfg
-        .hard_breakeven
-        .is_some_and(|b| estimate.ambivalent_fraction > b);
-    let kind = if over_hard_breakeven {
-        PlanKind::FullScan
-    } else {
-        // On equal I/O the earlier candidate stays, so they are tried in
-        // order of CPU per page read: the fused full scan, then
-        // `SmaGAggr`, then the SMA scan, which materializes every row it
-        // passes to the aggregation.
-        let mut best = (PlanKind::FullScan, full_scan_cost_ms);
-        if let Some(c) = sma_gaggr_cost_ms {
-            if c < best.1 {
-                best = (PlanKind::SmaGAggr, c);
-            }
+    // On equal I/O the earlier candidate stays, so they are tried in
+    // order of CPU per page read: the fused full scan, then `SmaGAggr`,
+    // then the SMA scan, which materializes every row it passes to the
+    // aggregation.
+    let mut best = (PlanKind::FullScan, full_scan_cost_ms);
+    if let Some(c) = sma_gaggr_cost_ms {
+        if c < best.1 {
+            best = (PlanKind::SmaGAggr, c);
         }
-        if sma_scan_cost_ms < best.1 {
-            best = (PlanKind::SmaScanGAggr, sma_scan_cost_ms);
-        }
-        best.0
-    };
+    }
+    if sma_scan_cost_ms < best.1 {
+        best = (PlanKind::SmaScanGAggr, sma_scan_cost_ms);
+    }
+    let kind = best.0;
     Plan {
         table,
         smas,
@@ -942,22 +929,6 @@ mod tests {
             );
             assert_eq!(t.io_stats().logical_reads, 4, "{kind:?}: bucket 0 only");
         }
-    }
-
-    #[test]
-    fn hard_breakeven_forces_full_scan() {
-        let t = make_table(60, true);
-        let set = full_set(&t);
-        // Cutoff 8 splits bucket {8,9}: exactly one ambivalent bucket.
-        let cfg = PlannerConfig {
-            hard_breakeven: Some(0.0),
-            ..PlannerConfig::default()
-        };
-        let p = plan(&t, query(8), Some(&set), &cfg);
-        assert_eq!(p.kind, PlanKind::FullScan);
-        // Without the hard rule, the cost model picks the SMA plan.
-        let p = plan(&t, query(8), Some(&set), &PlannerConfig::default());
-        assert_eq!(p.kind, PlanKind::SmaGAggr);
     }
 
     #[test]

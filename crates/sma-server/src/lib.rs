@@ -18,8 +18,7 @@
 //!   aggregates; queries run under a read lock against one catalog
 //!   epoch (flush/compaction takes the write lock, so a query never
 //!   observes a half-installed SMA generation); graceful shutdown
-//!   drains in-flight requests, commits the open WAL group, flushes,
-//!   and refuses new connections.
+//!   drains in-flight requests, flushes, and refuses new connections.
 //! * [`client`] — a minimal blocking client for tests, benches, and the
 //!   README quickstart.
 //!

@@ -5,7 +5,7 @@
 //! sma-server --dir /var/lib/smadb [--addr 127.0.0.1:4480]
 //!            [--max-sessions 64] [--max-inflight 16]
 //!            [--deadline-ms N] [--page-budget N]
-//!            [--flush-threshold ROWS] [--batch-rows N]
+//!            [--flush-threshold ROWS]
 //! ```
 //!
 //! Prints `listening <addr>` on stdout once the socket is live (tests
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use sma_server::{Server, ServerConfig};
-use smadb::ingest::{CommitPolicy, StreamingWarehouse};
+use smadb::ingest::StreamingWarehouse;
 use smadb::warehouse::MANIFEST_FILE;
 use smadb::Warehouse;
 
@@ -25,7 +25,6 @@ struct Args {
     dir: String,
     config: ServerConfig,
     flush_threshold: usize,
-    batch_rows: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -33,7 +32,6 @@ fn parse_args() -> Result<Args, String> {
         dir: String::new(),
         config: ServerConfig::default(),
         flush_threshold: 10_000,
-        batch_rows: 1,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -49,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--page-budget" => args.config.page_budget = Some(parse_num(&value("--page-budget")?)?),
             "--flush-threshold" => args.flush_threshold = parse_num(&value("--flush-threshold")?)?,
-            "--batch-rows" => args.batch_rows = parse_num(&value("--batch-rows")?)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -100,12 +97,6 @@ fn main() -> ExitCode {
             }
         }
     };
-    let mut warehouse = warehouse;
-    warehouse.set_commit_policy(CommitPolicy {
-        batch_rows: args.batch_rows,
-        max_delay: Duration::from_millis(5),
-    });
-
     let handle = match Server::spawn(args.config, warehouse) {
         Ok(h) => h,
         Err(e) => {

@@ -20,8 +20,10 @@
 //! * **Shutdown**: the `shutdown` statement (or
 //!   [`ServerHandle::shutdown`]) flips one flag. The accept loop stops
 //!   accepting, sessions finish the request they are on and close, and
-//!   the accept thread then commits the open WAL group and flushes —
-//!   the drain is complete before [`ServerHandle::shutdown`] returns.
+//!   the accept thread then flushes the memtable — the drain is
+//!   complete before [`ServerHandle::shutdown`] returns. Every insert
+//!   acked before that is already durable: an ack is the return of
+//!   `StreamingWarehouse::insert`, which syncs the WAL first.
 //! * **No request left hanging**: session reads use a short timeout
 //!   purely to poll the shutdown flag; a complete request frame is
 //!   always answered (with `Busy`/`Error` in the worst case) before the
@@ -85,7 +87,7 @@ impl Default for ServerConfig {
 pub enum ServerError {
     /// Binding or accepting failed.
     Io(io::Error),
-    /// The final drain (commit + flush) failed.
+    /// The final drain (the flush) failed.
     Ingest(IngestError),
     /// The accept thread panicked.
     AcceptThreadPanicked,
@@ -192,8 +194,8 @@ impl ServerHandle {
     }
 
     /// Initiates graceful shutdown and blocks until the drain finishes:
-    /// sessions complete their in-flight request, the open WAL group is
-    /// committed, the memtable is flushed, and the listener is closed.
+    /// sessions complete their in-flight request, the memtable is
+    /// flushed, and the listener is closed.
     pub fn shutdown(mut self) -> Result<(), ServerError> {
         self.shared.shutdown.store(true, Ordering::Release);
         self.join_accept()
@@ -255,7 +257,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Result<(), ServerE
         let _ = h.join();
     }
     let mut sw = shared.write_warehouse();
-    sw.commit().map_err(ServerError::Ingest)?;
     sw.flush().map_err(ServerError::Ingest)?;
     if let Some(e) = sw.take_flush_error() {
         return Err(ServerError::Ingest(e));

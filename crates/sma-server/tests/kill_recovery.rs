@@ -22,14 +22,7 @@ impl ServerProc {
     /// `listening <addr>` line.
     fn spawn(dir: &std::path::Path) -> ServerProc {
         let mut child = Command::new(env!("CARGO_BIN_EXE_sma-server"))
-            .args([
-                "--dir",
-                dir.to_str().unwrap(),
-                "--addr",
-                "127.0.0.1:0",
-                "--batch-rows",
-                "1",
-            ])
+            .args(["--dir", dir.to_str().unwrap(), "--addr", "127.0.0.1:0"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()

@@ -35,6 +35,20 @@
 //! returned; everything after is logically truncated, and a torn tail is
 //! also physically zeroed so the cut is explicit on disk.
 //!
+//! # Failed appends and syncs
+//!
+//! The log remembers where its last successful [`Wal::sync`] ended. When
+//! an append or a sync fails, every frame since that point is discarded:
+//! the tail moves back to it and the frame header there is zeroed, so
+//! replay ends at the last good sync and the next append overwrites the
+//! discarded frames. A failed insert therefore stays failed once a later
+//! sync succeeds. Only a crash between the failed call and the next good
+//! sync may still recover the discarded frames, because the device state
+//! is unknown there. When the next frames are shorter than the discarded
+//! ones, the bytes left past them read as a torn tail: replay stops there
+//! and zeroes it, and a discarded frame that happens to stay whole stops
+//! replay too, because its sequence number is below the new frames'.
+//!
 //! [`Wal::truncate`] rewrites only the header with a new epoch. Old
 //! record bytes stay in place but can never replay again: their epoch no
 //! longer matches. Truncation is only legal *after* the warehouse
@@ -70,6 +84,9 @@ pub struct Wal<S: PageStore> {
     /// Byte offset one past the last valid frame, relative to the start
     /// of the record area (page 1, offset 0).
     tail: u64,
+    /// `tail` as of the last successful sync. A failed append or sync
+    /// moves `tail` back here.
+    synced: u64,
 }
 
 /// What [`Wal::open`] found while replaying.
@@ -98,6 +115,7 @@ impl<S: PageStore> Wal<S> {
             store,
             epoch,
             tail: 0,
+            synced: 0,
         })
     }
 
@@ -115,6 +133,7 @@ impl<S: PageStore> Wal<S> {
                     store,
                     epoch: fallback_epoch,
                     tail: 0,
+                    synced: 0,
                 };
                 return Ok((
                     wal,
@@ -129,6 +148,7 @@ impl<S: PageStore> Wal<S> {
             store,
             epoch,
             tail: 0,
+            synced: 0,
         };
         let mut replay = WalReplay::default();
         let mut off = 0u64;
@@ -190,6 +210,7 @@ impl<S: PageStore> Wal<S> {
             replay.records.push(rec);
         }
         wal.tail = off;
+        wal.synced = off;
         if replay.torn_tail {
             // Make the cut explicit: zero the torn frame's header so the
             // garbage past it can never be probed again.
@@ -222,8 +243,13 @@ impl<S: PageStore> Wal<S> {
 
     /// Appends one record. The record's epoch must match the log's. The
     /// append is **not** durable until [`Wal::sync`] returns `Ok` — only
-    /// then may the insert be acknowledged.
+    /// then may the insert be acknowledged. On an error every frame
+    /// appended since the last good sync is discarded, this one included.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), StoreError> {
+        self.append_frame(rec).map_err(|e| self.discard_unsynced(e))
+    }
+
+    fn append_frame(&mut self, rec: &WalRecord) -> Result<(), StoreError> {
         if rec.epoch != self.epoch {
             return Err(StoreError::Corrupt {
                 page: 0,
@@ -253,9 +279,26 @@ impl<S: PageStore> Wal<S> {
         Ok(())
     }
 
-    /// Makes every append so far durable.
+    /// Makes every append so far durable. On an error every frame
+    /// appended since the last good sync is discarded: none of them
+    /// replays once a later sync succeeds.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.store.sync()
+        match self.store.sync() {
+            Ok(()) => {
+                self.synced = self.tail;
+                Ok(())
+            }
+            Err(e) => Err(self.discard_unsynced(e)),
+        }
+    }
+
+    /// Moves the tail back to the last good sync and zeroes the frame
+    /// header there, so replay ends at that sync; returns `err`.
+    fn discard_unsynced(&mut self, err: StoreError) -> StoreError {
+        self.tail = self.synced;
+        // sma-lint: allow(A3-error-swallowing) -- the caller must see the original fault; if this zeroing fails too, the next append still overwrites the discarded frames, and only a crash before the next good sync may recover them
+        let _ = self.write_bytes(self.synced, &[0u8; FRAME_HEADER as usize]);
+        err
     }
 
     /// Logically empties the log under `new_epoch` by rewriting the
@@ -267,6 +310,7 @@ impl<S: PageStore> Wal<S> {
         self.store.sync()?;
         self.epoch = new_epoch;
         self.tail = 0;
+        self.synced = 0;
         Ok(())
     }
 
@@ -478,6 +522,41 @@ mod tests {
         let (_, replay2) = Wal::open(wal2.into_store(), 99).unwrap();
         assert!(!replay2.torn_tail);
         assert_eq!(replay2.records.len(), 3);
+    }
+
+    #[test]
+    fn failed_sync_discards_every_frame_since_the_last_good_one() {
+        use crate::test_util::{FaultConfig, FaultPlan};
+        // A schedule whose syncs go: create ok, ok, FAIL, ok.
+        let config = (0..)
+            .map(|seed| FaultConfig::seeded(seed).with_sync_faults(50))
+            .find(|c| {
+                let p = FaultPlan::new(MemStore::new(), *c);
+                (0..4)
+                    .map(|i| p.sync_fails_at(i))
+                    .eq([false, false, true, false])
+            })
+            .unwrap();
+        let mut wal = Wal::create(FaultPlan::new(MemStore::new(), config), 1).unwrap();
+        wal.append(&rec(1, 1)).unwrap();
+        wal.sync().unwrap();
+        let synced = wal.tail_bytes();
+        wal.append(&rec(1, 2)).unwrap();
+        wal.append(&rec(1, 3)).unwrap();
+        assert!(wal.sync().is_err());
+        assert_eq!(
+            wal.tail_bytes(),
+            synced,
+            "the tail is back at the good sync"
+        );
+        let seqs = |wal: &Wal<FaultPlan<MemStore>>| {
+            let (_, replay) = Wal::open(wal.store().inner().clone(), 99).unwrap();
+            replay.records.iter().map(|r| r.seq).collect::<Vec<_>>()
+        };
+        assert_eq!(seqs(&wal), vec![1], "replay ends at the good sync");
+        wal.append(&rec(1, 4)).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(seqs(&wal), vec![1, 4], "the discarded frames never replay");
     }
 
     #[test]

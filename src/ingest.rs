@@ -3,18 +3,16 @@
 //! [`StreamingWarehouse`] wraps a [`Warehouse`] with an arrival path that
 //! survives crashes at any byte:
 //!
-//! 1. **Log** — every insert is framed into the write-ahead log
-//!    ([`sma_storage::Wal`]). A [`CommitPolicy`] groups frames: the log is
-//!    fsynced once per group (every `batch_rows` rows, or when `max_delay`
-//!    expires), and every row of the group is acknowledged together behind
-//!    that single sync. The default policy (`batch_rows = 1`) syncs and
-//!    acknowledges each insert individually.
+//! 1. **Log** — [`StreamingWarehouse::insert_batch`] is the one write
+//!    path: every row of a batch is framed into the write-ahead log
+//!    ([`sma_storage::Wal`]) and the log is fsynced once for the whole
+//!    batch. `insert` is a one-row batch. A batch is all or nothing: `Ok`
+//!    means every row is durable and visible, `Err` means none is, now or
+//!    after a restart.
 //! 2. **Buffer** — acknowledged tuples live in a [`Memtable`] and are
 //!    visible to queries immediately: plans run over the sealed segments
 //!    and merge the memtable as an overlay, producing byte-identical
-//!    results to a bulk-loaded equivalent. Rows of a still-open group are
-//!    *staged*: appended to the log but neither acknowledged nor visible
-//!    until the group's sync lands.
+//!    results to a bulk-loaded equivalent.
 //! 3. **Flush** — when the memtable reaches its threshold (or on demand)
 //!    the buffered tuples are folded into the sealed tables through the
 //!    ordinary insert path, so SMAs are maintained online and the physical
@@ -45,17 +43,17 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use crate::compact::CompactionPolicy;
 use crate::warehouse::{
     commit_manifest, manifest_files, CommitMeta, QueryResult, RecoveryReport, Warehouse,
     WarehouseError,
 };
-use sma_exec::AggregateQuery;
+use sma_exec::{AggregateQuery, PlannerConfig};
 use sma_storage::{
-    make_wal_record, FileStore, Memtable, PageStore, QueryBudget, Stopwatch, StoreError, Table, Wal,
+    make_wal_record, FileStore, Memtable, PageStore, QueryBudget, StoreError, Table, Wal,
 };
 use sma_types::{CodecError, Tuple};
 
@@ -147,35 +145,6 @@ pub enum FlushStage {
     Complete,
 }
 
-/// When staged WAL frames are made durable (one `Wal::sync`) and their
-/// rows acknowledged as a group.
-///
-/// The group closes — sync, acknowledge, clear — when it holds
-/// `batch_rows` rows, or earlier when `max_delay` has elapsed since its
-/// first row was staged. The default (`batch_rows = 1`) preserves the
-/// one-fsync-per-insert contract; larger batches amortize the fsync over
-/// the whole group at the cost of rows riding unacknowledged (and
-/// query-invisible) until the group boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitPolicy {
-    /// Rows per group; `0` is treated as `1`. Each group costs one fsync.
-    pub batch_rows: usize,
-    /// Close the group early once this much wall-clock time has passed
-    /// since its first row was staged. `Duration::ZERO` disables the
-    /// deadline (groups close on `batch_rows` alone or an explicit
-    /// [`StreamingWarehouse::commit`]).
-    pub max_delay: Duration,
-}
-
-impl Default for CommitPolicy {
-    fn default() -> CommitPolicy {
-        CommitPolicy {
-            batch_rows: 1,
-            max_delay: Duration::ZERO,
-        }
-    }
-}
-
 /// What [`StreamingWarehouse::open_with_recovery`] found and did.
 #[derive(Debug, Default)]
 pub struct IngestRecoveryReport {
@@ -245,16 +214,6 @@ pub struct StreamingWarehouse<S: PageStore = FileStore> {
     memtable: Memtable,
     next_seq: u64,
     flush_threshold: usize,
-    commit_policy: CommitPolicy,
-    /// Rows of the open commit group: appended to the WAL but not yet
-    /// covered by a sync — not acknowledged, not query-visible.
-    staged: Vec<(String, u64, Tuple)>,
-    /// Started when the open group's first row was staged; drives
-    /// [`CommitPolicy::max_delay`].
-    group_timer: Option<Stopwatch>,
-    /// Highest sequence number covered by a successful group sync — the
-    /// acknowledgment frontier.
-    durable_seq: u64,
     /// Error from a threshold-triggered flush inside `insert`. The insert
     /// itself succeeded (its row is durable and acknowledged), so the
     /// flush failure is surfaced here instead of on the insert's result.
@@ -362,7 +321,6 @@ impl StreamingWarehouse {
             report.wal_realigned = true;
         }
 
-        let durable_seq = next_seq - 1;
         Ok((
             StreamingWarehouse {
                 warehouse,
@@ -371,10 +329,6 @@ impl StreamingWarehouse {
                 memtable,
                 next_seq,
                 flush_threshold,
-                commit_policy: CommitPolicy::default(),
-                staged: Vec::new(),
-                group_timer: None,
-                durable_seq,
                 pending_flush_error: None,
                 pending: None,
                 compaction: CompactionPolicy::default(),
@@ -427,16 +381,12 @@ impl<S: PageStore> StreamingWarehouse<S> {
         let wal = Wal::create(store, warehouse.wal_epoch())?;
         let next_seq = warehouse.watermark() + 1;
         Ok(StreamingWarehouse {
-            durable_seq: next_seq - 1,
             warehouse,
             dir,
             wal,
             memtable: Memtable::new(),
             next_seq,
             flush_threshold,
-            commit_policy: CommitPolicy::default(),
-            staged: Vec::new(),
-            group_timer: None,
             pending_flush_error: None,
             pending: None,
             compaction: CompactionPolicy::default(),
@@ -450,91 +400,74 @@ impl<S: PageStore> StreamingWarehouse<S> {
         self.wal.into_store()
     }
 
-    /// Inserts one tuple and returns its WAL sequence number.
+    /// Inserts one tuple and returns its WAL sequence number: a one-row
+    /// [`StreamingWarehouse::insert_batch`]. `Ok` means the tuple is
+    /// durable — WAL frame written *and* fsynced — and query-visible.
+    pub fn insert(&mut self, relation: &str, tuple: &Tuple) -> Result<u64, IngestError> {
+        self.insert_batch(relation, std::slice::from_ref(tuple))
+            .map(|seqs| seqs.start)
+    }
+
+    /// Inserts `tuples` as one all-or-nothing batch and returns their WAL
+    /// sequence numbers, in order.
     ///
-    /// Under the default [`CommitPolicy`] the tuple is durable — WAL frame
-    /// written *and* fsynced — and query-visible when this returns. With
-    /// `batch_rows > 1` the row is *staged*: `Ok(seq)` means it will be
-    /// durable and visible when its group commits (at the group boundary,
-    /// on an explicit [`StreamingWarehouse::commit`], or at the next
-    /// flush); [`StreamingWarehouse::durable_seq`] tracks the
-    /// acknowledgment frontier. An `Err` from a group sync means the whole
-    /// group was dropped — none of its rows are durable.
+    /// Every row is encoded against the schema first, so a row that does
+    /// not fit fails the batch before anything is logged. The batch then
+    /// appends one frame per row and fsyncs the log once; only then do
+    /// the rows enter the memtable. `Ok` means every row is durable and
+    /// query-visible. `Err` means none is, now or after a restart: the
+    /// log discards every frame since its last good sync. An empty batch
+    /// returns at once and does not sync.
     ///
-    /// A threshold-triggered flush failing does **not** fail the insert:
-    /// the row is already durable and acknowledged at that point, and a
-    /// caller retrying a "failed" insert would duplicate it. The flush
+    /// A threshold-triggered flush failing does **not** fail the batch:
+    /// its rows are already durable and acknowledged at that point, and a
+    /// caller retrying a "failed" batch would duplicate them. The flush
     /// error is deferred to [`StreamingWarehouse::take_flush_error`] and
     /// the flush itself retried by the next flush.
-    pub fn insert(&mut self, relation: &str, tuple: &Tuple) -> Result<u64, IngestError> {
+    pub fn insert_batch(
+        &mut self,
+        relation: &str,
+        tuples: &[Tuple],
+    ) -> Result<Range<u64>, IngestError> {
         let schema = self
             .warehouse
             .table(relation)
             .ok_or_else(|| IngestError::UnknownRelation(relation.to_string()))?
             .schema()
             .clone();
-        let seq = self.next_seq;
-        let rec = make_wal_record(self.wal.epoch(), seq, relation, &schema, tuple)?;
-        // Burn the sequence number before touching the log: a failed
-        // append or sync may still have written (or durably half-written)
-        // a frame carrying `seq`, and a later frame reusing it would end
-        // replay at the duplicate, cutting off every acknowledged record
-        // behind it. Gaps are harmless — replay only requires strictly
-        // increasing sequence numbers.
-        self.next_seq = seq + 1;
-        self.wal.append(&rec)?;
-        if self.staged.is_empty() {
-            self.group_timer = Some(Stopwatch::start());
+        let seqs = self.next_seq..self.next_seq + tuples.len() as u64;
+        let records = tuples
+            .iter()
+            .zip(seqs.clone())
+            .map(|(tuple, seq)| make_wal_record(self.wal.epoch(), seq, relation, &schema, tuple))
+            .collect::<Result<Vec<_>, _>>()?;
+        if records.is_empty() {
+            return Ok(seqs);
         }
-        self.staged.push((relation.to_string(), seq, tuple.clone()));
-        let batch = self.commit_policy.batch_rows.max(1);
-        let timed_out = !self.commit_policy.max_delay.is_zero()
-            && self
-                .group_timer
-                .as_ref()
-                .map(|t| t.elapsed() >= self.commit_policy.max_delay)
-                .unwrap_or(false);
-        if self.staged.len() >= batch || timed_out {
-            self.commit_group()?;
+        // Burn the sequence numbers before touching the log. A discarded
+        // frame can outlive its discard: behind shorter frames the next
+        // batch writes over it, or on the device if the process dies
+        // before the next good sync. Its burned seq is below every later
+        // frame's, so replay stops there; a reused seq could replay it
+        // as a row nobody acked, or end replay at a duplicate. Gaps are
+        // harmless — replay only requires strictly increasing seqs.
+        self.next_seq = seqs.end;
+        for rec in &records {
+            self.wal.append(rec)?;
+        }
+        self.wal.sync()?;
+        for (tuple, seq) in tuples.iter().zip(seqs.clone()) {
+            self.memtable.insert(relation, seq, tuple.clone());
         }
         if self.flush_threshold > 0 && self.memtable.len() >= self.flush_threshold {
-            // The row is durable and acknowledged; a flush failure here
+            // The rows are durable and acknowledged; a flush failure here
             // must not be reported as an insert failure (the caller would
             // retry and double-insert). Stash it instead.
             if let Err(e) = self.flush() {
                 self.pending_flush_error = Some(e);
             }
         }
-        Ok(seq)
-    }
-
-    /// Commits the open group now: one `Wal::sync` makes every staged row
-    /// durable, acknowledged and query-visible. A no-op when nothing is
-    /// staged. On a sync failure the whole group is dropped (sequence
-    /// numbers stay burned) and none of its rows are durable — exactly the
-    /// per-insert failure contract, applied to the batch.
-    pub fn commit(&mut self) -> Result<(), IngestError> {
-        self.commit_group()
-    }
-
-    fn commit_group(&mut self) -> Result<(), IngestError> {
-        self.group_timer = None;
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        if let Err(e) = self.wal.sync() {
-            // The group's frames may be durably half-written; dropping
-            // the rows (with their seqs burned) keeps replay consistent:
-            // whatever prefix survived the crash sits below `durable_seq`
-            // of a *later* group or is cut at the torn frame.
-            self.staged.clear();
-            return Err(e.into());
-        }
-        for (relation, seq, tuple) in std::mem::take(&mut self.staged) {
-            self.durable_seq = self.durable_seq.max(seq);
-            self.memtable.insert(&relation, seq, tuple);
-        }
-        Ok(())
+        Ok(seqs)
     }
 
     /// Plans and runs an aggregate query over the union of the sealed
@@ -575,7 +508,7 @@ impl<S: PageStore> StreamingWarehouse<S> {
             table,
             query,
             self.warehouse.catalog().set_for(relation),
-            self.warehouse.planner(),
+            &PlannerConfig::default(),
         )
         .with_overlay(self.memtable.rows_for(relation));
         if let Some(b) = budget {
@@ -622,28 +555,21 @@ impl<S: PageStore> StreamingWarehouse<S> {
         self.flush()
     }
 
-    /// Shuts the warehouse down cleanly: commits the open group-commit
-    /// batch (making every staged row durable and acknowledged), runs a
-    /// full flush, and surfaces any deferred background-flush error. On
-    /// success nothing is left for recovery to redo: no staged rows, no
-    /// memtable, no unfinished flush checkpoint.
+    /// Shuts the warehouse down cleanly: runs a full flush and surfaces
+    /// any deferred background-flush error. On success nothing is left
+    /// for recovery to redo: no memtable, no unfinished flush checkpoint.
     ///
     /// # Drop semantics
     ///
     /// `StreamingWarehouse` deliberately has **no** `Drop` impl — drop
     /// never does I/O, so it cannot fail, block, or mask a panic.
     /// Dropping the handle without `close()` loses nothing that was
-    /// acknowledged: every row covered by a successful `insert`/`commit`
-    /// is already durable in the WAL and is replayed by
+    /// acknowledged: every row of a successful `insert`/`insert_batch` is
+    /// already durable in the WAL and is replayed by
     /// [`StreamingWarehouse::open_with_recovery`]. What a plain drop
-    /// abandons is (a) the open commit group — staged rows that were
-    /// never acknowledged, which callers must already treat as not
-    /// written — and (b) the memtable-to-segment flush work, which the
-    /// next open simply redoes from the log. `close()` upgrades both:
-    /// staged rows become durable, and segments are written now rather
-    /// than at the next recovery.
+    /// abandons is the memtable-to-segment flush work, which the next
+    /// open simply redoes from the log; `close()` writes the segments now.
     pub fn close(mut self) -> Result<(), IngestError> {
-        self.commit()?;
         self.flush()?;
         if let Some(e) = self.take_flush_error() {
             return Err(e);
@@ -669,10 +595,6 @@ impl<S: PageStore> StreamingWarehouse<S> {
     /// acknowledged can be lost, because the WAL is only truncated after
     /// the commit point.
     pub fn flush_until(&mut self, stage: FlushStage) -> Result<(), IngestError> {
-        // Close the open commit group first: its frames sit in the log
-        // un-synced, and the truncation at stage 5 would destroy them
-        // even though their inserts already returned.
-        self.commit_group()?;
         if self.memtable.is_empty() && self.pending.is_none() {
             return Ok(());
         }
@@ -787,18 +709,6 @@ impl<S: PageStore> StreamingWarehouse<S> {
         self.memtable.len()
     }
 
-    /// Rows staged in the open commit group — appended to the WAL but not
-    /// yet durable or query-visible.
-    pub fn staged_rows(&self) -> usize {
-        self.staged.len()
-    }
-
-    /// Highest sequence number acknowledged durable (covered by a group
-    /// sync). Rows with `seq > durable_seq()` are still staged.
-    pub fn durable_seq(&self) -> u64 {
-        self.durable_seq
-    }
-
     /// Takes the error of a threshold-triggered flush that failed inside
     /// [`StreamingWarehouse::insert`], if one is stashed. The insert
     /// itself succeeded; the failed flush retries on the next
@@ -811,17 +721,6 @@ impl<S: PageStore> StreamingWarehouse<S> {
     /// stage that completed before an early stop or error.
     pub fn pending_stage(&self) -> Option<FlushStage> {
         self.pending
-    }
-
-    /// The group-commit policy in force.
-    pub fn commit_policy(&self) -> CommitPolicy {
-        self.commit_policy
-    }
-
-    /// Replaces the group-commit policy. An open group keeps its staged
-    /// rows; the new policy governs from the next boundary check.
-    pub fn set_commit_policy(&mut self, policy: CommitPolicy) {
-        self.commit_policy = policy;
     }
 
     /// Whether sealed buckets are rewritten to the columnar layout.

@@ -13,9 +13,9 @@
 //!
 //! The umbrella crate itself contributes the durability layer:
 //! [`warehouse`] (named tables + SMAs + crash-safe persistence),
-//! [`ingest`] (WAL + memtable streaming ingest with group commit and
-//! crash-recoverable incremental flush), and [`compact`] (background
-//! segment compaction).
+//! [`ingest`] (WAL + memtable streaming ingest through one all-or-nothing
+//! batch insert, and crash-recoverable incremental flush), and
+//! [`compact`] (background segment compaction).
 //!
 //! # Quickstart
 //!
@@ -53,9 +53,7 @@ pub mod ingest;
 pub mod warehouse;
 
 pub use compact::{CompactStage, CompactionPolicy, CompactionReport};
-pub use ingest::{
-    CommitPolicy, FlushStage, IngestError, IngestRecoveryReport, StreamingWarehouse, WAL_FILE,
-};
+pub use ingest::{FlushStage, IngestError, IngestRecoveryReport, StreamingWarehouse, WAL_FILE};
 pub use sma_core as sma;
 pub use sma_cube as cube;
 pub use sma_exec as exec;

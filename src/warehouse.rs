@@ -165,7 +165,6 @@ pub struct QueryResult {
 pub struct Warehouse {
     tables: BTreeMap<String, Table>,
     catalog: SmaCatalog,
-    planner: PlannerConfig,
     /// Highest WAL sequence number folded into the sealed tables —
     /// persisted in the manifest so recovery can skip already-applied
     /// records (streaming-ingest idempotence). 0 for bulk-loaded data.
@@ -183,17 +182,9 @@ pub struct Warehouse {
 }
 
 impl Warehouse {
-    /// An empty warehouse with default planner settings.
+    /// An empty warehouse.
     pub fn new() -> Warehouse {
         Warehouse::default()
-    }
-
-    /// A warehouse with custom planner settings.
-    pub fn with_planner(planner: PlannerConfig) -> Warehouse {
-        Warehouse {
-            planner,
-            ..Warehouse::default()
-        }
     }
 
     /// Registers a table under its own name.
@@ -287,11 +278,6 @@ impl Warehouse {
         for table in self.tables.values_mut() {
             table.seal();
         }
-    }
-
-    /// The planner configuration this warehouse queries with.
-    pub(crate) fn planner(&self) -> &PlannerConfig {
-        &self.planner
     }
 
     /// Read access to the SMA catalog (ingest layer).
@@ -450,7 +436,12 @@ impl Warehouse {
             .tables
             .get(relation)
             .ok_or_else(|| WarehouseError::UnknownTable(relation.to_string()))?;
-        let mut chosen = plan(table, query, self.catalog.set_for(relation), &self.planner);
+        let mut chosen = plan(
+            table,
+            query,
+            self.catalog.set_for(relation),
+            &PlannerConfig::default(),
+        );
         if let Some(b) = budget {
             chosen = chosen.with_budget(b);
         }
@@ -468,7 +459,12 @@ impl Warehouse {
             .tables
             .get(relation)
             .ok_or_else(|| WarehouseError::UnknownTable(relation.to_string()))?;
-        let chosen = plan(table, query, self.catalog.set_for(relation), &self.planner);
+        let chosen = plan(
+            table,
+            query,
+            self.catalog.set_for(relation),
+            &PlannerConfig::default(),
+        );
         Ok(chosen.explain())
     }
 

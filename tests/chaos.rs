@@ -353,12 +353,14 @@ fn quarantine_heal_scrub_roundtrip_is_exact() {
 /// The streaming-ingest WAL under a seeded storm of fsync failures, then
 /// a crash at every legal byte offset: an insert counts as acknowledged
 /// only when append *and* sync both succeeded, and for every crash point
-/// replay returns a duplicate-free prefix of the attempted records that
-/// contains every acknowledged one — zero lost, zero double-applied.
+/// at or past the last good sync, replay returns exactly the acknowledged
+/// records — zero lost, zero double-applied, zero resurrected.
 ///
-/// Sync faults are deliberately ambiguous (the bytes may be durable even
-/// though the call failed), so recovering *more* than was acknowledged is
-/// legal; recovering less, reordering, or inventing records never is.
+/// A failed sync discards every frame appended since the last good one,
+/// so those frames never replay. On this device model, which persists a
+/// byte prefix of what was written, that holds at every cut: the frame
+/// header the discard zeroed at the last good sync lies inside every
+/// prefix that keeps the acknowledged bytes.
 #[test]
 fn ingest_wal_survives_sync_fault_storms_and_crashes_at_every_offset() {
     for seed in seeds() {
@@ -373,11 +375,10 @@ fn ingest_wal_survives_sync_fault_storms_and_crashes_at_every_offset() {
             }
         };
         let mut wal = wal;
-        let mut attempted = Vec::new();
-        // A successful fsync acknowledges every record appended so far,
-        // including ones whose own sync call failed earlier.
-        let mut acked = 0usize;
-        let mut failed_syncs = 0usize;
+        // A successful fsync acknowledges the record it follows; a failed
+        // one discards every record appended since the last good fsync.
+        let mut acked = Vec::new();
+        let mut failed = Vec::new();
         // No acked byte may be cut: fsync success means durability.
         let mut durable_end = PAGE_SIZE as u64;
         for seq in 1..=60u64 {
@@ -388,20 +389,25 @@ fn ingest_wal_survives_sync_fault_storms_and_crashes_at_every_offset() {
                 row: vec![seq as u8; 11 + (seq as usize * 7) % 90],
             };
             wal.append(&rec).expect("no write faults in this schedule");
-            attempted.push(rec);
             match wal.sync() {
                 Ok(()) => {
-                    acked = attempted.len();
+                    acked.push(rec);
                     durable_end = PAGE_SIZE as u64 + wal.tail_bytes();
                 }
                 Err(e) => {
                     assert!(e.to_string().contains(SYNC_FAILURE), "seed {seed}: {e}");
-                    failed_syncs += 1;
+                    failed.push(seq);
                 }
             }
         }
-        assert!(acked > 0, "seed {seed}: 30% faults cannot kill every sync");
-        assert!(failed_syncs > 0, "seed {seed}: 30% over 60 draws must fire");
+        assert!(
+            !acked.is_empty(),
+            "seed {seed}: 30% faults cannot kill every sync"
+        );
+        assert!(
+            !failed.is_empty(),
+            "seed {seed}: 30% over 60 draws must fire"
+        );
 
         let full = wal.into_store();
         for cut in durable_end..=full.len_bytes() {
@@ -417,17 +423,18 @@ fn ingest_wal_survives_sync_fault_storms_and_crashes_at_every_offset() {
                     continue;
                 }
             };
-            assert!(
-                replay.records.len() >= acked,
-                "seed {seed} cut {cut}: lost acknowledged records \
-                 ({} recovered < {acked} acked)",
-                replay.records.len()
-            );
+            for rec in &replay.records {
+                assert!(
+                    !failed.contains(&rec.seq),
+                    "seed {seed} cut {cut}: seq {} was discarded by a failed sync \
+                     and must never replay",
+                    rec.seq
+                );
+            }
             assert_eq!(
-                replay.records,
-                attempted[..replay.records.len()],
-                "seed {seed} cut {cut}: recovered set must be an exact \
-                 prefix of the attempted sequence (no dups, no phantoms)"
+                replay.records, acked,
+                "seed {seed} cut {cut}: recovered set must be exactly the \
+                 acknowledged records (none lost, no dups, no phantoms)"
             );
         }
     }

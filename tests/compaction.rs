@@ -16,14 +16,13 @@ use std::sync::Arc;
 
 use smadb::compact::{CompactStage, CompactionPolicy};
 use smadb::exec::{AggSpec, AggregateQuery};
-use smadb::ingest::{CommitPolicy, StreamingWarehouse};
+use smadb::ingest::StreamingWarehouse;
 use smadb::sma::{check_level2, col, BucketPred, Classification, CmpOp, Grade};
 use smadb::storage::test_util::scratch_path;
 use smadb::storage::Table;
 use smadb::types::{Column, DataType, Schema, Tuple, Value};
 use smadb::Warehouse;
 use std::path::Path;
-use std::time::Duration;
 
 fn padded_schema() -> Arc<Schema> {
     Arc::new(Schema::new(vec![
@@ -85,17 +84,15 @@ fn bulk_reference(rows: &[Tuple], hi: i64) -> Vec<Tuple> {
 /// generations, leaving a fragmented (multi-segment) table behind.
 fn fragmented(dir: &Path, flushes: usize, per_flush: usize) -> (StreamingWarehouse, Vec<Tuple>) {
     let mut sw = StreamingWarehouse::create(dir, padded_warehouse(), 0).unwrap();
-    sw.set_commit_policy(CommitPolicy {
-        batch_rows: 16,
-        max_delay: Duration::ZERO,
-    });
     let mut rows = Vec::new();
     for f in 0..flushes {
-        for i in 0..per_flush {
-            let t = padded_tuple((f * per_flush + i) as i64);
-            sw.insert("S", &t).unwrap();
-            rows.push(t);
+        let generation: Vec<Tuple> = (0..per_flush)
+            .map(|i| padded_tuple((f * per_flush + i) as i64))
+            .collect();
+        for batch in generation.chunks(16) {
+            sw.insert_batch("S", batch).unwrap();
         }
+        rows.extend(generation);
         sw.flush().unwrap();
     }
     (sw, rows)
@@ -255,12 +252,9 @@ fn rows_acknowledged_after_a_compaction_survive_a_crash() {
     assert!(sw.epoch() > epoch_before, "compaction commits a generation");
 
     // Nine rows acknowledged after the compaction, living only in the WAL.
-    for i in 18..27 {
-        let t = padded_tuple(i);
-        sw.insert("S", &t).unwrap();
-        rows.push(t);
-    }
-    sw.commit().unwrap();
+    let nine: Vec<Tuple> = (18..27).map(padded_tuple).collect();
+    sw.insert_batch("S", &nine).unwrap();
+    rows.extend(nine);
     assert_eq!(sw.buffered(), 9);
     drop(sw); // the crash
 

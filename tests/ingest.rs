@@ -2,9 +2,11 @@
 //!
 //! The contract under test, from the ingest design:
 //!
-//! * **No acknowledged tuple is ever lost.** An insert is acknowledged only
-//!   after its WAL frame is written and fsynced; recovery replays every
+//! * **No acknowledged tuple is ever lost.** A batch is acknowledged only
+//!   after its WAL frames are written and fsynced; recovery replays every
 //!   acknowledged record a crash left unflushed.
+//! * **A failed batch stays failed.** None of its rows is visible, and
+//!   none replays after a later sync succeeds.
 //! * **No tuple is ever applied twice.** The committed watermark makes WAL
 //!   replay idempotent — a crash between manifest commit and WAL
 //!   truncation must not double-apply.
@@ -21,10 +23,10 @@ use std::time::Duration;
 
 use smadb::compact::CompactionPolicy;
 use smadb::exec::{AggSpec, AggregateQuery};
-use smadb::ingest::{CommitPolicy, FlushStage, StreamingWarehouse, WAL_FILE};
+use smadb::ingest::{FlushStage, IngestError, StreamingWarehouse, WAL_FILE};
 use smadb::sma::{col, BucketPred, CmpOp};
-use smadb::storage::test_util::{scratch_path, CrashStore, FaultConfig};
-use smadb::storage::{Table, Wal, PAGE_SIZE};
+use smadb::storage::test_util::{scratch_path, CrashStore, FaultConfig, FaultPlan};
+use smadb::storage::{FileStore, Table, Wal, PAGE_SIZE};
 use smadb::tpcd::{generate_lineitem_table, lineitem_schema, Clustering, GenConfig};
 use smadb::types::{Column, DataType, Schema, StdRng, Tuple, Value, WalRecord};
 use smadb::Warehouse;
@@ -94,31 +96,24 @@ fn bulk_reference(rows: &[Tuple], hi: i64) -> Vec<Tuple> {
 
 // ----------------------------------------------------------------- close()
 
-/// `close()` commits the open group-commit batch and flushes, so staged
-/// rows a plain drop would abandon become durable, sealed rows — and the
-/// reopened warehouse has nothing to replay.
+/// `close()` flushes, so acked rows that a plain drop would leave to WAL
+/// replay become sealed rows — and the reopened warehouse has nothing to
+/// replay.
 #[test]
-fn close_commits_the_open_group_and_flushes() {
+fn close_seals_every_acked_row() {
     let dir = scratch_path("ingest-close");
     std::fs::create_dir_all(&dir).unwrap();
     let mut sw = StreamingWarehouse::create(&dir, small_warehouse(), 0).unwrap();
-    sw.set_commit_policy(CommitPolicy {
-        batch_rows: 100,
-        max_delay: Duration::ZERO,
-    });
-    for i in 0..7 {
-        sw.insert("S", &small_tuple(i)).unwrap();
-    }
-    assert_eq!(sw.staged_rows(), 7, "the group is still open");
-    assert_eq!(sw.durable_seq(), 0, "nothing acknowledged yet");
+    let seven: Vec<Tuple> = (0..7).map(small_tuple).collect();
+    assert_eq!(sw.insert_batch("S", &seven).unwrap(), 1..8);
+    assert_eq!(sw.buffered(), 7, "acked rows wait in the memtable");
     sw.close().unwrap();
 
     let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
     assert!(report.is_clean());
     assert_eq!(report.replayed, 0, "close sealed everything");
     assert_eq!(sw.buffered(), 0);
-    assert_eq!(sw.staged_rows(), 0);
-    let seven: Vec<Tuple> = (0..7).map(small_tuple).collect();
+    assert_eq!(sw.watermark(), 7, "every acked row is sealed");
     let got = sw.query("S", small_query(i64::MAX)).unwrap();
     assert_eq!(got.rows, bulk_reference(&seven, i64::MAX));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -205,13 +200,13 @@ fn wal_crash_at_every_byte_offset_recovers_the_exact_prefix() {
     }
 }
 
-// ----------------------------------------------------------- group commit
+// ---------------------------------------------------------------- batches
 
-/// Power cut at EVERY byte offset of a group-committed WAL (batch = 4):
-/// recovery yields exactly the longest frame prefix the bytes contain, and
-/// — the group-commit ack rule — every row acknowledged behind a group
-/// fsync the cut preserves must be in that prefix. Rows of the open group
-/// were never acknowledged, so losing them is legal at any cut.
+/// Power cut at EVERY byte offset of a WAL written by `insert_batch` in
+/// batches of 4: recovery yields exactly the longest frame prefix the
+/// bytes contain, and — the ack rule — every batch whose fsync the cut
+/// preserves is in that prefix. Each batch costs one fsync; an empty
+/// batch costs none.
 #[test]
 fn group_commit_crash_at_every_wal_byte_offset() {
     let dir = scratch_path("ingest-group-sweep");
@@ -219,38 +214,33 @@ fn group_commit_crash_at_every_wal_byte_offset() {
     let mut sw =
         StreamingWarehouse::create_with_wal_store(&dir, small_warehouse(), 0, CrashStore::new())
             .unwrap();
-    sw.set_commit_policy(CommitPolicy {
-        batch_rows: 4,
-        max_delay: Duration::ZERO,
-    });
+    let rows: Vec<Tuple> = (0..22).map(small_tuple).collect();
     let mut appended_seqs = Vec::new();
-    // (absolute byte offset the group's fsync covered, seq it acked through)
-    let mut group_ends = Vec::new();
-    for i in 0..22 {
-        let seq = sw.insert("S", &small_tuple(i)).unwrap();
-        appended_seqs.push(seq);
-        if sw.staged_rows() == 0 {
-            group_ends.push((PAGE_SIZE as u64 + sw.wal_tail_bytes(), sw.durable_seq()));
-            assert_eq!(sw.durable_seq(), seq, "group boundary acks through {seq}");
-        } else {
-            assert!(
-                sw.durable_seq() < seq,
-                "row {i} is staged, must not be acked"
-            );
-        }
+    // (absolute byte offset the batch's fsync covered, seq it acked through)
+    let mut batch_ends = Vec::new();
+    for batch in rows.chunks(4) {
+        let seqs = sw.insert_batch("S", batch).unwrap();
+        assert_eq!(seqs.end - seqs.start, batch.len() as u64);
+        appended_seqs.extend(seqs.clone());
+        batch_ends.push((PAGE_SIZE as u64 + sw.wal_tail_bytes(), seqs.end - 1));
+        assert_eq!(sw.insert_batch("S", &[]).unwrap(), seqs.end..seqs.end);
     }
     assert_eq!(
-        sw.staged_rows(),
-        2,
-        "22 rows at batch 4 leave an open group"
+        batch_ends.len(),
+        6,
+        "22 rows at batch 4: five of 4, one of 2"
     );
-    assert_eq!(sw.durable_seq(), 20);
-    // Staged rows are not query-visible: only the five committed groups.
-    let visible: Vec<Tuple> = (0..20).map(small_tuple).collect();
+    assert_eq!(sw.buffered(), 22);
+    // Every batch is visible the moment it returns.
     let got = sw.query("S", small_query(i64::MAX)).unwrap();
-    assert_eq!(got.rows, bulk_reference(&visible, i64::MAX));
+    assert_eq!(got.rows, bulk_reference(&rows, i64::MAX));
 
     let full = sw.into_wal_store();
+    assert_eq!(
+        full.syncs_seen(),
+        1 + 6,
+        "the log's creation, then one per batch"
+    );
     let total = full.len_bytes();
     for cut in 0..=total {
         let mut crashed = full.clone();
@@ -262,7 +252,7 @@ fn group_commit_crash_at_every_wal_byte_offset() {
             appended_seqs[..seqs.len()],
             "cut at byte {cut}: an exact frame prefix, never torn or reordered"
         );
-        let acked = group_ends
+        let acked = batch_ends
             .iter()
             .filter(|&&(end, _)| end <= cut)
             .map(|&(_, s)| s)
@@ -277,50 +267,30 @@ fn group_commit_crash_at_every_wal_byte_offset() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The group-commit visibility contract end to end: staged rows are
-/// invisible and unacknowledged until `commit`; `flush` closes the open
-/// group before truncating anything; a restart finds a pristine log.
+/// The batch visibility contract end to end: a batch is acknowledged,
+/// durable and visible when `insert_batch` returns; an empty batch takes
+/// no sequence number and logs nothing; `flush` seals every acked batch;
+/// a restart finds a pristine log.
 #[test]
 fn group_commit_acks_and_publishes_only_at_the_group_boundary() {
     let dir = scratch_path("ingest-group-basic");
     std::fs::create_dir_all(&dir).unwrap();
     let mut sw = StreamingWarehouse::create(&dir, small_warehouse(), 0).unwrap();
-    sw.set_commit_policy(CommitPolicy {
-        batch_rows: 10,
-        max_delay: Duration::ZERO,
-    });
-    for i in 0..3 {
-        sw.insert("S", &small_tuple(i)).unwrap();
-    }
-    assert_eq!(sw.staged_rows(), 3);
-    assert_eq!(sw.buffered(), 0, "staged rows are not in the memtable");
-    assert_eq!(sw.durable_seq(), 0, "nothing acknowledged yet");
-    let got = sw.query("S", small_query(i64::MAX)).unwrap();
-    assert_eq!(
-        got.rows,
-        bulk_reference(&[], i64::MAX),
-        "staged is invisible"
-    );
-
-    sw.commit().unwrap();
-    assert_eq!(sw.staged_rows(), 0);
-    assert_eq!(sw.durable_seq(), 3);
-    let three: Vec<Tuple> = (0..3).map(small_tuple).collect();
-    let got = sw.query("S", small_query(i64::MAX)).unwrap();
-    assert_eq!(got.rows, bulk_reference(&three, i64::MAX));
-
-    // flush() must close the open group before the WAL truncation at the
-    // end of the protocol could destroy its un-synced frames.
-    for i in 3..5 {
-        sw.insert("S", &small_tuple(i)).unwrap();
-    }
-    assert_eq!(sw.staged_rows(), 2);
-    sw.flush().unwrap();
-    assert_eq!(sw.staged_rows(), 0);
-    assert_eq!(sw.buffered(), 0);
-    assert_eq!(sw.durable_seq(), 5);
-    assert_eq!(sw.watermark(), 5, "the flush sealed the whole group");
     let five: Vec<Tuple> = (0..5).map(small_tuple).collect();
+    assert_eq!(sw.insert_batch("S", &five[..3]).unwrap(), 1..4);
+    assert_eq!(sw.buffered(), 3, "an acked batch is in the memtable");
+    let got = sw.query("S", small_query(i64::MAX)).unwrap();
+    assert_eq!(got.rows, bulk_reference(&five[..3], i64::MAX));
+
+    let tail = sw.wal_tail_bytes();
+    assert_eq!(sw.insert_batch("S", &[]).unwrap(), 4..4);
+    assert_eq!(sw.next_seq(), 4, "an empty batch burns nothing");
+    assert_eq!(sw.wal_tail_bytes(), tail, "an empty batch logs nothing");
+
+    assert_eq!(sw.insert_batch("S", &five[3..]).unwrap(), 4..6);
+    sw.flush().unwrap();
+    assert_eq!(sw.buffered(), 0);
+    assert_eq!(sw.watermark(), 5, "the flush sealed both batches");
     let got = sw.query("S", small_query(i64::MAX)).unwrap();
     assert_eq!(got.rows, bulk_reference(&five, i64::MAX));
 
@@ -336,9 +306,42 @@ fn group_commit_acks_and_publishes_only_at_the_group_boundary() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A failed group fsync drops the WHOLE group — none of its rows are
-/// durable or visible — and burns every sequence number it staged, so the
-/// log replays every acknowledged record despite the half-written frames.
+/// A batch whose third row does not fit the schema writes nothing: no
+/// sequence number is burned, no frame is logged, no row is buffered, and
+/// no query or restart sees any row of it.
+#[test]
+fn batch_with_a_bad_row_writes_nothing() {
+    let dir = scratch_path("ingest-bad-row");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut sw = StreamingWarehouse::create(&dir, small_warehouse(), 0).unwrap();
+    sw.insert("S", &small_tuple(0)).unwrap();
+    let (next_seq, tail, buffered) = (sw.next_seq(), sw.wal_tail_bytes(), sw.buffered());
+    let batch = vec![
+        small_tuple(1),
+        small_tuple(2),
+        vec![Value::Char(b'A')], // one column short
+        small_tuple(4),
+    ];
+    let err = sw.insert_batch("S", &batch).unwrap_err();
+    assert!(matches!(err, IngestError::Encode(_)), "{err}");
+    assert_eq!(sw.next_seq(), next_seq);
+    assert_eq!(sw.wal_tail_bytes(), tail);
+    assert_eq!(sw.buffered(), buffered);
+    let only_first = bulk_reference(&[small_tuple(0)], i64::MAX);
+    let got = sw.query("S", small_query(i64::MAX)).unwrap();
+    assert_eq!(got.rows, only_first);
+
+    drop(sw);
+    let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
+    assert_eq!(report.replayed, 1);
+    let got = sw.query("S", small_query(i64::MAX)).unwrap();
+    assert_eq!(got.rows, only_first);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A failed batch fsync drops the WHOLE batch — none of its rows are
+/// durable, visible or replayed — and burns every sequence number it
+/// took, so the log replays every acknowledged record.
 #[test]
 fn failed_group_sync_drops_the_group_and_burns_its_seqs() {
     for seed in seeds() {
@@ -359,42 +362,32 @@ fn failed_group_sync_drops_the_group_and_burns_its_seqs() {
                 continue;
             }
         };
-        sw.set_commit_policy(CommitPolicy {
-            batch_rows: 3,
-            max_delay: Duration::ZERO,
-        });
         let epoch = sw.epoch();
-        let mut group: Vec<(u64, Tuple)> = Vec::new();
+        let rows: Vec<Tuple> = (0..60).map(small_tuple).collect();
         let mut acked: Vec<(u64, Tuple)> = Vec::new();
-        let mut dropped_groups = 0usize;
-        for i in 0..60 {
-            let t = small_tuple(i);
-            match sw.insert("S", &t) {
-                Ok(seq) => {
-                    group.push((seq, t));
-                    if sw.staged_rows() == 0 {
-                        // The boundary fsync landed: the group is acked.
-                        assert_eq!(sw.durable_seq(), seq, "seed {seed}");
-                        acked.append(&mut group);
-                    }
+        let mut failed: Vec<u64> = Vec::new();
+        for batch in rows.chunks(3) {
+            let (first, buffered) = (sw.next_seq(), sw.buffered());
+            match sw.insert_batch("S", batch) {
+                Ok(seqs) => {
+                    assert_eq!(seqs, first..first + 3, "seed {seed}");
+                    acked.extend(seqs.zip(batch.iter().cloned()));
                 }
                 Err(_) => {
-                    // Only a boundary insert syncs, so the error means the
-                    // group sync failed: all staged rows must be gone.
-                    assert_eq!(sw.staged_rows(), 0, "seed {seed}");
-                    group.clear();
-                    dropped_groups += 1;
+                    // The batch's one sync failed: all of it must be gone.
+                    assert_eq!(sw.next_seq(), first + 3, "seed {seed}: seqs burned");
+                    assert_eq!(sw.buffered(), buffered, "seed {seed}");
+                    failed.extend(first..first + 3);
                 }
             }
         }
         assert!(
-            dropped_groups > 0,
-            "seed {seed}: the storm must drop a group"
+            !failed.is_empty(),
+            "seed {seed}: the storm must drop a batch"
         );
-        assert!(!acked.is_empty(), "seed {seed}: some groups must land");
+        assert!(!acked.is_empty(), "seed {seed}: some batches must land");
 
-        // Queries see exactly the acknowledged groups, nothing staged or
-        // dropped.
+        // Queries see exactly the acknowledged batches, nothing dropped.
         let acked_tuples: Vec<Tuple> = acked.iter().map(|(_, t)| t.clone()).collect();
         let got = sw.query("S", small_query(i64::MAX)).unwrap();
         assert_eq!(
@@ -404,7 +397,8 @@ fn failed_group_sync_drops_the_group_and_burns_its_seqs() {
         );
 
         // Replay the raw store: burned seqs keep the log strictly
-        // increasing, so every acknowledged record survives the storm.
+        // increasing, so every acknowledged record survives the storm, and
+        // no record of a dropped batch comes back.
         let (_, replay) = Wal::open(sw.into_wal_store(), epoch).unwrap();
         let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
         for w in seqs.windows(2) {
@@ -414,6 +408,12 @@ fn failed_group_sync_drops_the_group_and_burns_its_seqs() {
             assert!(
                 seqs.contains(seq),
                 "seed {seed}: acked seq {seq} lost in replay (got {seqs:?})"
+            );
+        }
+        for seq in &failed {
+            assert!(
+                !seqs.contains(seq),
+                "seed {seed}: seq {seq} of a failed batch replayed (got {seqs:?})"
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -820,28 +820,26 @@ fn streamed_inserts_match_bulk_load_across_clusterings() {
                 w.define_sma(stmt).unwrap();
             }
             let mut sw = StreamingWarehouse::create(&dir, w, 0).unwrap();
-            // Group commit and automatic compaction on: the equivalence
+            // Batches of 4 and automatic compaction on: the equivalence
             // must hold with rows acknowledged in batches and the
             // compactor merging segments mid-stream.
-            sw.set_commit_policy(CommitPolicy {
-                batch_rows: 4,
-                max_delay: Duration::ZERO,
-            });
             sw.set_compaction_policy(CompactionPolicy { max_segments: 2 });
             let mut checked_mid_stream = false;
-            for (i, t) in rows.iter().enumerate() {
-                sw.insert("LINEITEM", t).unwrap();
+            let mut streamed = 0;
+            for batch in rows.chunks(4) {
+                sw.insert_batch("LINEITEM", batch).unwrap();
+                streamed += batch.len();
                 // Seeded flush points: on average every ~40 inserts.
-                if rng.next_u64().is_multiple_of(40) {
+                if rng.next_u64().is_multiple_of(10) {
                     sw.flush().unwrap();
                 }
                 // One seeded mid-stream probe per run: the sealed segments
                 // plus live memtable must answer like a bulk load of the
                 // prefix streamed so far.
-                if !checked_mid_stream && i >= rows.len() / 2 && rng.next_u64().is_multiple_of(8) {
-                    // Staged rows are invisible by contract: close the
-                    // open group so the whole prefix is queryable.
-                    sw.commit().unwrap();
+                if !checked_mid_stream
+                    && streamed > rows.len() / 2
+                    && rng.next_u64().is_multiple_of(2)
+                {
                     let mut prefix = Warehouse::new();
                     prefix
                         .register(Table::in_memory(
@@ -853,14 +851,14 @@ fn streamed_inserts_match_bulk_load_across_clusterings() {
                     for stmt in defs {
                         prefix.define_sma(stmt).unwrap();
                     }
-                    for t in &rows[..=i] {
+                    for t in &rows[..streamed] {
                         prefix.insert("LINEITEM", t).unwrap();
                     }
                     let want_prefix = prefix.query("LINEITEM", query.clone()).unwrap();
                     let got = sw.query("LINEITEM", query.clone()).unwrap();
                     assert_eq!(
                         got.rows, want_prefix.rows,
-                        "{clustering:?} seed {seed}: mid-stream at row {i}"
+                        "{clustering:?} seed {seed}: mid-stream after {streamed} rows"
                     );
                     checked_mid_stream = true;
                 }
@@ -941,10 +939,11 @@ fn torn_wal_tail_loses_only_the_final_record() {
 // ---------------------------------------------------------- sync storms
 
 /// Regression: an insert whose fsync fails must burn its sequence
-/// number. The failed frame may already sit (durably, even) in the WAL
-/// tail, so a later insert reusing the seq would write a duplicate frame
-/// — and replay stops at the first non-increasing seq, silently cutting
-/// off every acknowledged record behind it.
+/// number. The failed frame may still be durable if the process dies
+/// before the next good sync, so a later insert reusing the seq could
+/// write a duplicate frame — and replay stops at the first non-increasing
+/// seq, silently cutting off every acknowledged record behind it. The
+/// failed frame itself never replays once a later sync succeeds.
 #[test]
 fn failed_sync_burns_its_sequence_number() {
     for seed in seeds() {
@@ -968,14 +967,21 @@ fn failed_sync_burns_its_sequence_number() {
         };
         let epoch = sw.epoch();
         let mut acked: Vec<(u64, Tuple)> = Vec::new();
-        let mut failed = 0usize;
+        let mut failed: Vec<u64> = Vec::new();
         for i in 0..60 {
+            let seq = sw.next_seq();
             match sw.insert("S", &small_tuple(i)) {
-                Ok(seq) => acked.push((seq, small_tuple(i))),
-                Err(_) => failed += 1,
+                Ok(got) => {
+                    assert_eq!(got, seq, "seed {seed}");
+                    acked.push((seq, small_tuple(i)));
+                }
+                Err(_) => failed.push(seq),
             }
         }
-        assert!(failed > 0, "seed {seed}: 30% over 60 draws must fire");
+        assert!(
+            !failed.is_empty(),
+            "seed {seed}: 30% over 60 draws must fire"
+        );
         assert!(!acked.is_empty(), "seed {seed}: some syncs must land");
 
         // Despite the storm, queries see exactly the acknowledged tuples.
@@ -998,6 +1004,62 @@ fn failed_sync_burns_its_sequence_number() {
                 "seed {seed}: acked seq {seq} lost in replay (got {seqs:?})"
             );
         }
+        for seq in &failed {
+            assert!(
+                !seqs.contains(seq),
+                "seed {seed}: seq {seq} of a failed insert replayed (got {seqs:?})"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The same storm end to end through the real log file: the WAL lives on
+/// a seeded sync-faulting wrapper over the `ingest.swal` file, the process
+/// "dies" (drop), and `open_with_recovery` must hold exactly the acked
+/// rows — a failed insert stays failed even though later syncs succeeded.
+#[test]
+fn failed_inserts_stay_gone_after_a_restart() {
+    for seed in seeds() {
+        let dir = scratch_path(&format!("ingest-syncstorm-restart-{seed}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = FaultPlan::new(
+            FileStore::create(dir.join(WAL_FILE)).unwrap(),
+            FaultConfig::seeded(seed).with_sync_faults(30),
+        );
+        let Ok(mut sw) =
+            StreamingWarehouse::create_with_wal_store(&dir, small_warehouse(), 0, store)
+        else {
+            // The device failed the WAL's very first fsync. Legal.
+            std::fs::remove_dir_all(&dir).unwrap();
+            continue;
+        };
+        let mut acked: Vec<Tuple> = Vec::new();
+        let mut failed = 0usize;
+        for i in 0..60 {
+            match sw.insert("S", &small_tuple(i)) {
+                Ok(_) => acked.push(small_tuple(i)),
+                Err(_) => failed += 1,
+            }
+        }
+        assert!(failed > 0, "seed {seed}: 30% over 60 draws must fire");
+        assert!(!acked.is_empty(), "seed {seed}: some syncs must land");
+        drop(sw); // the crash
+
+        let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
+        assert_eq!(report.replayed, acked.len(), "seed {seed}: {report:?}");
+        let count = AggregateQuery {
+            pred: BucketPred::And(Vec::new()),
+            group_by: vec![],
+            specs: vec![AggSpec::CountStar],
+        };
+        assert_eq!(
+            sw.query("S", count).unwrap().rows,
+            vec![vec![Value::Int(acked.len() as i64)]],
+            "seed {seed}: count(*) after the restart equals the acked rows"
+        );
+        let got = sw.query("S", small_query(i64::MAX)).unwrap();
+        assert_eq!(got.rows, bulk_reference(&acked, i64::MAX), "seed {seed}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use sma_server::proto::Status;
 use sma_server::{Client, Server, ServerConfig};
-use smadb::ingest::{CommitPolicy, StreamingWarehouse};
+use smadb::ingest::StreamingWarehouse;
 use smadb::storage::test_util::{scratch_path, FaultConfig, FaultPlan};
 use smadb::storage::{MemStore, RetryPolicy, Table};
 use smadb::types::{Column, DataType, Schema, Value};
@@ -280,17 +280,13 @@ fn exhausted_page_budget_is_a_structured_error() {
 
 // --------------------------------------------------------- graceful drain
 
-/// Rows staged in an open group-commit batch when `shutdown` arrives are
-/// committed and flushed by the drain — reopening finds all of them.
+/// Every insert acked before `shutdown` arrives is sealed by the drain's
+/// flush — reopening finds all of them and replays nothing.
 #[test]
-fn shutdown_commits_the_open_group() {
+fn shutdown_seals_every_acked_row() {
     let dir = scratch_path("server-drain");
     std::fs::create_dir_all(&dir).unwrap();
-    let mut sw = StreamingWarehouse::create(&dir, Warehouse::new(), 0).unwrap();
-    sw.set_commit_policy(CommitPolicy {
-        batch_rows: 1_000, // the group stays open until the drain
-        max_delay: Duration::ZERO,
-    });
+    let sw = StreamingWarehouse::create(&dir, Warehouse::new(), 0).unwrap();
     let handle = Server::spawn(ServerConfig::default(), sw).unwrap();
     let mut c = client(&handle);
     c.request("create table S (X int)").unwrap();
@@ -303,7 +299,7 @@ fn shutdown_commits_the_open_group() {
 
     let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
     assert!(report.is_clean());
-    assert_eq!(report.replayed, 0, "the drain sealed the open group");
+    assert_eq!(report.replayed, 0, "the drain sealed every acked row");
     let q = smadb::exec::AggregateQuery {
         pred: smadb::sma::BucketPred::And(Vec::new()),
         group_by: vec![],
