@@ -9,9 +9,9 @@
 //! here from public APIs: `scan_bucket` decodes every tuple into an owned
 //! `Vec<Value>` (copying string payloads) before the predicate or any
 //! aggregate sees it. The *zero-copy* kernels are the production paths:
-//! predicates and aggregate inputs evaluate on [`RowView`]s straight out
-//! of the pinned page frames, and nothing is materialized unless it
-//! survives the filter.
+//! predicates and aggregate inputs evaluate on
+//! [`RowView`](sma_types::RowView)s straight out of the pinned page
+//! frames, and nothing is materialized unless it survives the filter.
 
 use std::time::Instant;
 

@@ -595,7 +595,7 @@ fn fill_bucket_from_rows<'a>(
 /// columnwise twin of the `note_insert` loop. A bare-column input touches
 /// only that column's array (never materializing tuples); expression
 /// inputs fetch referenced columns on demand via
-/// [`ScalarExpr::eval_fetch`]. Value semantics are identical to the row
+/// [`ScalarExpr::eval_fetch`](crate::ScalarExpr::eval_fetch). Value semantics are identical to the row
 /// path by construction: every input still flows through
 /// [`Accumulator::update`] in row order. Returns the accumulators plus
 /// whether a `Null` input was seen (tracked for min/max only, matching

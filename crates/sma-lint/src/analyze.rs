@@ -99,12 +99,8 @@ impl AnalyzeConfig {
             a2_scope_crates: vec!["sma-exec", "sma-server", "smadb"],
             a2_allow: vec![
                 Allow {
-                    func: "StreamingWarehouse::flush_until",
-                    reason: "ingest flush path: sealing buckets re-reads pages to export segments; bounded by memtable size, not query traffic",
-                },
-                Allow {
-                    func: "StreamingWarehouse::compact_until",
-                    reason: "background compaction rewrites whole tables; page reads are the merge itself, budgeted by CompactionPolicy cadence",
+                    func: "StreamingWarehouse::commit_generation",
+                    reason: "the flush and compaction commit sequence: converting sealed buckets column-major reads their rows once; bounded by memtable size or CompactionPolicy cadence, not query traffic",
                 },
                 Allow {
                     func: "Warehouse::scrub",
@@ -125,10 +121,6 @@ impl AnalyzeConfig {
                 Allow {
                     func: "StreamingWarehouse::query",
                     reason: "documented unbudgeted convenience API; the server path uses query_with_budget",
-                },
-                Allow {
-                    func: "export_merged_segment",
-                    reason: "compaction helper: re-reads the tables it is merging; bounded by segment size and CompactionPolicy cadence, not query traffic",
                 },
                 Allow {
                     func: "StreamingWarehouse::create",
@@ -175,12 +167,8 @@ impl AnalyzeConfig {
                     reason: "maintenance: full-set repair over heal(); administrative, not query-serving",
                 },
                 Allow {
-                    func: "Warehouse::save_generation",
-                    reason: "bulk persistence: exporting a generation reads every live page once; checkpoint-time operation",
-                },
-                Allow {
-                    func: "Warehouse::save_delta_generation",
-                    reason: "bulk persistence: delta export reads the appended page range once; checkpoint-time operation",
+                    func: "Warehouse::write_generation",
+                    reason: "the one generation writer (seal, save_to_dir, flush, compaction): exporting a segment reads its page range once; checkpoint-time operation, bounded by memtable size or CompactionPolicy cadence",
                 },
                 Allow {
                     func: "recover_sma",
@@ -208,8 +196,6 @@ impl AnalyzeConfig {
                 "save_sma",
                 // Manifest-last generation commits.
                 "commit_manifest",
-                "Warehouse::save_generation",
-                "Warehouse::save_delta_generation",
                 "Warehouse::save_to_dir",
                 // The atomic SMA-image write (tmp + rename + dir sync) is
                 // itself the per-file commit protocol.

@@ -17,9 +17,19 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use sma_server::{Server, ServerConfig};
+use smadb::compact::CompactionPolicy;
 use smadb::ingest::StreamingWarehouse;
 use smadb::warehouse::MANIFEST_FILE;
 use smadb::Warehouse;
+
+/// Memtable rows that trigger a flush unless `--flush-threshold` says
+/// otherwise.
+const FLUSH_THRESHOLD: usize = 10_000;
+
+/// Segments a table may hold before a flush compacts it back to one, so
+/// a long-running server neither grows its segment list without bound
+/// nor opens one file per flush at every restart.
+const MAX_SEGMENTS: usize = 4;
 
 struct Args {
     dir: String,
@@ -31,7 +41,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         dir: String::new(),
         config: ServerConfig::default(),
-        flush_threshold: 10_000,
+        flush_threshold: FLUSH_THRESHOLD,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -74,7 +84,7 @@ fn main() -> ExitCode {
         eprintln!("sma-server: cannot create {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
-    let warehouse = if dir.join(MANIFEST_FILE).exists() {
+    let mut warehouse = if dir.join(MANIFEST_FILE).exists() {
         match StreamingWarehouse::open_with_recovery(dir, args.flush_threshold) {
             Ok((sw, report)) => {
                 eprintln!(
@@ -97,6 +107,9 @@ fn main() -> ExitCode {
             }
         }
     };
+    warehouse.set_compaction_policy(CompactionPolicy {
+        max_segments: MAX_SEGMENTS,
+    });
     let handle = match Server::spawn(args.config, warehouse) {
         Ok(h) => h,
         Err(e) => {

@@ -4,6 +4,9 @@
 //! saw an `Ok` for must be present after an uncoordinated process kill
 //! and a recovery restart — the WAL ack contract, end to end through
 //! the real binary, the real socket, and the real filesystem.
+//!
+//! The same binary must also keep its segment lists bounded: flushes
+//! compact, so a restart never opens one file per flush.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -117,6 +120,61 @@ fn kill_nine_mid_ingest_loses_no_acked_row() {
     let mut c = server.client();
     let r = c.request("select count(*) from T").unwrap();
     assert_eq!(r.rows, vec![vec![(acked + 1).to_string()]]);
+    assert_eq!(c.request("shutdown").unwrap().status, Status::Ok);
+    server.wait();
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn flushes_compact_so_segments_stay_bounded() {
+    let dir = std::env::temp_dir().join(format!("sma-server-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let server = ServerProc::spawn(&dir);
+    let mut c = server.client();
+    let r = c.request("create table T (X int, PAD str)").unwrap();
+    assert_eq!(r.status, Status::Ok, "{}", r.info);
+    // ~500-byte rows, so every round of ten dirties fresh pages and each
+    // flush writes one more delta segment.
+    let pad = "p".repeat(490);
+    let (rounds, per_round) = (12, 10);
+    for round in 0..rounds {
+        for i in 0..per_round {
+            let x = round * per_round + i;
+            let r = c
+                .request(&format!("insert into T values ({x}, '{pad}')"))
+                .unwrap();
+            assert_eq!(r.status, Status::Ok, "insert {x}: {}", r.info);
+        }
+        let r = c.request("flush").unwrap();
+        assert_eq!(r.status, Status::Ok, "flush {round}: {}", r.info);
+    }
+    assert_eq!(c.request("shutdown").unwrap().status, Status::Ok);
+    server.wait();
+
+    let (w, report) = smadb::Warehouse::open_with_recovery(&dir).unwrap();
+    assert!(report.is_clean(), "{report}");
+    let segments = w.segment_count("T");
+    let files = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            let name = name.to_string_lossy();
+            name.starts_with('T') && name.ends_with(".tbl")
+        })
+        .count();
+    assert!(
+        segments <= 5 && files <= 5,
+        "{rounds} flushes left {segments} segments in {files} files"
+    );
+
+    // Every row survives the compactions.
+    let server = ServerProc::spawn(&dir);
+    let mut c = server.client();
+    let r = c.request("select count(*) from T").unwrap();
+    assert_eq!(r.rows, vec![vec![(rounds * per_round).to_string()]]);
     assert_eq!(c.request("shutdown").unwrap().status, Status::Ok);
     server.wait();
 

@@ -30,7 +30,7 @@
 //! [`BufferPool::clear_cache`], which acquire all shards in index order —
 //! single-shard users cannot form a cycle against that.
 //!
-//! Small pools (fewer than [`MIN_FRAMES_PER_SHARD`] frames) use a single
+//! Small pools (fewer than `MIN_FRAMES_PER_SHARD` = 64 frames) use a single
 //! shard, which preserves the exact global LRU behaviour the unit tests
 //! and the paper's buffer-size experiments assume.
 

@@ -38,10 +38,10 @@ pub enum StoreError {
     },
     /// A read or write failed for a reason expected to clear on its own —
     /// a dropped connection, a momentary device hiccup, a kernel `EAGAIN`.
-    /// The buffer pool retries these under its [`RetryPolicy`]
-    /// (`crate::pool::RetryPolicy`); only after the budget is exhausted
-    /// does the fault propagate, still tagged `Transient` so callers can
-    /// distinguish "the disk blinked" from "the data is gone".
+    /// The buffer pool retries these under its
+    /// [`RetryPolicy`](crate::pool::RetryPolicy); only after the budget is
+    /// exhausted does the fault propagate, still tagged `Transient` so
+    /// callers can distinguish "the disk blinked" from "the data is gone".
     Transient {
         /// The page whose I/O blinked.
         page: PageNo,

@@ -51,11 +51,15 @@
 //!
 //! [`Wal::truncate`] rewrites only the header with a new epoch. Old
 //! record bytes stay in place but can never replay again: their epoch no
-//! longer matches. Truncation is only legal *after* the warehouse
-//! manifest naming a watermark ≥ every logged sequence number has
-//! committed, so even a torn header write loses nothing — a WAL whose
-//! header fails its checksum is by protocol an empty one, and [`Wal::open`]
-//! reinitializes it (reporting the reset) rather than failing recovery.
+//! longer matches. A truncation whose header write or sync fails still
+//! switches the log to the new epoch, and each later sync writes the
+//! header again until one succeeds: no frame is ever appended under an
+//! epoch other than the one the next good sync leaves in the header.
+//! Truncation is only legal *after* the warehouse manifest naming a
+//! watermark ≥ every logged sequence number has committed, so even a torn
+//! header write loses nothing — a WAL whose header fails its checksum is
+//! by protocol an empty one, and [`Wal::open`] reinitializes it
+//! (reporting the reset) rather than failing recovery.
 
 use sma_types::walrec::{decode_wal_record, encode_wal_record, WalRecord};
 use sma_types::{bytes, Tuple};
@@ -87,6 +91,10 @@ pub struct Wal<S: PageStore> {
     /// `tail` as of the last successful sync. A failed append or sync
     /// moves `tail` back here.
     synced: u64,
+    /// The header on the device may not carry `epoch` yet: a truncation
+    /// has not synced. Every sync writes the header again first until one
+    /// succeeds.
+    header_owed: bool,
 }
 
 /// What [`Wal::open`] found while replaying.
@@ -116,6 +124,7 @@ impl<S: PageStore> Wal<S> {
             epoch,
             tail: 0,
             synced: 0,
+            header_owed: false,
         })
     }
 
@@ -134,6 +143,7 @@ impl<S: PageStore> Wal<S> {
                     epoch: fallback_epoch,
                     tail: 0,
                     synced: 0,
+                    header_owed: false,
                 };
                 return Ok((
                     wal,
@@ -149,6 +159,7 @@ impl<S: PageStore> Wal<S> {
             epoch,
             tail: 0,
             synced: 0,
+            header_owed: false,
         };
         let mut replay = WalReplay::default();
         let mut off = 0u64;
@@ -283,8 +294,14 @@ impl<S: PageStore> Wal<S> {
     /// appended since the last good sync is discarded: none of them
     /// replays once a later sync succeeds.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        match self.store.sync() {
+        let synced = if self.header_owed {
+            write_header(&mut self.store, self.epoch).and_then(|()| self.store.sync())
+        } else {
+            self.store.sync()
+        };
+        match synced {
             Ok(()) => {
+                self.header_owed = false;
                 self.synced = self.tail;
                 Ok(())
             }
@@ -302,16 +319,21 @@ impl<S: PageStore> Wal<S> {
     }
 
     /// Logically empties the log under `new_epoch` by rewriting the
-    /// header. Old record bytes remain but fail the epoch check on
-    /// replay. Call only after the manifest whose watermark covers every
-    /// logged record has committed.
+    /// header and syncing it. Old record bytes remain but fail the epoch
+    /// check on replay. Call only after the manifest whose watermark
+    /// covers every logged record has committed.
+    ///
+    /// The log adopts `new_epoch` before any I/O, even if the truncation
+    /// then fails: the new header may reach the device anyway, and a later
+    /// good sync would make it durable over frames of the old epoch,
+    /// where replay stops. So every later frame carries `new_epoch`, and
+    /// the sync that makes one durable writes the new header first.
     pub fn truncate(&mut self, new_epoch: u64) -> Result<(), StoreError> {
-        write_header(&mut self.store, new_epoch)?;
-        self.store.sync()?;
         self.epoch = new_epoch;
         self.tail = 0;
         self.synced = 0;
-        Ok(())
+        self.header_owed = true;
+        self.sync()
     }
 
     /// Reads `buf.len()` bytes at record-area offset `off`. Fails with
@@ -557,6 +579,38 @@ mod tests {
         wal.append(&rec(1, 4)).unwrap();
         wal.sync().unwrap();
         assert_eq!(seqs(&wal), vec![1, 4], "the discarded frames never replay");
+    }
+
+    /// Regression: a truncation whose sync fails must not leave the log
+    /// on its old epoch. The new header may already be in the file; the
+    /// next good sync makes it durable, and an old-epoch frame behind it
+    /// ends replay, losing the row that sync acknowledged.
+    #[test]
+    fn failed_truncate_switches_epoch_and_the_next_sync_writes_the_header() {
+        use crate::test_util::{FaultConfig, FaultPlan};
+        // A schedule whose syncs go: create ok, ok, FAIL (the truncation),
+        // ok.
+        let config = (0..)
+            .map(|seed| FaultConfig::seeded(seed).with_sync_faults(50))
+            .find(|c| {
+                let p = FaultPlan::new(MemStore::new(), *c);
+                (0..4)
+                    .map(|i| p.sync_fails_at(i))
+                    .eq([false, false, true, false])
+            })
+            .unwrap();
+        let mut wal = Wal::create(FaultPlan::new(MemStore::new(), config), 1).unwrap();
+        wal.append(&rec(1, 1)).unwrap();
+        wal.sync().unwrap();
+        assert!(wal.truncate(2).is_err());
+        assert_eq!(wal.epoch(), 2, "later frames carry the new epoch");
+        assert_eq!(wal.tail_bytes(), 0);
+        wal.append(&rec(2, 2)).unwrap();
+        wal.sync().unwrap();
+        let (wal2, replay) = Wal::open(wal.store().inner().clone(), 99).unwrap();
+        assert!(!replay.header_reset);
+        assert_eq!(wal2.epoch(), 2);
+        assert_eq!(replay.records, vec![rec(2, 2)], "the acked frame replays");
     }
 
     #[test]

@@ -204,27 +204,6 @@ impl ColumnArray {
     }
 }
 
-fn dtype_tag(ty: DataType) -> u8 {
-    match ty {
-        DataType::Int => 0,
-        DataType::Decimal => 1,
-        DataType::Date => 2,
-        DataType::Char => 3,
-        DataType::Str => 4,
-    }
-}
-
-fn tag_dtype(tag: u8) -> Option<DataType> {
-    match tag {
-        0 => Some(DataType::Int),
-        1 => Some(DataType::Decimal),
-        2 => Some(DataType::Date),
-        3 => Some(DataType::Char),
-        4 => Some(DataType::Str),
-        _ => None,
-    }
-}
-
 /// All live tuples of one bucket, column-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarBucket {
@@ -381,7 +360,7 @@ impl ColumnarBucket {
         crate::bytes::put_u16_le(&mut out, lo16(lo32(self.cols.len() as u64)));
         crate::bytes::put_u32_le(&mut out, lo32(self.n_rows as u64));
         for col in &self.cols {
-            out.push(dtype_tag(col.data_type()));
+            out.push(col.data_type().tag());
             out.extend_from_slice(col.validity());
             match col {
                 ColumnArray::Int { data, .. } | ColumnArray::Decimal { data, .. } => {
@@ -455,7 +434,7 @@ impl ColumnarBucket {
                 .copied()
                 .ok_or_else(|| ColBlockError(format!("column {c}: short tag")))?;
             pos += 1;
-            let ty = tag_dtype(tag)
+            let ty = DataType::from_tag(tag)
                 .ok_or_else(|| ColBlockError(format!("column {c}: bad tag {tag}")))?;
             if ty != column.ty {
                 return Err(ColBlockError(format!(

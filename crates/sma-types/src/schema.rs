@@ -31,6 +31,31 @@ impl DataType {
             DataType::Str => 2,
         }
     }
+
+    /// The one-byte tag the on-disk formats (columnar blocks and the
+    /// warehouse manifest) store for this type.
+    pub fn tag(self) -> u8 {
+        match self {
+            DataType::Int => 0,
+            DataType::Decimal => 1,
+            DataType::Date => 2,
+            DataType::Char => 3,
+            DataType::Str => 4,
+        }
+    }
+
+    /// The type a stored [`DataType::tag`] names; `None` for an unknown
+    /// tag.
+    pub fn from_tag(tag: u8) -> Option<DataType> {
+        match tag {
+            0 => Some(DataType::Int),
+            1 => Some(DataType::Decimal),
+            2 => Some(DataType::Date),
+            3 => Some(DataType::Char),
+            4 => Some(DataType::Str),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for DataType {
@@ -173,6 +198,24 @@ mod tests {
         assert_eq!(s.column(0).name, "ID");
         assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn type_tags_are_the_stored_bytes_and_round_trip() {
+        let all = [
+            DataType::Int,
+            DataType::Decimal,
+            DataType::Date,
+            DataType::Char,
+            DataType::Str,
+        ];
+        // Columnar blocks and the warehouse manifest store these bytes.
+        let tags: Vec<u8> = all.iter().map(|ty| ty.tag()).collect();
+        assert_eq!(tags, vec![0, 1, 2, 3, 4]);
+        for ty in all {
+            assert_eq!(DataType::from_tag(ty.tag()), Some(ty));
+        }
+        assert_eq!(DataType::from_tag(5), None);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! `sma_core::level2`), and commit the new generation — manifest-last,
 //! exactly like a flush.
 //!
-//! The rewrite runs one worker thread per table via [`std::thread::scope`]
-//! (the same discipline as `sma_exec::parallel`: spawn, join, merge in
-//! deterministic order, map panics to errors). Compaction never touches
-//! the WAL: it advances the catalog epoch but leaves the watermark and the
+//! The rewrite is the flush's own commit sequence
+//! (`StreamingWarehouse::commit_generation`) with every page of every
+//! table exported, on the calling thread. Compaction never touches the
+//! WAL: it advances the catalog epoch but leaves the watermark and the
 //! WAL epoch alone, so records acknowledged after the compaction replay
 //! fine if the process dies — the crash-sweep tests cover every
 //! [`CompactStage`] prefix.
@@ -23,12 +23,9 @@
 //! one by hand.
 
 use std::fmt;
-use std::io;
-use std::path::Path;
 
 use crate::ingest::{FlushStage, IngestError, StreamingWarehouse};
-use crate::warehouse::{commit_manifest, CommitMeta, SegmentLists, SegmentMeta, WarehouseError};
-use sma_storage::{FileStore, PageStore, Table};
+use sma_storage::PageStore;
 
 /// The stages of the compaction protocol, in order — the crash-injection
 /// seam, mirroring [`FlushStage`]:
@@ -80,29 +77,6 @@ impl fmt::Display for CompactionReport {
     }
 }
 
-/// Fully exports `table` into a fresh single segment file `{name}{suffix}.tbl`
-/// in `dir` (write-temp → rename; the source store is never written).
-fn export_merged_segment(
-    dir: &Path,
-    name: &str,
-    table: &Table,
-    suffix: &str,
-) -> Result<SegmentMeta, IngestError> {
-    let file = format!("{name}{suffix}.tbl");
-    let tmp = dir.join(format!("{file}.tmp"));
-    let mut store = FileStore::create(&tmp).map_err(WarehouseError::from)?;
-    table
-        .export_to_store(&mut store)
-        .map_err(WarehouseError::from)?;
-    drop(store);
-    std::fs::rename(&tmp, dir.join(&file))?;
-    Ok(SegmentMeta {
-        file,
-        start: 0,
-        pages: table.page_count(),
-    })
-}
-
 impl<S: PageStore> StreamingWarehouse<S> {
     /// Merges every table's segment list into a single fresh segment and
     /// commits the result. Equivalent to
@@ -133,76 +107,17 @@ impl<S: PageStore> StreamingWarehouse<S> {
             self.warehouse.refresh_smas(name)?;
         }
         // Under the columnar policy, compaction is the catch-all
-        // conversion point: it rewrites every table wholesale, so convert
-        // every eligible sealed bucket (not just the ones above the last
-        // flush watermark). The exports below then persist chunk pages,
-        // and recovery reclassifies them from the page markers.
-        if self.columnar {
-            for name in &names {
-                if let Some(table) = self.warehouse.table_mut(name) {
-                    table
-                        .convert_buckets_from(0)
-                        .map_err(WarehouseError::from)?;
-                }
-            }
-        }
-        // A compaction generation: catalog epoch advances (fresh file
-        // names, fresh SMA images), watermark and WAL epoch do not — the
-        // log is not truncated and its records must keep replaying.
-        let epoch = self.warehouse.begin_compaction_generation();
-        report.epoch = epoch;
-        let suffix = format!(".e{epoch}");
-        let dir = self.dir.clone();
-        // One worker per table, scoped: tables are disjoint and exports
-        // only read their source, so this is embarrassingly parallel.
-        // Join in name order and map panics to errors, same as the
-        // bucket-parallel operators.
-        let exported: Vec<Result<SegmentMeta, IngestError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = names
-                .iter()
-                .filter_map(|name| self.warehouse.table(name).map(|t| (name, t)))
-                .map(|(name, table)| {
-                    let dir = dir.as_path();
-                    let suffix = suffix.as_str();
-                    scope.spawn(move || export_merged_segment(dir, name, table, suffix))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
-                    Err(_) => Err(IngestError::Io(io::Error::other(
-                        "compaction worker panicked",
-                    ))),
-                })
-                .collect()
-        });
-        let mut lists = SegmentLists::new();
-        for (name, seg) in names.iter().zip(exported) {
-            lists.insert(name.clone(), vec![seg?]);
-        }
-        let meta = CommitMeta {
-            epoch,
-            watermark: self.warehouse.watermark(),
-            wal_epoch: self.warehouse.wal_epoch(),
+        // conversion point: it rewrites every table whole, so every
+        // eligible sealed bucket converts, not just the ones above the
+        // last flush. The commit point and the cleanup follow the flush's.
+        let stop = match stage {
+            CompactStage::SegmentsWritten => FlushStage::SegmentsWritten,
+            CompactStage::Committed => FlushStage::Committed,
+            CompactStage::Complete => FlushStage::Cleaned,
         };
-        let manifest = self
-            .warehouse
-            .encode_generation(&dir, meta, &suffix, &lists)?;
-        report.segments_after = lists.values().map(Vec::len).sum();
-        if stage == CompactStage::SegmentsWritten {
-            return Ok(report);
-        }
-        // The commit point: the merged generation becomes the one
-        // recovery loads. Everything before this line only added files.
-        commit_manifest(&dir, &manifest)?;
-        self.warehouse.install_segments(lists);
-        if stage == CompactStage::Committed {
-            return Ok(report);
-        }
-        // Post-commit: delete the superseded segments.
-        crate::ingest::remove_unreferenced(&dir)?;
+        self.commit_generation(None, &mut FlushStage::Applied, stop)?;
+        report.epoch = self.warehouse.epoch();
+        report.segments_after = report.tables;
         Ok(report)
     }
 

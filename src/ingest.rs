@@ -23,10 +23,9 @@
 //!    segment lists a reopen reassembles through
 //!    [`sma_storage::SegmentedStore`] — and only then truncates the WAL.
 //! 4. **Compaction** — delta segments accumulate until a
-//!    [`CompactionPolicy`](crate::compact::CompactionPolicy) threshold
-//!    triggers a [`compact`](StreamingWarehouse::compact): a full rewrite
-//!    that merges every table back to a single segment (see
-//!    [`crate::compact`]).
+//!    [`CompactionPolicy`] threshold triggers a
+//!    [`compact`](StreamingWarehouse::compact): a full rewrite that merges
+//!    every table back to a single segment (see [`crate::compact`]).
 //!
 //! The flush protocol's commit point is the manifest rename. Every earlier
 //! step only adds files the old manifest does not reference; every later
@@ -48,8 +47,7 @@ use std::path::{Path, PathBuf};
 
 use crate::compact::CompactionPolicy;
 use crate::warehouse::{
-    commit_manifest, manifest_files, CommitMeta, QueryResult, RecoveryReport, Warehouse,
-    WarehouseError,
+    commit_manifest, manifest_files, Export, QueryResult, RecoveryReport, Warehouse, WarehouseError,
 };
 use sma_exec::{AggregateQuery, PlannerConfig};
 use sma_storage::{
@@ -340,15 +338,10 @@ impl StreamingWarehouse {
 }
 
 /// Seals `warehouse` into `dir` as the initial committed generation:
-/// full single-segment export, manifest commit, then the segment lists
+/// whole single-segment export, manifest commit, then the segment lists
 /// are installed so later flushes can append deltas against them.
 fn seal_initial_generation(warehouse: &mut Warehouse, dir: &Path) -> Result<(), IngestError> {
-    let meta = CommitMeta {
-        epoch: warehouse.epoch(),
-        watermark: warehouse.watermark(),
-        wal_epoch: warehouse.wal_epoch(),
-    };
-    let (stream, lists) = warehouse.save_generation(dir, meta, "")?;
+    let (stream, lists) = warehouse.write_generation(dir, "", Export::Whole)?;
     commit_manifest(dir, &stream)?;
     warehouse.install_segments(lists);
     Ok(())
@@ -628,66 +621,16 @@ impl<S: PageStore> StreamingWarehouse<S> {
         if stage == FlushStage::Applied {
             return Ok(());
         }
-        if self.pending == Some(FlushStage::Applied) {
-            // Stage 2: export the unsealed page range of every touched
-            // table into fresh `.e{epoch}` delta segments. Committed
-            // files are never opened for writing. A catalog-only commit
-            // (DDL with an empty memtable) must not regress the
-            // published watermark, so keep at least the committed one.
-            //
-            // Columnar policy: buckets wholly inside the dirty range are
-            // converted to the PAX layout first, so the delta segments
-            // carry column-major pages. Converting only above the dirty
-            // boundary keeps the delta incremental; the tail bucket (the
-            // one appends land in) is skipped by the converter itself.
-            // A crash before the manifest commit is harmless — recovery
-            // reloads the committed row-major segments and replays the
-            // WAL, and the next flush simply converts again.
-            if self.columnar {
-                for name in self
-                    .warehouse
-                    .table_names()
-                    .map(str::to_string)
-                    .collect::<Vec<_>>()
-                {
-                    if let Some(table) = self.warehouse.table_mut(&name) {
-                        let from = table.unsealed_from();
-                        table
-                            .convert_buckets_from(from)
-                            .map_err(WarehouseError::from)?;
-                    }
-                }
-            }
+        if let Some(mut done) = self.pending.filter(|&s| s < FlushStage::Cleaned) {
+            // Stages 2–4. A catalog-only commit (DDL with an empty
+            // memtable) must not regress the published watermark, so keep
+            // at least the committed one.
             let watermark = self.memtable.max_seq().max(self.warehouse.watermark());
-            let epoch = self.warehouse.begin_flush_generation(watermark);
-            let suffix = format!(".e{epoch}");
-            let meta = CommitMeta {
-                epoch,
-                watermark,
-                wal_epoch: epoch,
-            };
-            let (manifest, lists) = self
-                .warehouse
-                .save_delta_generation(&self.dir, meta, &suffix)?;
-            if stage == FlushStage::SegmentsWritten {
-                return Ok(());
-            }
-            // Stage 3: the commit point. Only after it may the tables be
-            // sealed — seal earlier and a failed commit would lose the
-            // dirty-range information its retry still needs.
-            commit_manifest(&self.dir, &manifest)?;
-            self.warehouse.install_segments(lists);
-            self.pending = Some(FlushStage::Committed);
+            let result = self.commit_generation(Some(watermark), &mut done, stage);
+            self.pending = Some(done);
+            result?;
         }
-        if stage <= FlushStage::Committed {
-            return Ok(());
-        }
-        if self.pending == Some(FlushStage::Committed) {
-            // Stage 4: the old generation is now unreferenced debris.
-            remove_unreferenced(&self.dir)?;
-            self.pending = Some(FlushStage::Cleaned);
-        }
-        if stage == FlushStage::Cleaned {
+        if stage < FlushStage::Complete {
             return Ok(());
         }
         if self.pending == Some(FlushStage::Cleaned) {
@@ -695,6 +638,71 @@ impl<S: PageStore> StreamingWarehouse<S> {
             // reset the log to the committed WAL epoch.
             self.wal.truncate(self.warehouse.wal_epoch())?;
             self.pending = None;
+        }
+        Ok(())
+    }
+
+    /// The commit sequence a flush (stages 2–4) and a compaction share,
+    /// run from the seam after `*done` up to `stop`, recording each seam
+    /// it reaches in `*done`:
+    ///
+    /// 1. convert to columnar, when that policy is on;
+    /// 2. begin the generation — a flush passes its `watermark` and gets a
+    ///    new WAL epoch, a compaction passes `None` and keeps it;
+    /// 3. write the generation's segments (the pages written since the
+    ///    last commit for a flush, every page for a compaction) and SMA
+    ///    images — [`FlushStage::SegmentsWritten`];
+    /// 4. commit the manifest and install its segment lists — the commit
+    ///    point, [`FlushStage::Committed`];
+    /// 5. remove the files it no longer names — [`FlushStage::Cleaned`].
+    ///
+    /// Committed files are never opened for writing. A crash before the
+    /// commit is harmless: recovery reloads the committed generation and
+    /// replays the WAL, and the next run converts and writes again.
+    pub(crate) fn commit_generation(
+        &mut self,
+        watermark: Option<u64>,
+        done: &mut FlushStage,
+        stop: FlushStage,
+    ) -> Result<(), IngestError> {
+        if *done == FlushStage::Applied {
+            let export = if watermark.is_some() {
+                Export::Delta
+            } else {
+                Export::Whole
+            };
+            if self.columnar {
+                // A delta converts only buckets above its first unsealed
+                // page; the tail bucket, where appends land, stays
+                // row-major (see `Table::convert_bucket_to_columnar`).
+                for table in self.warehouse.tables_mut() {
+                    let from = match export {
+                        Export::Whole => 0,
+                        Export::Delta => table.unsealed_from(),
+                    };
+                    table
+                        .convert_buckets_from(from)
+                        .map_err(WarehouseError::from)?;
+                }
+            }
+            let epoch = self.warehouse.begin_generation(watermark);
+            let (manifest, lists) =
+                self.warehouse
+                    .write_generation(&self.dir, &format!(".e{epoch}"), export)?;
+            if stop == FlushStage::SegmentsWritten {
+                return Ok(());
+            }
+            // Only after the commit point may the tables be sealed — seal
+            // earlier and a failed commit would lose the dirty-range
+            // information its retry still needs.
+            commit_manifest(&self.dir, &manifest)?;
+            self.warehouse.install_segments(lists);
+            *done = FlushStage::Committed;
+        }
+        if stop > FlushStage::Committed && *done == FlushStage::Committed {
+            // The superseded generation is now unreferenced debris.
+            remove_unreferenced(&self.dir)?;
+            *done = FlushStage::Cleaned;
         }
         Ok(())
     }

@@ -202,16 +202,15 @@ impl Warehouse {
         self.tables.get(name)
     }
 
-    /// Mutable access to the registered table named `name` — the seam the
-    /// flush/compaction paths use to convert sealed buckets to the
-    /// columnar layout before exporting them.
-    pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        self.tables.get_mut(name)
-    }
-
     /// Registered table names.
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.keys().map(String::as_str)
+    }
+
+    /// Every registered table, mutably: the flush and compaction commit
+    /// sequence converts sealed buckets to the columnar layout through it.
+    pub(crate) fn tables_mut(&mut self) -> impl Iterator<Item = &mut Table> {
+        self.tables.values_mut()
     }
 
     /// The SMA set defined on `relation`, if any.
@@ -250,23 +249,19 @@ impl Warehouse {
         self.segments.values().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Bumps the flush generation and records the new watermark — called
-    /// by the streaming flush path just before it persists the new
-    /// segment generation. A flush truncates the WAL when it completes,
-    /// so the WAL epoch follows the catalog epoch here.
-    pub(crate) fn begin_flush_generation(&mut self, watermark: u64) -> u64 {
-        self.watermark = watermark;
+    /// Opens the next generation and returns its epoch. A flush passes the
+    /// watermark it folds in: it truncates the WAL once it completes, so
+    /// the WAL epoch follows the catalog epoch. A compaction passes `None`:
+    /// it neither applies WAL records nor truncates the log, so the
+    /// watermark and WAL epoch stay put and crash replay still accepts
+    /// every record appended since the last flush.
+    pub(crate) fn begin_generation(&mut self, flush_watermark: Option<u64>) -> u64 {
         let epoch = self.catalog.advance_epoch();
-        self.wal_epoch = epoch;
+        if let Some(watermark) = flush_watermark {
+            self.watermark = watermark;
+            self.wal_epoch = epoch;
+        }
         epoch
-    }
-
-    /// Bumps the flush generation for a compaction, which rewrites
-    /// segment files but neither applies WAL records nor truncates the
-    /// log — the watermark and WAL epoch stay put so crash replay still
-    /// accepts every record appended since the last flush.
-    pub(crate) fn begin_compaction_generation(&mut self) -> u64 {
-        self.catalog.advance_epoch()
     }
 
     /// Adopts `lists` as the committed segment set and seals every table:
@@ -480,129 +475,93 @@ impl Warehouse {
     /// directory that [`Warehouse::open_with_recovery`] reads as either
     /// the old state or the new state, never a mixture.
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), WarehouseError> {
-        let meta = CommitMeta {
-            epoch: self.catalog.epoch(),
-            watermark: self.watermark,
-            wal_epoch: self.wal_epoch,
-        };
         let dir = dir.as_ref();
-        let (stream, _lists) = self.save_generation(dir, meta, "")?;
+        let (stream, _lists) = self.write_generation(dir, "", Export::Whole)?;
         commit_manifest(dir, &stream)
     }
 
-    /// The segment-writing half of [`Warehouse::save_to_dir`], with an
-    /// explicit commit point and a filename `suffix` spliced in before
-    /// each `.tbl`/`.sma` extension. Every table is fully exported into a
-    /// single fresh segment file; the manifest stream naming them is
-    /// *returned* (along with the single-segment lists), not written —
-    /// nothing is committed until the caller passes it to
+    /// The one generation writer. Per table it copies the pages `export`
+    /// selects into a fresh `{name}{suffix}.tbl` segment (write a `.tmp`,
+    /// export, rename); then it writes this generation's SMA images and
+    /// returns the manifest stream naming them, with the segment lists.
+    /// Nothing is committed until the caller passes the stream to
     /// [`commit_manifest`], then adopts the lists via
     /// [`Warehouse::install_segments`].
     ///
-    /// The streaming flush path saves every generation under a distinct
-    /// suffix (`.e1`, `.e2`, …): segment files of the previous generation
-    /// are never opened for writing, so a crash anywhere before the
-    /// manifest rename leaves the old generation fully intact and a crash
-    /// after it leaves the new one — the directory is always exactly one
-    /// committed state plus, at worst, dead files that cleanup removes.
-    pub(crate) fn save_generation(
+    /// The streaming flush and compaction write every generation under a
+    /// distinct suffix (`.e1`, `.e2`, …): segment files of the previous
+    /// generation are never opened for writing, so a crash anywhere before
+    /// the manifest rename leaves the old generation fully intact and a
+    /// crash after it leaves the new one — the directory is always exactly
+    /// one committed state plus, at worst, dead files that cleanup removes.
+    pub(crate) fn write_generation(
         &self,
-        dir: impl AsRef<Path>,
-        meta: CommitMeta,
+        dir: &Path,
         suffix: &str,
+        export: Export,
     ) -> Result<(Vec<u8>, SegmentLists), WarehouseError> {
-        let dir = dir.as_ref();
         fs::create_dir_all(dir)?;
         let mut lists = SegmentLists::new();
         for (name, table) in &self.tables {
+            let pages = table.page_count();
+            let (mut list, from) = match export {
+                Export::Whole => (Vec::new(), 0),
+                Export::Delta => {
+                    let old = self.segments.get(name).map_or(&[][..], Vec::as_slice);
+                    let covered = old.iter().map(|s| s.start + s.pages).max().unwrap_or(0);
+                    // The delta must reach back to the first dirty page, and
+                    // also cover any pages the committed segments never saw
+                    // (a table that grew while its list lagged behind).
+                    let from = table.unsealed_from().min(covered);
+                    if from >= pages {
+                        // Nothing new to persist: no file, and the list
+                        // stays as committed.
+                        lists.insert(name.clone(), old.to_vec());
+                        continue;
+                    }
+                    // Segments the delta wholly shadows are dead weight;
+                    // cleanup removes their files once the manifest stops
+                    // naming them.
+                    (
+                        old.iter().filter(|s| s.start < from).cloned().collect(),
+                        from,
+                    )
+                }
+            };
             // Table and SMA names come from the SQL parser (identifiers:
             // alphanumerics and underscores), so they are filename-safe.
-            let tbl_file = format!("{name}{suffix}.tbl");
-            let tmp = dir.join(format!("{tbl_file}.tmp"));
-            let mut store = FileStore::create(&tmp)?;
-            table.export_to_store(&mut store)?;
-            drop(store);
-            fs::rename(&tmp, dir.join(&tbl_file))?;
-            lists.insert(
-                name.clone(),
-                vec![SegmentMeta {
-                    file: tbl_file,
-                    start: 0,
-                    pages: table.page_count(),
-                }],
-            );
-        }
-        let stream = self.encode_generation(dir, meta, suffix, &lists)?;
-        Ok((stream, lists))
-    }
-
-    /// Like [`Warehouse::save_generation`] but *incremental*: each table
-    /// exports only its unsealed page range (everything written since the
-    /// last committed generation) into a small `.e{epoch}` delta segment,
-    /// extending its previous segment list instead of replacing it. An
-    /// untouched table writes no file at all and keeps its list verbatim.
-    /// SMA images are always rewritten whole — they are tiny by the
-    /// paper's premise, and their bucket entries shift on every append.
-    pub(crate) fn save_delta_generation(
-        &self,
-        dir: impl AsRef<Path>,
-        meta: CommitMeta,
-        suffix: &str,
-    ) -> Result<(Vec<u8>, SegmentLists), WarehouseError> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let mut lists = SegmentLists::new();
-        for (name, table) in &self.tables {
-            let old: &[SegmentMeta] = self.segments.get(name).map(Vec::as_slice).unwrap_or(&[]);
-            let covered: PageNo = old.iter().map(|s| s.start + s.pages).max().unwrap_or(0);
-            // The delta must reach back to the first dirty page, and also
-            // cover any pages the committed segments never saw (a table
-            // that grew while its list lagged behind).
-            let from = table.unsealed_from().min(covered);
-            let pages = table.page_count();
-            if from >= pages {
-                // Nothing new to persist: the committed segments already
-                // cover every page and none of them went dirty.
-                lists.insert(name.clone(), old.to_vec());
-                continue;
-            }
-            let tbl_file = format!("{name}{suffix}.tbl");
-            let tmp = dir.join(format!("{tbl_file}.tmp"));
+            let file = format!("{name}{suffix}.tbl");
+            let tmp = dir.join(format!("{file}.tmp"));
             let mut store = FileStore::create(&tmp)?;
             table.export_page_range(&mut store, from)?;
             drop(store);
-            fs::rename(&tmp, dir.join(&tbl_file))?;
-            // Segments fully shadowed by the new delta are dead weight:
-            // drop them from the list (cleanup removes their files once
-            // the manifest stops naming them).
-            let mut list: Vec<SegmentMeta> =
-                old.iter().filter(|s| s.start < from).cloned().collect();
+            fs::rename(&tmp, dir.join(&file))?;
             list.push(SegmentMeta {
-                file: tbl_file,
+                file,
                 start: from,
                 pages: pages - from,
             });
             lists.insert(name.clone(), list);
         }
-        let stream = self.encode_generation(dir, meta, suffix, &lists)?;
+        let stream = self.encode_generation(dir, suffix, &lists)?;
         Ok((stream, lists))
     }
 
     /// Writes this generation's SMA images into `dir` and encodes the
-    /// manifest stream naming `lists` + those images — the shared tail of
-    /// full saves, delta flushes, and compactions. The stream is returned
-    /// uncommitted; pass it to [`commit_manifest`].
-    pub(crate) fn encode_generation(
+    /// manifest stream naming `lists` + those images, stamped with the
+    /// warehouse's current epoch, watermark and WAL epoch. SMA images are
+    /// always rewritten whole — they are tiny by the paper's premise, and
+    /// their bucket entries shift on every append.
+    fn encode_generation(
         &self,
         dir: &Path,
-        meta: CommitMeta,
         suffix: &str,
         lists: &SegmentLists,
     ) -> Result<Vec<u8>, WarehouseError> {
         let mut manifest = Vec::new();
-        put_u64(&mut manifest, meta.epoch);
-        put_u64(&mut manifest, meta.watermark);
-        put_u64(&mut manifest, meta.wal_epoch);
+        put_u64(&mut manifest, self.catalog.epoch());
+        put_u64(&mut manifest, self.watermark);
+        put_u64(&mut manifest, self.wal_epoch);
         // Manifest v3: the table-count high bit signals that each table
         // entry carries a layout byte after bucket_pages. v2 readers never
         // see v3 manifests (upgrades are forward-only); this v3 reader
@@ -624,7 +583,7 @@ impl Warehouse {
             put_u32(&mut manifest, cols.len() as u32);
             for c in cols {
                 put_str(&mut manifest, &c.name);
-                manifest.push(dtype_tag(c.ty));
+                manifest.push(c.ty.tag());
             }
             let smas = self.catalog.set_for(name).map(SmaSet::smas).unwrap_or(&[]);
             put_u32(&mut manifest, smas.len() as u32);
@@ -714,7 +673,8 @@ impl Warehouse {
             }
             report.columnar_buckets += table.columnar_buckets().len() as u64;
             for sma_entry in entry.smas {
-                let sma = recover_sma(dir, &entry.name, &sma_entry, &table, &mut report)?;
+                let (sma, _rebuilt) =
+                    recover_sma(dir, &entry.name, &sma_entry, &table, &mut report)?;
                 w.catalog.install(&entry.name, sma);
             }
             report.tables += 1;
@@ -750,18 +710,9 @@ impl Warehouse {
                 report.pages_corrupt.push((entry.name.clone(), p));
             }
             for sma_entry in &entry.smas {
-                let path = dir.join(&sma_entry.file);
-                match verify_sma_file(&path, sma_entry, table)? {
-                    Some(_healthy) => report.smas_intact += 1,
-                    None => {
-                        quarantine(&path)?;
-                        let rebuilt = Sma::build(table, sma_entry.def.clone())?;
-                        save_sma_file(&rebuilt, &path)?;
-                        report
-                            .smas_rebuilt
-                            .push(format!("{}.{}", entry.name, sma_entry.def.name));
-                        self.catalog.install(&entry.name, rebuilt);
-                    }
+                let (sma, rebuilt) = recover_sma(dir, &entry.name, sma_entry, table, &mut report)?;
+                if rebuilt {
+                    self.catalog.install(&entry.name, sma);
                 }
             }
             report.buckets_quarantined += self
@@ -819,6 +770,18 @@ pub(crate) struct SegmentMeta {
 /// Per-table committed segment lists, in commit order (later segments
 /// shadow earlier ones on overlap).
 pub(crate) type SegmentLists = BTreeMap<String, Vec<SegmentMeta>>;
+
+/// Which pages of each table [`Warehouse::write_generation`] exports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Export {
+    /// Every page from page 0, one segment per table (an empty table gets
+    /// a zero-page one): the initial seal, `save_to_dir` and compaction.
+    Whole,
+    /// The pages written since the last committed generation, as a delta
+    /// on top of the table's committed list; an untouched table writes no
+    /// file. A flush.
+    Delta,
+}
 
 /// Buffer-pool pages for tables reopened from disk (matches
 /// `Table::in_memory`'s generous default).
@@ -912,28 +875,6 @@ struct ManifestTable {
     smas: Vec<ManifestSma>,
 }
 
-/// Loads `path` if it verifies clean *and* matches the manifest definition
-/// *and* covers the table's current bucket count. `Ok(None)` means "rebuild
-/// it" — corrupt, truncated, missing, or stale; hard I/O errors propagate.
-fn verify_sma_file(
-    path: &Path,
-    entry: &ManifestSma,
-    table: &Table,
-) -> Result<Option<Sma>, WarehouseError> {
-    match load_sma_file(path) {
-        Ok(sma) => {
-            if sma.def() == &entry.def && sma.n_buckets() == table.bucket_count() {
-                Ok(Some(sma))
-            } else {
-                Ok(None)
-            }
-        }
-        Err(SmaError::Corrupt(_)) => Ok(None),
-        Err(SmaError::Store(StoreError::Io(e))) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
-    }
-}
-
 /// Moves a failed SMA file aside as `<file>.quarantined` so the corrupt
 /// evidence survives the rebuild (a missing file is fine — nothing to keep).
 fn quarantine(path: &Path) -> Result<(), WarehouseError> {
@@ -946,19 +887,31 @@ fn quarantine(path: &Path) -> Result<(), WarehouseError> {
     }
 }
 
-/// Restart-time SMA recovery: load-and-verify, else quarantine and rebuild
-/// from the base table, persisting the rebuilt image back to `dir`.
+/// SMA recovery for reopen and scrub: loads the image if it verifies clean,
+/// matches the manifest definition and covers the table's current bucket
+/// count; otherwise (corrupt, truncated, missing or stale) quarantines it
+/// and rebuilds it from the base table, persisting the rebuilt image back
+/// to `dir`. Hard I/O errors propagate. Returns the SMA and whether it was
+/// rebuilt.
 fn recover_sma(
     dir: &Path,
     table_name: &str,
     entry: &ManifestSma,
     table: &Table,
     report: &mut RecoveryReport,
-) -> Result<Sma, WarehouseError> {
+) -> Result<(Sma, bool), WarehouseError> {
     let path = dir.join(&entry.file);
-    if let Some(sma) = verify_sma_file(&path, entry, table)? {
+    let intact = match load_sma_file(&path) {
+        Ok(sma) => {
+            (sma.def() == &entry.def && sma.n_buckets() == table.bucket_count()).then_some(sma)
+        }
+        Err(SmaError::Corrupt(_)) => None,
+        Err(SmaError::Store(StoreError::Io(e))) if e.kind() == io::ErrorKind::NotFound => None,
+        Err(e) => return Err(e.into()),
+    };
+    if let Some(sma) = intact {
         report.smas_intact += 1;
-        return Ok(sma);
+        return Ok((sma, false));
     }
     quarantine(&path)?;
     let rebuilt = Sma::build(table, entry.def.clone())?;
@@ -966,7 +919,7 @@ fn recover_sma(
     report
         .smas_rebuilt
         .push(format!("{table_name}.{}", entry.def.name));
-    Ok(rebuilt)
+    Ok((rebuilt, true))
 }
 
 // ------------------------------------------------------- manifest codec
@@ -982,16 +935,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn dtype_tag(ty: DataType) -> u8 {
-    match ty {
-        DataType::Int => 0,
-        DataType::Decimal => 1,
-        DataType::Date => 2,
-        DataType::Char => 3,
-        DataType::Str => 4,
-    }
 }
 
 struct Cursor<'a> {
@@ -1100,18 +1043,10 @@ fn decode_manifest(bytes: &[u8]) -> Result<(CommitMeta, Vec<ManifestTable>), War
         let mut columns = Vec::with_capacity(n_cols.min(1024));
         for _ in 0..n_cols {
             let col_name = c.string()?;
-            let ty = match c.u8()? {
-                0 => DataType::Int,
-                1 => DataType::Decimal,
-                2 => DataType::Date,
-                3 => DataType::Char,
-                4 => DataType::Str,
-                tag => {
-                    return Err(WarehouseError::CorruptManifest(format!(
-                        "unknown data type tag {tag}"
-                    )))
-                }
-            };
+            let tag = c.u8()?;
+            let ty = DataType::from_tag(tag).ok_or_else(|| {
+                WarehouseError::CorruptManifest(format!("unknown data type tag {tag}"))
+            })?;
             columns.push(Column::new(col_name, ty));
         }
         let n_smas = c.u32()? as usize;
@@ -1143,7 +1078,8 @@ fn decode_manifest(bytes: &[u8]) -> Result<(CommitMeta, Vec<ManifestTable>), War
 }
 
 /// The commit point of a save: atomically replaces [`MANIFEST_FILE`] with
-/// `stream` (as returned by `save_generation`) and fsyncs the directory.
+/// `stream` (as returned by [`Warehouse::write_generation`]) and fsyncs
+/// the directory.
 /// Until this returns, the previously committed generation is still the
 /// one recovery will load.
 pub(crate) fn commit_manifest(dir: &Path, stream: &[u8]) -> Result<(), WarehouseError> {

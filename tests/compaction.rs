@@ -177,10 +177,6 @@ fn compaction_crash_at_every_stage_preserves_every_row() {
     }
 }
 
-/// The epoch-split regression: a compaction advances the catalog epoch but
-/// must NOT advance the WAL epoch — rows acknowledged after the compaction
-/// carry the old WAL epoch, and filtering replay on the catalog epoch
-/// would silently drop every one of them after a crash.
 /// The same stage-prefix crash sweep with the columnar policy on:
 /// compaction is the catch-all conversion point (`convert_buckets_from(0)`
 /// over the merged table), so a committed columnar compaction must leave a
@@ -242,6 +238,10 @@ fn columnar_compaction_crash_at_every_stage_preserves_every_row() {
     }
 }
 
+/// The epoch-split regression: a compaction advances the catalog epoch but
+/// must NOT advance the WAL epoch — rows acknowledged after the compaction
+/// carry the old WAL epoch, and filtering replay on the catalog epoch
+/// would silently drop every one of them after a crash.
 #[test]
 fn rows_acknowledged_after_a_compaction_survive_a_crash() {
     let dir = scratch_path("compact-wal-epoch");
@@ -313,5 +313,202 @@ fn compaction_policy_keeps_the_segment_list_bounded() {
     assert!(report.is_clean(), "{report:?}");
     let got = sw.query("S", small_query(i64::MAX)).unwrap();
     assert_eq!(got.rows, bulk_reference(&all, i64::MAX));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `padded_warehouse` plus a second table `R` of the same shape.
+fn two_table_warehouse() -> Warehouse {
+    let mut w = padded_warehouse();
+    w.register(Table::in_memory("R", padded_schema(), 1))
+        .unwrap();
+    for stmt in [
+        "define sma r_min select min(X) from R",
+        "define sma r_cnt select count(*) from R group by G",
+        "define sma r_sum select sum(X) from R group by G",
+    ] {
+        w.define_sma(stmt).unwrap();
+    }
+    w
+}
+
+/// The answer of `small_query(i64::MAX)` on `relation` after bulk-loading
+/// `rows` into a fresh two-table warehouse.
+fn two_table_reference(relation: &str, rows: &[Tuple]) -> Vec<Tuple> {
+    let mut w = two_table_warehouse();
+    for t in rows {
+        w.insert(relation, t).unwrap();
+    }
+    w.query(relation, small_query(i64::MAX)).unwrap().rows
+}
+
+/// Every compaction test above has one table; this one has two, each
+/// fragmented by the same flushes. A crash after every stage must reopen
+/// both tables exactly: the old generation of both before the commit,
+/// the merged generation of both after it.
+#[test]
+fn two_table_compaction_crash_at_every_stage_reopens_exactly() {
+    for stage in [
+        CompactStage::SegmentsWritten,
+        CompactStage::Committed,
+        CompactStage::Complete,
+    ] {
+        let dir = scratch_path(&format!("compact-two-tables-{stage:?}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut sw = StreamingWarehouse::create(&dir, two_table_warehouse(), 0).unwrap();
+        let (mut s_rows, mut r_rows) = (Vec::new(), Vec::new());
+        for f in 0..4i64 {
+            let s: Vec<Tuple> = (0..8).map(|i| padded_tuple(f * 8 + i)).collect();
+            let r: Vec<Tuple> = (0..5).map(|i| padded_tuple(100 + f * 5 + i)).collect();
+            sw.insert_batch("S", &s).unwrap();
+            sw.insert_batch("R", &r).unwrap();
+            s_rows.extend(s);
+            r_rows.extend(r);
+            sw.flush().unwrap();
+        }
+        for name in ["S", "R"] {
+            assert!(sw.warehouse().segment_count(name) > 1, "{stage:?}: {name}");
+        }
+
+        let report = sw.compact_until(stage).unwrap();
+        assert_eq!((report.tables, report.segments_after), (2, 2), "{report}");
+        drop(sw); // the crash
+
+        let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
+        assert!(
+            report.warehouse.is_clean(),
+            "{stage:?}: {}",
+            report.warehouse
+        );
+        assert_eq!(report.replayed, 0, "{stage:?}");
+        let merged = stage >= CompactStage::Committed;
+        for name in ["S", "R"] {
+            let segments = sw.warehouse().segment_count(name);
+            assert_eq!(segments == 1, merged, "{stage:?}: {name} has {segments}");
+        }
+        match stage {
+            // Before the commit the merged segments are the debris; after
+            // it the superseded deltas are.
+            CompactStage::SegmentsWritten | CompactStage::Committed => {
+                for name in ["S", "R"] {
+                    assert!(
+                        report
+                            .orphans_removed
+                            .iter()
+                            .any(|f| f.starts_with(&format!("{name}.e"))),
+                        "{stage:?}: {name}: {:?}",
+                        report.orphans_removed
+                    );
+                }
+            }
+            CompactStage::Complete => assert!(report.is_clean(), "{stage:?}: {report:?}"),
+        }
+        for (name, rows) in [("S", &s_rows), ("R", &r_rows)] {
+            let got = sw.query(name, small_query(i64::MAX)).unwrap();
+            assert_eq!(
+                got.rows,
+                two_table_reference(name, rows),
+                "{stage:?}: {name}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// One writer exports every generation, so a compaction's merged segment
+/// and `save_to_dir`'s whole-table file are the same bytes: after
+/// threshold flushes and a compaction, saving into a second directory
+/// writes a `S.tbl` identical to the compacted `S.e{N}.tbl`.
+#[test]
+fn save_to_dir_writes_the_compacted_segment_byte_for_byte() {
+    let dir = scratch_path("compact-save-identical");
+    let copy = scratch_path("compact-save-identical-copy");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut sw = StreamingWarehouse::create(&dir, padded_warehouse(), 4).unwrap();
+    for i in 0..26 {
+        sw.insert("S", &padded_tuple(i)).unwrap();
+        assert!(sw.take_flush_error().is_none());
+    }
+    assert!(sw.warehouse().segment_count("S") > 1);
+    let report = sw.compact().unwrap();
+    sw.warehouse().save_to_dir(&copy).unwrap();
+
+    let compacted = std::fs::read(dir.join(format!("S.e{}.tbl", report.epoch))).unwrap();
+    let saved = std::fs::read(copy.join("S.tbl")).unwrap();
+    assert!(!saved.is_empty());
+    assert!(
+        saved == compacted,
+        "save_to_dir and compaction wrote different pages"
+    );
+    let (w, recovery) = Warehouse::open_with_recovery(&copy).unwrap();
+    assert!(recovery.is_clean(), "{recovery}");
+    let all: Vec<Tuple> = (0..26).map(padded_tuple).collect();
+    let got = w.query("S", small_query(i64::MAX)).unwrap();
+    assert_eq!(got.rows, bulk_reference(&all, i64::MAX));
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&copy).unwrap();
+}
+
+/// Names of the `.tbl` files in `dir` that belong to table `name`.
+fn tbl_files(dir: &Path, name: &str) -> Vec<(String, u64)> {
+    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| {
+            let file = e.file_name().to_string_lossy().into_owned();
+            (file, e.metadata().unwrap().len())
+        })
+        .filter(|(file, _)| file.starts_with(&format!("{name}.")) && file.ends_with(".tbl"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// An empty table is written whole by a seal and by a compaction — one
+/// zero-page segment each — while a flush writes nothing for it: a table
+/// registered empty on the live warehouse has no segment until the next
+/// compaction.
+#[test]
+fn an_empty_table_gets_a_zero_page_segment_from_a_seal_and_a_compaction_only() {
+    let dir = scratch_path("compact-empty-table");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut w = padded_warehouse();
+    w.register(Table::in_memory("E", padded_schema(), 1))
+        .unwrap();
+    let mut sw = StreamingWarehouse::create(&dir, w, 0).unwrap();
+    assert_eq!(sw.warehouse().segment_count("E"), 1, "the seal writes E");
+    assert_eq!(tbl_files(&dir, "E"), vec![("E.tbl".to_string(), 0)]);
+
+    sw.register(Table::in_memory("N", padded_schema(), 1))
+        .unwrap();
+    let rows: Vec<Tuple> = (0..6).map(padded_tuple).collect();
+    sw.insert_batch("S", &rows).unwrap();
+    sw.flush().unwrap();
+    assert_eq!(sw.warehouse().segment_count("N"), 0, "a flush writes no N");
+    assert_eq!(tbl_files(&dir, "N"), vec![]);
+    assert_eq!(tbl_files(&dir, "E"), vec![("E.tbl".to_string(), 0)]);
+
+    let epoch = sw.compact().unwrap().epoch;
+    for name in ["E", "N"] {
+        assert_eq!(sw.warehouse().segment_count(name), 1, "{name}");
+        assert_eq!(
+            tbl_files(&dir, name),
+            vec![(format!("{name}.e{epoch}.tbl"), 0)],
+            "a compaction writes a zero-page {name}"
+        );
+    }
+    drop(sw);
+    let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    let count = AggregateQuery {
+        pred: BucketPred::And(Vec::new()),
+        group_by: vec![],
+        specs: vec![AggSpec::CountStar],
+    };
+    for name in ["E", "N"] {
+        let got = sw.query(name, count.clone()).unwrap();
+        assert_eq!(got.rows, vec![vec![Value::Int(0)]], "{name}");
+    }
+    let got = sw.query("S", small_query(i64::MAX)).unwrap();
+    assert_eq!(got.rows, bulk_reference(&rows, i64::MAX));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1014,54 +1014,108 @@ fn failed_sync_burns_its_sequence_number() {
     }
 }
 
+fn count_star() -> AggregateQuery {
+    AggregateQuery {
+        pred: BucketPred::And(Vec::new()),
+        group_by: vec![],
+        specs: vec![AggSpec::CountStar],
+    }
+}
+
 /// The same storm end to end through the real log file: the WAL lives on
 /// a seeded sync-faulting wrapper over the `ingest.swal` file, the process
 /// "dies" (drop), and `open_with_recovery` must hold exactly the acked
 /// rows — a failed insert stays failed even though later syncs succeeded.
+/// Threshold 0 never flushes; thresholds 2, 4 and 8 put flushes, and the
+/// WAL truncations the storm also hits, between the inserts.
 #[test]
 fn failed_inserts_stay_gone_after_a_restart() {
-    for seed in seeds() {
-        let dir = scratch_path(&format!("ingest-syncstorm-restart-{seed}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = FaultPlan::new(
-            FileStore::create(dir.join(WAL_FILE)).unwrap(),
-            FaultConfig::seeded(seed).with_sync_faults(30),
-        );
-        let Ok(mut sw) =
-            StreamingWarehouse::create_with_wal_store(&dir, small_warehouse(), 0, store)
-        else {
-            // The device failed the WAL's very first fsync. Legal.
-            std::fs::remove_dir_all(&dir).unwrap();
-            continue;
-        };
-        let mut acked: Vec<Tuple> = Vec::new();
-        let mut failed = 0usize;
-        for i in 0..60 {
-            match sw.insert("S", &small_tuple(i)) {
-                Ok(_) => acked.push(small_tuple(i)),
-                Err(_) => failed += 1,
+    for threshold in [0, 2, 4, 8] {
+        for seed in seeds() {
+            let dir = scratch_path(&format!("ingest-syncstorm-restart-{threshold}-{seed}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let store = FaultPlan::new(
+                FileStore::create(dir.join(WAL_FILE)).unwrap(),
+                FaultConfig::seeded(seed).with_sync_faults(30),
+            );
+            let Ok(mut sw) = StreamingWarehouse::create_with_wal_store(
+                &dir,
+                small_warehouse(),
+                threshold,
+                store,
+            ) else {
+                // The device failed the WAL's very first fsync. Legal.
+                std::fs::remove_dir_all(&dir).unwrap();
+                continue;
+            };
+            let mut acked: Vec<Tuple> = Vec::new();
+            let mut failed = 0usize;
+            for i in 0..60 {
+                match sw.insert("S", &small_tuple(i)) {
+                    Ok(_) => acked.push(small_tuple(i)),
+                    Err(_) => failed += 1,
+                }
             }
-        }
-        assert!(failed > 0, "seed {seed}: 30% over 60 draws must fire");
-        assert!(!acked.is_empty(), "seed {seed}: some syncs must land");
-        drop(sw); // the crash
+            let tag = format!("threshold {threshold}, seed {seed}");
+            assert!(failed > 0, "{tag}: 30% over 60 draws must fire");
+            assert!(!acked.is_empty(), "{tag}: some syncs must land");
+            drop(sw); // the crash
 
-        let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
-        assert_eq!(report.replayed, acked.len(), "seed {seed}: {report:?}");
-        let count = AggregateQuery {
-            pred: BucketPred::And(Vec::new()),
-            group_by: vec![],
-            specs: vec![AggSpec::CountStar],
-        };
-        assert_eq!(
-            sw.query("S", count).unwrap().rows,
-            vec![vec![Value::Int(acked.len() as i64)]],
-            "seed {seed}: count(*) after the restart equals the acked rows"
-        );
-        let got = sw.query("S", small_query(i64::MAX)).unwrap();
-        assert_eq!(got.rows, bulk_reference(&acked, i64::MAX), "seed {seed}");
-        std::fs::remove_dir_all(&dir).unwrap();
+            let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
+            if threshold == 0 {
+                assert_eq!(report.replayed, acked.len(), "{tag}: {report:?}");
+            }
+            assert_eq!(
+                sw.query("S", count_star()).unwrap().rows,
+                vec![vec![Value::Int(acked.len() as i64)]],
+                "{tag}: count(*) after the restart equals the acked rows"
+            );
+            let got = sw.query("S", small_query(i64::MAX)).unwrap();
+            assert_eq!(got.rows, bulk_reference(&acked, i64::MAX), "{tag}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
+}
+
+/// Regression: a flush whose WAL truncation fails its sync must not lose
+/// the row acked next. The new-epoch header may already sit in the file,
+/// and that insert's good sync makes it durable; a frame appended under
+/// the old epoch behind it would end replay. The log's syncs go: create
+/// ok, insert ok, the truncation FAILS, insert ok.
+#[test]
+fn a_failed_wal_truncation_loses_no_later_acked_row() {
+    let config = (0..)
+        .map(|seed| FaultConfig::seeded(seed).with_sync_faults(50))
+        .find(|c| {
+            let p = FaultPlan::new(CrashStore::new(), *c);
+            (0..4)
+                .map(|i| p.sync_fails_at(i))
+                .eq([false, false, true, false])
+        })
+        .unwrap();
+    let dir = scratch_path("ingest-failed-truncate");
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = FaultPlan::new(FileStore::create(dir.join(WAL_FILE)).unwrap(), config);
+    let mut sw =
+        StreamingWarehouse::create_with_wal_store(&dir, small_warehouse(), 0, store).unwrap();
+    assert_eq!(sw.insert("S", &small_tuple(0)).unwrap(), 1);
+    let err = sw.flush().unwrap_err();
+    assert!(matches!(err, IngestError::Wal(_)), "{err}");
+    assert_eq!(sw.insert("S", &small_tuple(1)).unwrap(), 2);
+    let two = vec![vec![Value::Int(2)]];
+    assert_eq!(sw.query("S", count_star()).unwrap().rows, two);
+    drop(sw); // the crash
+
+    let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
+    assert_eq!(
+        report.replayed, 1,
+        "the row acked after the failure: {report:?}"
+    );
+    assert_eq!(sw.query("S", count_star()).unwrap().rows, two);
+    let both = [small_tuple(0), small_tuple(1)];
+    let got = sw.query("S", small_query(i64::MAX)).unwrap();
+    assert_eq!(got.rows, bulk_reference(&both, i64::MAX));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Auto-flush by threshold: inserts trigger flushes on their own, epochs
