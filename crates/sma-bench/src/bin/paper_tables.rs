@@ -27,7 +27,10 @@
 use std::time::Instant;
 
 use sma_bench::harness::{black_box, fmt_ns};
-use sma_bench::{bench_scale_factor, bench_table, dial_ambivalence, q1, q1_smas};
+use sma_bench::{
+    append_run, bench_scale_factor, bench_table, command_line, dial_ambivalence, git_revision, q1,
+    q1_smas,
+};
 use sma_core::{
     col, AggFn, BucketPred, Classification, CmpOp, Grade, Sma, SmaDefinition, SmaSet, LEVEL2_FANOUT,
 };
@@ -220,51 +223,6 @@ fn e10_scan_kernels() {
         Ok(()) => println!("  appended run to {path}"),
         Err(e) => println!("  could not write {path}: {e}"),
     }
-}
-
-/// One line of a helper command's stdout, or `"unknown"` when the
-/// command is unavailable or fails — bench runs must not depend on the
-/// host having `git` or `date`.
-fn command_line(cmd: &str, args: &[&str]) -> String {
-    std::process::Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// The checkout's `git describe --always --dirty`, which tags each
-/// appended run.
-fn git_revision() -> String {
-    command_line(
-        "git",
-        &[
-            "-C",
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../.."),
-            "describe",
-            "--always",
-            "--dirty",
-        ],
-    )
-}
-
-/// Appends `run` to the `runs` array of the benchmark file at `path`,
-/// preserving every earlier run. A missing file (or one in a format
-/// without a `runs` array) starts a fresh history with this run only.
-fn append_run(path: &str, experiment: &str, run: &str) -> std::io::Result<()> {
-    const TAIL: &str = "\n  ]\n}";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let json = match existing.rfind(TAIL) {
-        Some(cut) if existing.contains("\"runs\": [") => {
-            format!("{},\n{}{}\n", &existing[..cut], run, TAIL)
-        }
-        _ => format!("{{\n  \"experiment\": \"{experiment}\",\n  \"runs\": [\n{run}{TAIL}\n"),
-    };
-    std::fs::write(path, json)
 }
 
 /// E9 — degraded-path overhead (not in the paper): Query 1 through

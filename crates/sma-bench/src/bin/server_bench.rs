@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Two experiments over one warehouse served by the in-process TCP
-//! server, writing `BENCH_server.json` at the repo root:
+//! server, appending one dated run (date, git revision, core count) to
+//! `BENCH_server.json` at the repo root:
 //!
 //! * **Latency matrix** — closed-loop clients at 1/8/64 connections,
 //!   each issuing the same SMA-prunable point aggregate; reports QPS
@@ -25,6 +26,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use sma_bench::{append_run, command_line, git_revision};
 use sma_server::proto::Status;
 use sma_server::{Client, Server, ServerConfig, ServerHandle};
 use smadb::ingest::StreamingWarehouse;
@@ -246,32 +248,36 @@ fn main() {
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
-    // --- JSON artifact of record. ---
+    // --- JSON artifact of record: one more run in the history. ---
     let mut rows_json = String::new();
     for l in &matrix {
         if !rows_json.is_empty() {
             rows_json.push_str(",\n");
         }
         rows_json.push_str(&format!(
-            "    {{\"clients\": {}, \"requests\": {}, \"qps\": {:.0}, \
+            "        {{\"clients\": {}, \"requests\": {}, \"qps\": {:.0}, \
              \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
             l.clients, l.requests, l.qps, l.p50_us, l.p99_us
         ));
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"server\",\n  \"rows\": {ROWS},\n  \
-         \"point_query\": \"{POINT_QUERY}\",\n  \
-         \"latency_matrix\": [\n{rows_json}\n  ],\n  \
-         \"overload\": {{\n    \"page_budget\": {page_budget},\n    \
-         \"baseline_point_p99_us\": {baseline_p99_us:.1},\n    \
-         \"contended_point_p99_us\": {contended_p99_us:.1},\n    \
-         \"p99_ratio\": {ratio:.2},\n    \
-         \"heavy_scans_refused\": {refused},\n    \
-         \"heavy_scans_served\": {served}\n  }}\n}}\n"
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let run = format!(
+        "    {{\n      \"date\": \"{}\",\n      \"git\": \"{}\",\n      \
+         \"nproc\": {nproc},\n      \"rows\": {ROWS},\n      \
+         \"point_query\": \"{POINT_QUERY}\",\n      \
+         \"latency_matrix\": [\n{rows_json}\n      ],\n      \
+         \"overload\": {{\n        \"page_budget\": {page_budget},\n        \
+         \"baseline_point_p99_us\": {baseline_p99_us:.1},\n        \
+         \"contended_point_p99_us\": {contended_p99_us:.1},\n        \
+         \"p99_ratio\": {ratio:.2},\n        \
+         \"heavy_scans_refused\": {refused},\n        \
+         \"heavy_scans_served\": {served}\n      }}\n    }}",
+        command_line("date", &["+%F"]),
+        git_revision(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
-    match std::fs::write(path, json) {
-        Ok(()) => println!("\nwrote {path}"),
+    match append_run(path, "server", &run) {
+        Ok(()) => println!("\nappended run to {path}"),
         Err(e) => println!("\ncould not write {path}: {e}"),
     }
 }

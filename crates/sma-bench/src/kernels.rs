@@ -84,7 +84,7 @@ pub fn scan_kernel_fixture() -> ScanKernelFixture {
     );
     let columnar_smas = q1_smas(&columnar);
     let ambivalent_block = columnar
-        .columnar_bucket(ambivalent_bucket)
+        .columnar_bucket(ambivalent_bucket, None)
         .expect("read block")
         .expect("bucket converted above");
     for b in 0..columnar.bucket_count() {
@@ -120,7 +120,7 @@ impl ScanKernelFixture {
     pub fn filter_bucket_zero_copy(&self) -> usize {
         let mut n = 0usize;
         self.table
-            .for_each_in_bucket::<TableError, _>(self.ambivalent_bucket, |_, image| {
+            .for_each_in_bucket::<TableError, _>(self.ambivalent_bucket, None, |_, image| {
                 let row = self.layout.view(image)?;
                 if self.query.pred.eval_view(&row).map_err(TableError::from)? {
                     n += 1;

@@ -39,6 +39,51 @@ pub fn q1_smas(table: &Table) -> SmaSet {
     SmaSet::build_query1_set(table).expect("LINEITEM-shaped table")
 }
 
+/// One line of a helper command's stdout, or `"unknown"` when the
+/// command is unavailable or fails — bench runs must not depend on the
+/// host having `git` or `date`.
+pub fn command_line(cmd: &str, args: &[&str]) -> String {
+    std::process::Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The checkout's `git describe --always --dirty`, which tags each
+/// appended run.
+pub fn git_revision() -> String {
+    command_line(
+        "git",
+        &[
+            "-C",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../.."),
+            "describe",
+            "--always",
+            "--dirty",
+        ],
+    )
+}
+
+/// Appends `run` to the `runs` array of the benchmark file at `path`,
+/// preserving every earlier run. A missing file (or one in a format
+/// without a `runs` array) starts a fresh history with this run only.
+pub fn append_run(path: &str, experiment: &str, run: &str) -> std::io::Result<()> {
+    const TAIL: &str = "\n  ]\n}";
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    let json = match existing.rfind(TAIL) {
+        Some(cut) if existing.contains("\"runs\": [") => {
+            format!("{},\n{}{}\n", &existing[..cut], run, TAIL)
+        }
+        _ => format!("{{\n  \"experiment\": \"{experiment}\",\n  \"runs\": [\n{run}{TAIL}\n"),
+    };
+    std::fs::write(path, json)
+}
+
 /// Runs Query 1 with the given SMA set (or none) at `delta = 90`.
 pub fn q1(table: &Table, smas: Option<&SmaSet>, cold: bool) -> Q1Execution {
     run_query1(
@@ -116,6 +161,31 @@ mod tests {
     use super::*;
     use sma_core::{BucketPred, Classification, CmpOp};
     use sma_exec::cutoff;
+
+    /// A history file keeps every run: each append adds one after the
+    /// last, nested arrays inside a run included; a file without a `runs`
+    /// array starts a fresh history.
+    #[test]
+    fn append_run_keeps_every_earlier_run() {
+        let path = sma_storage::test_util::scratch_path("append_run");
+        let path = path.to_str().expect("utf-8 scratch path");
+        std::fs::write(path, "{\"experiment\": \"x\", \"old\": 1}\n").expect("write");
+        let run = |n: u32| {
+            format!("    {{\n      \"n\": {n},\n      \"xs\": [\n        {n}\n      ]\n    }}")
+        };
+        for n in 0..3 {
+            append_run(path, "x", &run(n)).expect("append");
+        }
+        let json = std::fs::read_to_string(path).expect("read");
+        std::fs::remove_file(path).ok();
+        let expected = format!(
+            "{{\n  \"experiment\": \"x\",\n  \"runs\": [\n{},\n{},\n{}\n  ]\n}}\n",
+            run(0),
+            run(1),
+            run(2)
+        );
+        assert_eq!(json, expected);
+    }
 
     #[test]
     fn dial_hits_the_requested_fraction() {

@@ -369,7 +369,7 @@ impl Sma {
             file.set(bucket, def_entry.clone());
         }
         self.null_seen[bucket as usize] = false;
-        if let Some(block) = table.columnar_bucket(bucket)? {
+        if let Some(block) = table.columnar_bucket(bucket, None)? {
             // Columnwise: only the referenced columns are decoded.
             fill_bucket_from_block(self, bucket, &block)?;
         } else {
@@ -424,7 +424,7 @@ pub fn build_many(table: &Table, defs: Vec<SmaDefinition>) -> Result<Vec<Sma>, S
     let n_buckets = table.bucket_count();
     let mut rows = Vec::new();
     for bucket in 0..n_buckets {
-        if let Some(block) = table.columnar_bucket(bucket)? {
+        if let Some(block) = table.columnar_bucket(bucket, None)? {
             // Columnwise: accumulate straight off the column arrays.
             for sma in &mut smas {
                 fill_bucket_from_block(sma, bucket, &block)?;
@@ -481,7 +481,7 @@ pub fn build_many_parallel(
                     .collect();
                 let mut rows = Vec::new();
                 for bucket in start..end {
-                    if let Some(block) = table.columnar_bucket(bucket)? {
+                    if let Some(block) = table.columnar_bucket(bucket, None)? {
                         // Columnwise twin of the row loop below.
                         for (def, (groups, nulls)) in defs.iter().zip(&mut partial) {
                             let (accs, null_seen) = block_bucket_accs(def, &block)?;

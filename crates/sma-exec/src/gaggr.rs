@@ -560,7 +560,7 @@ mod tests {
         let layout = RowLayout::new(&schema);
         let mut dense = DenseGroups::try_new(&schema, &[0, 1]).unwrap();
         for page in 0..t.page_count() {
-            t.for_each_on_page::<ExecError, _>(page, |_, image| {
+            t.for_each_on_page::<ExecError, _>(page, None, |_, image| {
                 dense.update(&specs, &layout.view(image)?)
             })
             .unwrap();

@@ -151,7 +151,7 @@ impl<'a> SmaScan<'a> {
                 for page in self.table.bucket_range(bucket) {
                     self.table.scan_page_into(page, &mut self.buffer)?;
                 }
-            } else if let Some(block) = self.table.columnar_bucket(bucket)? {
+            } else if let Some(block) = self.table.columnar_bucket(bucket, None)? {
                 // Ambivalent, columnar layout: the batch kernels evaluate
                 // the predicate over the column arrays and only survivors
                 // are materialized. Decoding the block reads the bucket's
@@ -183,7 +183,7 @@ impl<'a> SmaScan<'a> {
                 let layout = &self.layout;
                 let pred = &self.pred;
                 let buffer = &mut self.buffer;
-                table.for_each_in_bucket::<ExecError, _>(bucket, |tid, image| {
+                table.for_each_in_bucket::<ExecError, _>(bucket, None, |tid, image| {
                     let row = layout.view(image)?;
                     if pred.eval_view(&row)? {
                         buffer.push((tid, row.materialize()?));

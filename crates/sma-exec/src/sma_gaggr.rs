@@ -20,13 +20,19 @@
 //! The full scan is the same loop with no SMAs, so every bucket is
 //! ambivalent. The planner takes the loop's unfinished group states, folds
 //! the memtable overlay into them, and finishes them once.
+//!
+//! A loop that will read more pages than the buffer pool holds gives each
+//! morsel worker a [`PrivateFrame`] of its own, the paper's
+//! intra-transaction buffer (§2.4): once the pool is full, its misses go
+//! through that frame and evict nothing, so the scan leaves the pool's
+//! resident pages for the next query instead of cycling it.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 use sma_core::{BucketPred, Classification, Grade, Sma, SmaSet, LEVEL2_FANOUT};
-use sma_storage::QueryBudget;
+use sma_storage::{PrivateFrame, QueryBudget};
 use sma_types::{RowLayout, Tuple, Value};
 
 use crate::colkernel::{aggregate_block, filter_block};
@@ -334,12 +340,16 @@ impl<'a> SmaGAggr<'a> {
     /// trusted (quarantined) or do not add up (inconsistent) are demoted
     /// to base-table reads — the base table is the ground truth, so the
     /// answer stays exact and only the fast path is lost. Pure with
-    /// respect to `self`, so morsels run on worker threads.
+    /// respect to `self`, so morsels run on worker threads. With
+    /// `private`, the morsel reads its base pages through a frame of its
+    /// own (see the module doc).
     fn process_buckets(
         &self,
         range: Range<u32>,
         grades: &[Grade],
+        private: bool,
     ) -> Result<(ScanCounters, Groups), ExecError> {
+        let mut frame = private.then(PrivateFrame::new);
         let mut counters = ScanCounters::default();
         let mut groups = Groups::new();
         // All-`Char` group keys (the Q1 shape) accumulate in a flat
@@ -377,14 +387,14 @@ impl<'a> SmaGAggr<'a> {
                     if s.aggregate_entries_quarantined(bucket) {
                         counters.ambivalent += 1;
                         counters.degradation.note_quarantined(bucket);
-                        self.aggregate_bucket(bucket, &mut groups, &mut dense)?;
+                        self.aggregate_bucket(bucket, frame.as_mut(), &mut groups, &mut dense)?;
                     } else if s.count_covers_aggregates(bucket, &mut covered) {
                         counters.qualified += 1;
                         s.merge_entries(0, bucket, &mut slots);
                     } else {
                         counters.ambivalent += 1;
                         counters.degradation.note_inconsistent(bucket);
-                        self.aggregate_bucket(bucket, &mut groups, &mut dense)?;
+                        self.aggregate_bucket(bucket, frame.as_mut(), &mut groups, &mut dense)?;
                     }
                 }
                 (_, smas) => {
@@ -394,7 +404,7 @@ impl<'a> SmaGAggr<'a> {
                     if smas.is_some_and(|s| s.set.is_bucket_quarantined(bucket)) {
                         counters.degradation.note_quarantined(bucket);
                     }
-                    self.aggregate_bucket(bucket, &mut groups, &mut dense)?;
+                    self.aggregate_bucket(bucket, frame.as_mut(), &mut groups, &mut dense)?;
                 }
             }
             bucket += 1;
@@ -415,13 +425,14 @@ impl<'a> SmaGAggr<'a> {
     fn aggregate_bucket(
         &self,
         bucket: u32,
+        mut frame: Option<&mut PrivateFrame>,
         groups: &mut Groups,
         dense: &mut Option<DenseGroups>,
     ) -> Result<(), ExecError> {
         if let Some(b) = self.budget {
             b.charge(self.table.bucket_range(bucket).len() as u64)?;
         }
-        if let Some(block) = self.table.columnar_bucket(bucket)? {
+        if let Some(block) = self.table.columnar_bucket(bucket, frame.as_deref_mut())? {
             // Columnar layout: the batch kernels filter over the column
             // arrays and fold only the survivors, touching only the
             // columns the predicate and aggregates reference. Decoding
@@ -430,7 +441,7 @@ impl<'a> SmaGAggr<'a> {
             return aggregate_block(&block, &sel, &self.group_by, &self.specs, groups, dense);
         }
         self.table
-            .for_each_in_bucket::<ExecError, _>(bucket, |_, image| {
+            .for_each_in_bucket::<ExecError, _>(bucket, frame, |_, image| {
                 let row = self.layout.view(image)?;
                 if !self.pred.eval_view(&row)? {
                     return Ok(());
@@ -481,9 +492,15 @@ impl<'a> SmaGAggr<'a> {
                 grades.len()
             )));
         }
+        // The pages the loop reads: every ambivalent bucket's (with no SMA,
+        // every bucket's). More than the pool holds, and the workers read
+        // past a full pool through frames of their own.
+        let ambivalent = grades.iter().filter(|&&g| g == Grade::Ambivalent).count();
+        let pages = ambivalent as u64 * u64::from(self.table.bucket_pages());
+        let private = pages > self.table.pool_capacity() as u64;
         let shared: &SmaGAggr<'_> = &*self;
         let partials = run_morsels(n_buckets, self.parallelism.get(), |r| {
-            shared.process_buckets(r, grades)
+            shared.process_buckets(r, grades, private)
         })?;
         let mut counters = ScanCounters::default();
         let mut groups = Groups::new();
@@ -1134,6 +1151,95 @@ mod tests {
             .unwrap()
             .with_grades(&short.grades);
         assert!(matches!(op.open(), Err(ExecError::Plan(_))));
+    }
+
+    /// Over a LINEITEM table about twice its pool, a full scan reads the
+    /// misses past the full pool through its workers' own frames. From
+    /// the second scan on, the pool keeps the pages it holds, so each scan
+    /// reads exactly `page_count - capacity` pages physically (cycling an
+    /// LRU pool reads all of them again), with identical rows at every
+    /// worker count. A page cap still stops the scan before the bucket
+    /// whose charge trips, and an SMA plan whose reads fit the pool still
+    /// warms it.
+    #[test]
+    fn scans_larger_than_the_pool_keep_its_pages() {
+        use crate::query1::{cutoff, query1_query};
+        use sma_storage::BudgetExceeded;
+        use sma_tpcd::{generate_lineitem_table, Clustering, GenConfig};
+        let t = generate_lineitem_table(&GenConfig {
+            orders: 3_000,
+            pool_pages: 200,
+            ..GenConfig::tiny(Clustering::SortedByShipdate)
+        });
+        let (pages, capacity) = (u64::from(t.page_count()), t.pool_capacity() as u64);
+        assert!((380..=420).contains(&pages), "{pages} pages");
+        let q = query1_query(&t, cutoff(90)).unwrap();
+        let scan = |threads: usize| {
+            SmaGAggr::full_scan(&t, q.pred.clone(), q.group_by.clone(), q.specs.clone())
+                .with_parallelism(Parallelism::new(threads))
+        };
+        let mut expected: Option<Vec<Tuple>> = None;
+        for threads in [1, 2, 8] {
+            t.make_cold().unwrap();
+            for pass in 0..3 {
+                t.reset_io_stats();
+                let rows = collect(&mut scan(threads)).unwrap();
+                let io = t.io_stats();
+                let ctx = format!("{threads} threads, pass {pass}");
+                assert_eq!(io.logical_reads, pages, "{ctx}");
+                let physical = if pass == 0 { pages } else { pages - capacity };
+                assert_eq!(io.physical_reads, physical, "{ctx}");
+                assert_eq!(io.physical_writes, 0, "{ctx}");
+                match &expected {
+                    Some(e) => assert_eq!(&rows, e, "{ctx}"),
+                    None => expected = Some(rows),
+                }
+            }
+        }
+        // A page cap stops the scan before the bucket whose charge trips:
+        // serially the scan reads exactly the capped pages, in parallel
+        // no more.
+        let cap = pages / 2;
+        for threads in [1, 2, 8] {
+            let budget = QueryBudget::unbounded().with_page_cap(cap);
+            t.reset_io_stats();
+            let err = scan(threads).with_budget(&budget).aggregate().unwrap_err();
+            assert!(
+                matches!(err, ExecError::Budget(BudgetExceeded::Pages { .. })),
+                "{threads} threads: {err}"
+            );
+            let read = t.io_stats().logical_reads;
+            assert!(read <= cap, "{threads} threads read {read} pages");
+            if threads == 1 {
+                assert_eq!(read, cap);
+            }
+        }
+        // A serial scan from cold leaves the lowest pages resident; the Q1
+        // plan's ambivalent bucket sits near the end of the ship-date
+        // order, so its first run misses and installs, and its second
+        // reads nothing.
+        let smas = SmaSet::build_query1_set(&t).unwrap();
+        t.make_cold().unwrap();
+        collect(&mut scan(1)).unwrap();
+        let run = || {
+            let mut op = SmaGAggr::new(
+                &t,
+                q.pred.clone(),
+                q.group_by.clone(),
+                q.specs.clone(),
+                &smas,
+            )
+            .unwrap()
+            .with_parallelism(Parallelism::serial());
+            t.reset_io_stats();
+            let rows = collect(&mut op).unwrap();
+            assert!(op.counters().ambivalent > 0);
+            (rows, t.io_stats().physical_reads)
+        };
+        let (rows, first) = run();
+        assert_eq!(Some(&rows), expected.as_ref());
+        assert!(first > 0, "the ambivalent pages were not resident");
+        assert_eq!(run(), (rows, 0), "the second run reads nothing");
     }
 
     #[test]

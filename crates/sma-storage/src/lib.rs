@@ -56,7 +56,7 @@ pub use columnar::{ColumnarError, CHUNK_CAPACITY};
 pub use cost::{CostModel, Stopwatch};
 pub use memtable::{MemRow, Memtable};
 pub use page::{SlotId, SlottedPage, MAX_TUPLE_BYTES, PAGE_FOOTER_LEN, PAGE_SIZE};
-pub use pool::{BufferPool, IoStats, RetryPolicy};
+pub use pool::{BufferPool, IoStats, PrivateFrame, RetryPolicy};
 pub use segment::SegmentedStore;
 pub use store::{atomic_write_file, sync_dir, FileStore, MemStore, PageNo, PageStore, StoreError};
 pub use table::{BucketNo, PageVerification, Table, TableError, TupleId};

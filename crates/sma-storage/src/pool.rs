@@ -9,6 +9,12 @@
 //! page the same thread last read from this pool) or random, which feeds
 //! the deterministic cost model in [`crate::cost`].
 //!
+//! The intra-transaction buffer is the private-frame read,
+//! [`BufferPool::with_page_private`]: a scan larger than the pool reads a
+//! miss on a full shard into a [`PrivateFrame`] its worker owns instead of
+//! evicting a shared page, so the scan cannot flush the pages other
+//! queries share.
+//!
 //! The pool is also the durability checkpoint: every write-back stamps the
 //! page's checksum footer ([`crate::page::stamp_page`]) and every physical
 //! read verifies it, so torn writes and bit flips surface as
@@ -270,17 +276,50 @@ struct Frame {
 }
 
 /// One lock stripe: an independent frame table with its own LRU clock.
-#[derive(Default)]
 struct Shard {
     frames: Vec<Frame>,
     map: HashMap<PageNo, usize>,
     clock: u64,
+    /// Frames this stripe may hold; the stripes' capacities sum to the
+    /// pool's.
+    capacity: usize,
 }
 
 impl Shard {
+    fn new(capacity: usize) -> Shard {
+        Shard {
+            frames: Vec::new(),
+            map: HashMap::new(),
+            clock: 0,
+            capacity,
+        }
+    }
+
     fn bump_clock(&mut self) -> u64 {
         self.clock += 1;
         self.clock
+    }
+
+    fn is_full(&self) -> bool {
+        self.frames.len() >= self.capacity
+    }
+}
+
+/// A page-sized buffer owned by one reader: where
+/// [`BufferPool::with_page_private`] puts a page it does not install.
+/// Reused from page to page, so a scan of any length needs only this one.
+pub struct PrivateFrame(Box<[u8; PAGE_SIZE]>);
+
+impl PrivateFrame {
+    /// A zeroed frame.
+    pub fn new() -> PrivateFrame {
+        PrivateFrame(Box::new([0u8; PAGE_SIZE]))
+    }
+}
+
+impl Default for PrivateFrame {
+    fn default() -> PrivateFrame {
+        PrivateFrame::new()
     }
 }
 
@@ -293,7 +332,6 @@ impl Shard {
 /// threads.
 pub struct BufferPool {
     capacity: usize,
-    shard_capacity: usize,
     shards: Vec<Mutex<Shard>>,
     store: RwLock<Box<dyn PageStore>>,
     stats: AtomicIoStats,
@@ -315,15 +353,16 @@ impl BufferPool {
     /// Creates a pool over `store` holding at most `capacity` pages.
     ///
     /// The paper's configuration (8 MB buffer, 4 KiB pages) corresponds to
-    /// `capacity = 2048`.
+    /// `capacity = 2048`. The capacity is split exactly over the shards:
+    /// the first `capacity % n_shards` take one frame more than the rest.
     pub fn new(store: Box<dyn PageStore>, capacity: usize) -> BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         let n_shards = (capacity / MIN_FRAMES_PER_SHARD).clamp(1, MAX_SHARDS);
+        let (base, extra) = (capacity / n_shards, capacity % n_shards);
         BufferPool {
             capacity,
-            shard_capacity: capacity.div_ceil(n_shards),
             shards: (0..n_shards)
-                .map(|_| Mutex::new(Shard::default()))
+                .map(|i| Mutex::new(Shard::new(base + usize::from(i < extra))))
                 .collect(),
             store: RwLock::new(store),
             stats: AtomicIoStats::default(),
@@ -378,6 +417,41 @@ impl BufferPool {
         let mut shard = lock_shard(self.shard_for(no));
         let idx = self.fetch(&mut shard, no)?;
         Ok(f(&shard.frames[idx].data))
+    }
+
+    /// Runs `f` over the bytes of page `no` for a scan larger than the
+    /// pool, without evicting anything.
+    ///
+    /// A resident page is a hit, and a miss while the page's shard has a
+    /// free frame installs the page, both as in [`BufferPool::with_page`].
+    /// A miss on a full shard reads the page into `frame` and installs
+    /// nothing. That read is retried, verified and counted like any other
+    /// miss: one logical and one physical read, sequential or random by
+    /// the same rule. The shard stays locked from the residency check
+    /// through the store read, so the page cannot become resident in
+    /// between; `f` runs after the lock is released.
+    pub fn with_page_private<R>(
+        &self,
+        no: PageNo,
+        frame: &mut PrivateFrame,
+        f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
+    ) -> Result<R, StoreError> {
+        let mut shard = lock_shard(self.shard_for(no));
+        let idx = match self.hit(&mut shard, no) {
+            Some(idx) => idx,
+            None if !shard.is_full() => self.install_miss(&mut shard, no)?,
+            None => {
+                self.read_miss(no, &mut frame.0)?;
+                drop(shard);
+                return Ok(f(&frame.0));
+            }
+        };
+        Ok(f(&shard.frames[idx].data))
+    }
+
+    /// Whether page `no` is resident. Moves no counter and no LRU clock.
+    pub fn is_resident(&self, no: PageNo) -> bool {
+        lock_shard(self.shard_for(no)).map.contains_key(&no)
     }
 
     /// Runs `f` over the bytes of page `no`, marking it dirty.
@@ -545,25 +619,46 @@ impl BufferPool {
         }
     }
 
-    /// Returns the frame index of page `no` in `shard`, reading it from
-    /// the store on a miss.
+    /// Reads page `no` from the store into `buf` on a miss: retried under
+    /// the [`RetryPolicy`], checksum-verified, then counted as one logical
+    /// and one physical read.
     ///
     /// Accounting happens only after the read and checksum verification
     /// succeed: a failed read produced no page, so it must not move the
     /// physical counters or the sequential-read tracker (the cost model
     /// would otherwise drift under fault injection).
-    fn fetch(&self, shard: &mut Shard, no: PageNo) -> Result<usize, StoreError> {
-        if let Some(&idx) = shard.map.get(&no) {
-            self.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
-            let clock = shard.bump_clock();
-            shard.frames[idx].last_used = clock;
-            return Ok(idx);
-        }
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        self.read_page_with_retry(no, &mut data[..])?;
-        verify_page(&data).map_err(|detail| StoreError::Corrupt { page: no, detail })?;
+    fn read_miss(&self, no: PageNo, buf: &mut [u8; PAGE_SIZE]) -> Result<(), StoreError> {
+        self.read_page_with_retry(no, &mut buf[..])?;
+        verify_page(buf).map_err(|detail| StoreError::Corrupt { page: no, detail })?;
         self.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
         self.note_physical_read(no);
+        Ok(())
+    }
+
+    /// Returns the frame index of page `no` in `shard`, reading it from
+    /// the store and installing it on a miss.
+    fn fetch(&self, shard: &mut Shard, no: PageNo) -> Result<usize, StoreError> {
+        match self.hit(shard, no) {
+            Some(idx) => Ok(idx),
+            None => self.install_miss(shard, no),
+        }
+    }
+
+    /// The frame index of page `no` if it is resident in `shard`, counted
+    /// as a hit and made most recently used.
+    fn hit(&self, shard: &mut Shard, no: PageNo) -> Option<usize> {
+        let idx = *shard.map.get(&no)?;
+        self.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+        let clock = shard.bump_clock();
+        shard.frames[idx].last_used = clock;
+        Some(idx)
+    }
+
+    /// Reads page `no` from the store and installs it into `shard`,
+    /// returning its frame index.
+    fn install_miss(&self, shard: &mut Shard, no: PageNo) -> Result<usize, StoreError> {
+        let mut data = Box::new([0u8; PAGE_SIZE]);
+        self.read_miss(no, &mut data)?;
         let clock = shard.bump_clock();
         self.install(
             shard,
@@ -579,7 +674,7 @@ impl BufferPool {
     /// Installs `frame` into `shard`, evicting its LRU victim if the shard
     /// is at capacity.
     fn install(&self, shard: &mut Shard, frame: Frame) -> Result<usize, StoreError> {
-        if shard.frames.len() < self.shard_capacity {
+        if !shard.is_full() {
             let idx = shard.frames.len();
             shard.map.insert(frame.page_no, idx);
             shard.frames.push(frame);
@@ -907,9 +1002,182 @@ mod tests {
         assert_eq!(pool(128, 0).shard_count(), 2);
         assert_eq!(pool(2048, 0).shard_count(), 16, "paper's 8 MB pool");
         assert_eq!(pool(1 << 20, 0).shard_count(), MAX_SHARDS);
-        // Striped capacity still covers the configured total.
-        let p = pool(2048, 0);
-        assert!(p.shard_capacity * p.shard_count() >= p.capacity());
+        // Striped capacity is exactly the configured total.
+        for capacity in [2048, 1000, 200] {
+            let p = pool(capacity, 0);
+            let striped: usize = p.shards.iter().map(|s| lock_shard(s).capacity).sum();
+            assert_eq!(striped, p.capacity(), "capacity {capacity}");
+        }
+    }
+
+    /// After a pass over twice as many pages as it holds, a pool holds
+    /// exactly `capacity` pages, also when the capacity does not divide
+    /// over the shards. A reverse pass then hits each resident page
+    /// before its shard's first miss evicts one.
+    #[test]
+    fn pool_holds_exactly_its_capacity() {
+        for capacity in [1usize, 63, 130, 200, 1000, 2048] {
+            let pages = 2 * capacity as u32;
+            let p = pool(capacity, pages);
+            for no in 0..pages {
+                p.with_page(no, |_| ()).unwrap();
+            }
+            let resident = (0..pages).filter(|&no| p.is_resident(no)).count();
+            assert_eq!(resident, capacity, "capacity {capacity}");
+            p.reset_stats();
+            for no in (0..pages).rev() {
+                p.with_page(no, |_| ()).unwrap();
+            }
+            let s = p.stats();
+            let hits = s.logical_reads - s.physical_reads;
+            assert_eq!(hits, capacity as u64, "capacity {capacity}");
+        }
+    }
+
+    /// The resident pages of `p`, in page order.
+    fn resident(p: &BufferPool) -> Vec<PageNo> {
+        (0..p.page_count())
+            .filter(|&no| p.is_resident(no))
+            .collect()
+    }
+
+    /// Private-frame reads hit resident pages, install misses while a
+    /// shard has room, and past a full pool read into the caller's frame:
+    /// right contents, counted like any miss, nothing evicted.
+    #[test]
+    fn private_reads_past_a_full_pool_evict_nothing() {
+        let p = pool(4, 8);
+        for no in 0..8 {
+            p.with_page_mut(no, |d| d[0] = 10 + no as u8).unwrap();
+        }
+        p.clear_cache().unwrap();
+        p.reset_stats();
+        let mut frame = PrivateFrame::new();
+        for pass in 0..2u64 {
+            for no in 0..8 {
+                let got = p.with_page_private(no, &mut frame, |d| d[0]).unwrap();
+                assert_eq!(got, 10 + no as u8, "pass {pass}, page {no}");
+            }
+            assert_eq!(resident(&p), [0, 1, 2, 3], "pass {pass}");
+        }
+        let s = p.stats();
+        assert_eq!(s.logical_reads, 16);
+        // The cold pass reads all 8 pages, the warm one only the 4 that
+        // did not fit: each pass is one sequential stream from a seek.
+        assert_eq!(s.physical_reads, 8 + 4);
+        assert_eq!((s.random_reads, s.sequential_reads), (2, 10));
+        assert_eq!(s.physical_writes, 0, "a private read writes nothing back");
+    }
+
+    /// A corrupt page read past a full pool fails with `Corrupt`, like a
+    /// miss that installs, and leaves the pool as it was.
+    #[test]
+    fn private_read_of_a_corrupt_page_fails_with_corrupt() {
+        let mut store = MemStore::new();
+        for _ in 0..4 {
+            store.allocate().unwrap();
+        }
+        store.write_page(3, &[0xA5; PAGE_SIZE]).unwrap();
+        let p = BufferPool::new(Box::new(store), 2);
+        p.with_page(0, |_| ()).unwrap();
+        p.with_page(1, |_| ()).unwrap();
+        let before = p.stats();
+        let err = p
+            .with_page_private(3, &mut PrivateFrame::new(), |_| ())
+            .unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt { page: 3, .. }),
+            "expected Corrupt, got {err:?}"
+        );
+        assert_eq!(p.stats(), before);
+        assert_eq!(resident(&p), [0, 1]);
+    }
+
+    /// Transient faults on reads past a full pool are retried under the
+    /// pool's policy and counted in `retried_reads`; a burst longer than
+    /// the budget gives up, counts in `gaveup_reads` and propagates the
+    /// transient cause. Either way nothing is installed.
+    #[test]
+    fn private_reads_retry_transient_faults() {
+        use crate::test_util::{FaultConfig, FaultPlan};
+        let mut store = FaultPlan::new(
+            MemStore::new(),
+            FaultConfig::seeded(42).with_transient(100, 3),
+        );
+        for _ in 0..16 {
+            store.allocate().unwrap();
+        }
+        let bursts: Vec<u64> = (0..16).map(|no| store.transient_burst(no)).collect();
+        let victim = (4..16).find(|&no| bursts[no as usize] >= 2).unwrap();
+        let p = BufferPool::new(Box::new(store), 4);
+        let within = RetryPolicy {
+            max_retries: 3,
+            base_backoff_us: 0,
+            ..RetryPolicy::default()
+        };
+        p.set_retry_policy(within);
+        for no in 0..4 {
+            p.with_page(no, |_| ()).unwrap();
+        }
+        p.set_retry_policy(RetryPolicy {
+            max_retries: bursts[victim as usize] as u32 - 1,
+            ..within
+        });
+        let mut frame = PrivateFrame::new();
+        let before = p.stats();
+        let err = p.with_page_private(victim, &mut frame, |_| ()).unwrap_err();
+        assert!(err.is_transient(), "the root cause survives: {err}");
+        let s = p.stats();
+        assert_eq!(
+            s.retried_reads - before.retried_reads,
+            bursts[victim as usize] - 1
+        );
+        assert_eq!(s.gaveup_reads, 1);
+        assert_eq!(s.physical_reads, before.physical_reads);
+        assert_eq!(s.logical_reads, before.logical_reads);
+        // Within the budget every burst is absorbed, and the transfer
+        // counters match a fault-free run.
+        p.set_retry_policy(within);
+        let before = p.stats();
+        for no in (4..16).filter(|&no| no != victim) {
+            p.with_page_private(no, &mut frame, |_| ()).unwrap();
+        }
+        let s = p.stats();
+        let planned: u64 = (4..16)
+            .filter(|&no| no != victim)
+            .map(|no| bursts[no as usize])
+            .sum();
+        assert_eq!(s.retried_reads - before.retried_reads, planned);
+        assert_eq!(s.gaveup_reads, 1);
+        assert_eq!(s.physical_reads - before.physical_reads, 11);
+        assert_eq!(resident(&p), [0, 1, 2, 3]);
+    }
+
+    /// A private read that fails in the store moves no transfer counter
+    /// and no sequential-read tracker: after the fault clears, the same
+    /// page counts as sequential to the last successful read.
+    #[test]
+    fn failed_private_reads_are_not_counted() {
+        let mut store = FlakyStore::new(u64::MAX);
+        for _ in 0..3 {
+            store.allocate().unwrap();
+        }
+        let budget = store.budget_handle();
+        let p = BufferPool::new(Box::new(store), 1);
+        let mut frame = PrivateFrame::new();
+        p.with_page_private(0, &mut frame, |_| ()).unwrap();
+        p.with_page_private(1, &mut frame, |_| ()).unwrap();
+        let before = p.stats();
+        assert_eq!((before.physical_reads, before.sequential_reads), (2, 1));
+        budget.store(0, Ordering::Relaxed);
+        let err = p.with_page_private(2, &mut frame, |_| ()).unwrap_err();
+        assert!(err.to_string().contains(READ_FAILURE), "{err}");
+        assert_eq!(p.stats(), before, "failed read moved no counter");
+        budget.store(u64::MAX, Ordering::Relaxed);
+        p.with_page_private(2, &mut frame, |_| ()).unwrap();
+        let after = p.stats();
+        assert_eq!((after.physical_reads, after.sequential_reads), (3, 2));
+        assert_eq!(resident(&p), [0]);
     }
 
     /// Regression: physical-read counters and the sequential-read tracker

@@ -14,8 +14,8 @@ use sma_types::row::{decode, encode};
 use sma_types::{ColumnarBucket, SchemaRef, Tuple};
 
 use crate::columnar::{assemble_blob, chunk_pages, is_columnar_page, ColumnarError};
-use crate::page::{SlotId, SlottedPage, MAX_TUPLE_BYTES};
-use crate::pool::{BufferPool, IoStats};
+use crate::page::{SlotId, SlottedPage, MAX_TUPLE_BYTES, PAGE_SIZE};
+use crate::pool::{BufferPool, IoStats, PrivateFrame};
 use crate::store::{MemStore, PageNo, PageStore, StoreError};
 
 /// Physical address of a tuple.
@@ -296,7 +296,7 @@ impl Table {
             if tid.page != self.bucket_range(b).start {
                 return Ok(None);
             }
-            let block = self.read_columnar(b)?;
+            let block = self.read_columnar(b, None)?;
             return Ok(block.row(usize::from(tid.slot)));
         }
         let image = self.pool.with_page(tid.page, |buf| {
@@ -394,11 +394,17 @@ impl Table {
     /// Visits every live tuple image on `page_no` in slot order, borrowed
     /// straight from the pinned page frame — zero per-tuple image copies.
     ///
-    /// The closure runs under the page's buffer-pool shard lock, so it
+    /// The closure may run under the page's buffer-pool shard lock, so it
     /// must not touch this table's pool again (per-tuple decode/predicate
     /// work is fine; that is what it is for). The error type is generic so
     /// executor layers can thread their own error out of the closure.
-    pub fn for_each_on_page<E, F>(&self, page_no: PageNo, mut f: F) -> Result<(), E>
+    /// `frame` is as for [`Table::for_each_in_bucket`].
+    pub fn for_each_on_page<E, F>(
+        &self,
+        page_no: PageNo,
+        frame: Option<&mut PrivateFrame>,
+        mut f: F,
+    ) -> Result<(), E>
     where
         E: From<TableError>,
         F: FnMut(TupleId, &[u8]) -> Result<(), E>,
@@ -415,7 +421,7 @@ impl Table {
             if page_no != self.bucket_range(b).start {
                 return Ok(());
             }
-            let block = self.read_columnar(b).map_err(E::from)?;
+            let block = self.read_columnar(b, frame).map_err(E::from)?;
             let mut image = Vec::new();
             for i in 0..block.n_rows() {
                 let row = block.row(i).ok_or_else(|| {
@@ -442,8 +448,7 @@ impl Table {
             return Ok(());
         }
         let visited = self
-            .pool
-            .with_page(page_no, |buf| {
+            .read_page(page_no, frame, |buf| {
                 crate::page::for_each_image::<VisitError<E>, _>(buf, |slot, img| {
                     f(
                         TupleId {
@@ -467,15 +472,39 @@ impl Table {
     /// [`Table::scan_bucket`]. I/O accounting is identical to the
     /// materialized scan: each page is fetched exactly once, in the same
     /// order.
-    pub fn for_each_in_bucket<E, F>(&self, b: BucketNo, mut f: F) -> Result<(), E>
+    ///
+    /// With a `frame`, pages are read by
+    /// [`BufferPool::with_page_private`]: a miss on a full pool shard goes
+    /// into the frame and evicts nothing. A scan larger than the pool
+    /// passes one; every other reader passes `None` and shares the pool.
+    pub fn for_each_in_bucket<E, F>(
+        &self,
+        b: BucketNo,
+        mut frame: Option<&mut PrivateFrame>,
+        mut f: F,
+    ) -> Result<(), E>
     where
         E: From<TableError>,
         F: FnMut(TupleId, &[u8]) -> Result<(), E>,
     {
         for page_no in self.bucket_range(b) {
-            self.for_each_on_page(page_no, &mut f)?;
+            self.for_each_on_page(page_no, frame.as_deref_mut(), &mut f)?;
         }
         Ok(())
+    }
+
+    /// Runs `f` over page `no`: through `frame` past a full pool when one
+    /// is given, through the shared pool otherwise.
+    fn read_page<R>(
+        &self,
+        no: PageNo,
+        frame: Option<&mut PrivateFrame>,
+        f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
+    ) -> Result<R, StoreError> {
+        match frame {
+            Some(frame) => self.pool.with_page_private(no, frame, f),
+            None => self.pool.with_page(no, f),
+        }
     }
 
     /// Decodes all live tuples in bucket `b`, in physical order. Thin
@@ -494,7 +523,7 @@ impl Table {
         page_no: PageNo,
         out: &mut Vec<(TupleId, Tuple)>,
     ) -> Result<(), TableError> {
-        self.for_each_on_page::<TableError, _>(page_no, |tid, img| {
+        self.for_each_on_page::<TableError, _>(page_no, None, |tid, img| {
             out.push((tid, decode(&self.schema, img)?));
             Ok(())
         })
@@ -521,19 +550,27 @@ impl Table {
 
     /// Decodes bucket `b`'s columnar block, or `None` if the bucket still
     /// holds rows. Reads every page of the bucket's range through the
-    /// pool — the same page fetches a slotted scan of the bucket costs.
-    pub fn columnar_bucket(&self, b: BucketNo) -> Result<Option<ColumnarBucket>, TableError> {
+    /// pool — the same page fetches a slotted scan of the bucket costs —
+    /// or, with a `frame`, as [`Table::for_each_in_bucket`] does.
+    pub fn columnar_bucket(
+        &self,
+        b: BucketNo,
+        frame: Option<&mut PrivateFrame>,
+    ) -> Result<Option<ColumnarBucket>, TableError> {
         if !self.columnar.contains(&b) {
             return Ok(None);
         }
-        self.read_columnar(b).map(Some)
+        self.read_columnar(b, frame).map(Some)
     }
 
-    fn read_columnar(&self, b: BucketNo) -> Result<ColumnarBucket, TableError> {
+    fn read_columnar(
+        &self,
+        b: BucketNo,
+        mut frame: Option<&mut PrivateFrame>,
+    ) -> Result<ColumnarBucket, TableError> {
         let range = self.bucket_range(b);
         let blob = assemble_blob::<TableError, _>(range, |no, visit| {
-            self.pool
-                .with_page(no, |buf| visit(buf))
+            self.read_page(no, frame.as_deref_mut(), |buf| visit(buf))
                 .map_err(TableError::Store)?
         })?;
         ColumnarBucket::decode(&self.schema, &blob).map_err(TableError::ColBlock)
@@ -593,6 +630,11 @@ impl Table {
             }
         }
         Ok(converted)
+    }
+
+    /// Buffer-pool capacity in pages.
+    pub fn pool_capacity(&self) -> usize {
+        self.pool.capacity()
     }
 
     /// Buffer-pool traffic counters.
@@ -720,7 +762,7 @@ impl Table {
                 continue;
             }
             if n_col == slice.len() {
-                match self.read_columnar(b) {
+                match self.read_columnar(b, None) {
                     Ok(block) => {
                         self.columnar.insert(b);
                         live += block.n_rows() as u64;
@@ -892,19 +934,24 @@ mod tests {
         }
         let deleted = t.scan().unwrap()[5].0;
         t.delete(deleted).unwrap();
+        let mut frame = PrivateFrame::new();
         for b in 0..t.bucket_count() {
             t.reset_io_stats();
             let owned = t.scan_bucket(b).unwrap();
             let owned_io = t.io_stats();
-            t.reset_io_stats();
-            let mut visited = Vec::new();
-            t.for_each_in_bucket::<TableError, _>(b, |tid, img| {
-                visited.push((tid, sma_types::row::decode(t.schema(), img)?));
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(visited, owned, "bucket {b}");
-            assert_eq!(t.io_stats(), owned_io, "bucket {b}: identical I/O trace");
+            // A private frame changes nothing while the pool has room.
+            for private in [false, true] {
+                t.reset_io_stats();
+                let mut visited = Vec::new();
+                let frame = private.then_some(&mut frame);
+                t.for_each_in_bucket::<TableError, _>(b, frame, |tid, img| {
+                    visited.push((tid, sma_types::row::decode(t.schema(), img)?));
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(visited, owned, "bucket {b}, private {private}");
+                assert_eq!(t.io_stats(), owned_io, "bucket {b}: identical I/O trace");
+            }
         }
     }
 
@@ -916,7 +963,7 @@ mod tests {
         }
         let mut seen = 0;
         let err = t
-            .for_each_in_bucket::<TableError, _>(0, |tid, _| {
+            .for_each_in_bucket::<TableError, _>(0, None, |tid, _| {
                 seen += 1;
                 Err(TableError::NotFound(tid))
             })

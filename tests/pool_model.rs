@@ -2,12 +2,14 @@
 //! exactly like the raw store (contents), while hit counting stays
 //! consistent (accounting).
 
-use smadb::storage::{BufferPool, MemStore, PageStore, PAGE_SIZE};
+use smadb::storage::{BufferPool, MemStore, PageStore, PrivateFrame, PAGE_SIZE};
 use smadb::types::StdRng;
 
 #[derive(Debug, Clone)]
 enum Op {
     Read(u8),
+    /// A read through a private frame: evicts nothing once the pool is full.
+    ReadPrivate(u8),
     Write(u8, u8),
     Flush,
     Cold,
@@ -16,10 +18,11 @@ enum Op {
 fn random_ops(rng: &mut StdRng) -> Vec<Op> {
     let n = rng.random_range(0..200usize);
     (0..n)
-        .map(|_| match rng.random_range(0..4u32) {
+        .map(|_| match rng.random_range(0..5u32) {
             0 => Op::Read(rng.random_range(0..12u8)),
-            1 => Op::Write(rng.random_range(0..12u8), rng.random_range(0..=255u8)),
-            2 => Op::Flush,
+            1 => Op::ReadPrivate(rng.random_range(0..12u8)),
+            2 => Op::Write(rng.random_range(0..12u8), rng.random_range(0..=255u8)),
+            3 => Op::Flush,
             _ => Op::Cold,
         })
         .collect()
@@ -39,14 +42,31 @@ fn pool_is_transparent() {
             }
             BufferPool::new(Box::new(store), capacity)
         };
+        assert_eq!(pool.shard_count(), 1, "case {case}");
         // The model: raw page contents.
         let mut model = vec![[0u8; PAGE_SIZE]; n_pages as usize];
+        let mut frame = PrivateFrame::new();
+        let resident = |pool: &BufferPool| -> Vec<bool> {
+            (0..n_pages).map(|p| pool.is_resident(p)).collect()
+        };
         for op in ops {
             match op {
                 Op::Read(p) => {
                     let p = (p as u32) % n_pages;
                     let got = pool.with_page(p, |d| d[0]).unwrap();
                     assert_eq!(got, model[p as usize][0], "case {case}");
+                }
+                Op::ReadPrivate(p) => {
+                    let p = (p as u32) % n_pages;
+                    let mut expected = resident(&pool);
+                    // Pools this small have one shard: a miss installs
+                    // only while the whole pool has a free frame.
+                    if expected.iter().filter(|&&r| r).count() < capacity {
+                        expected[p as usize] = true;
+                    }
+                    let got = pool.with_page_private(p, &mut frame, |d| d[0]).unwrap();
+                    assert_eq!(got, model[p as usize][0], "case {case}");
+                    assert_eq!(resident(&pool), expected, "case {case}");
                 }
                 Op::Write(p, v) => {
                     let p = (p as u32) % n_pages;
