@@ -170,9 +170,19 @@ fn e11_ingest() {
         e12_entries
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
-    match append_run(path, "ingest", &run) {
-        Ok(()) => println!("  appended run to {path}\n"),
-        Err(e) => println!("  could not write {path}: {e}\n"),
+    append_or_exit(path, "ingest", &run);
+    println!();
+}
+
+/// Appends `run` to the history at `path`, or exits non-zero: a run that
+/// did not reach its history must not pass for one that did.
+fn append_or_exit(path: &str, experiment: &str, run: &str) {
+    match append_run(path, experiment, run) {
+        Ok(()) => println!("  appended run to {path}"),
+        Err(e) => {
+            eprintln!("  could not write {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -181,9 +191,10 @@ fn e11_ingest() {
 /// batch kernels against the zero-copy row path, on a table dialed to
 /// all-ambivalent for Query 1 — the case where per-tuple costs dominate.
 /// Each pair is asserted to compute the identical answer before being
-/// timed; medians are *appended* as a dated run to
-/// `BENCH_scan_kernels.json` at the repo root, so the optimization
-/// trajectory across PRs stays on record (see `PERF_HISTORY.md`).
+/// timed; medians are *appended* as a run to `BENCH_scan_kernels.json` at
+/// the repo root, tagged with the date, the git revision and the host's
+/// core count, so the optimization trajectory stays on record (see
+/// `PERF_HISTORY.md`). A failed append exits non-zero.
 fn e10_scan_kernels() {
     println!("--- E10: scan kernels — materialized vs zero-copy vs columnar ---");
     let timings = sma_bench::kernels::scan_kernel_timings(15);
@@ -211,18 +222,16 @@ fn e10_scan_kernels() {
             t.speedup()
         ));
     }
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let run = format!(
-        "    {{\n      \"date\": \"{}\",\n      \"git\": \"{}\",\n      \"scale_factor\": {},\n      \"kernels\": [\n{}\n      ]\n    }}",
+        "    {{\n      \"date\": \"{}\",\n      \"git\": \"{}\",\n      \"nproc\": {nproc},\n      \"scale_factor\": {},\n      \"kernels\": [\n{}\n      ]\n    }}",
         command_line("date", &["+%F"]),
         git_revision(),
         bench_scale_factor(),
         entries
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan_kernels.json");
-    match append_run(path, "scan_kernels", &run) {
-        Ok(()) => println!("  appended run to {path}"),
-        Err(e) => println!("  could not write {path}: {e}"),
-    }
+    append_or_exit(path, "scan_kernels", &run);
 }
 
 /// E9 — degraded-path overhead (not in the paper): Query 1 through

@@ -9,13 +9,14 @@
 //! here from public APIs: `scan_bucket` decodes every tuple into an owned
 //! `Vec<Value>` (copying string payloads) before the predicate or any
 //! aggregate sees it. The *zero-copy* kernels are the production paths:
-//! predicates and aggregate inputs evaluate on
+//! the predicate compiled against the row layout
+//! ([`CompiledPred`]) and the compiled aggregate inputs run on
 //! [`RowView`](sma_types::RowView)s straight out of the pinned page
 //! frames, and nothing is materialized unless it survives the filter.
 
 use std::time::Instant;
 
-use sma_core::{Grade, SmaSet};
+use sma_core::{CompiledPred, Grade, SmaSet};
 use sma_exec::{
     collect, cutoff, filter_block, plan, query1_query, AggregateQuery, Filter, HashGAggr,
     PlannerConfig, SeqScan, SmaGAggr,
@@ -38,6 +39,9 @@ pub struct ScanKernelFixture {
     pub query: AggregateQuery,
     /// Row-codec offsets for the table's schema.
     pub layout: RowLayout,
+    /// The query predicate compiled against `layout`, as the scan
+    /// operators compile it.
+    pub filter: CompiledPred,
     /// One bucket that grades ambivalent under the query predicate.
     pub ambivalent_bucket: u32,
     /// The same data re-sealed into the columnar (PAX) bucket layout —
@@ -62,6 +66,7 @@ pub fn scan_kernel_fixture() -> ScanKernelFixture {
     let smas = q1_smas(&table);
     let query = query1_query(&table, cut).expect("LINEITEM-shaped table");
     let layout = RowLayout::new(table.schema());
+    let filter = CompiledPred::new(&query.pred, &layout);
     let ambivalent_bucket = (0..table.bucket_count())
         .find(|&b| query.pred.grade(b, &smas) == Grade::Ambivalent)
         .expect("dialed table has ambivalent buckets");
@@ -95,6 +100,7 @@ pub fn scan_kernel_fixture() -> ScanKernelFixture {
         smas,
         query,
         layout,
+        filter,
         ambivalent_bucket,
         columnar,
         columnar_smas,
@@ -115,14 +121,14 @@ impl ScanKernelFixture {
             .count()
     }
 
-    /// Filter the same bucket the production way: evaluate the predicate
-    /// on zero-copy views, never materializing a tuple.
+    /// Filter the same bucket the production way: run the compiled
+    /// predicate on zero-copy views, never materializing a tuple.
     pub fn filter_bucket_zero_copy(&self) -> usize {
         let mut n = 0usize;
         self.table
             .for_each_in_bucket::<TableError, _>(self.ambivalent_bucket, None, |_, image| {
                 let row = self.layout.view(image)?;
-                if self.query.pred.eval_view(&row).map_err(TableError::from)? {
+                if self.filter.eval(&row).map_err(TableError::from)? {
                     n += 1;
                 }
                 Ok(())
@@ -282,7 +288,7 @@ pub fn scan_kernel_timings(samples: usize) -> Vec<KernelTiming> {
         zero_copy_ns: filter_zero_copy_ns,
     });
     // For the columnar entries the row zero-copy kernel is the baseline,
-    // so `speedup()` reads as "columnar over the PR 4 production path".
+    // so `speedup()` reads as "columnar over the production row path".
     out.push(KernelTiming {
         name: "ambivalent_bucket_filter_columnar",
         materialized_ns: filter_zero_copy_ns,

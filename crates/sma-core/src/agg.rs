@@ -152,6 +152,7 @@ impl Accumulator {
     /// Counts `n` rows at once — identical to `n` single
     /// [`Accumulator::update`] calls because saturating increments are
     /// monotone: both end at `start + n` clamped to `i64::MAX`.
+    #[inline]
     pub fn fold_count(&mut self, n: usize) {
         debug_assert_eq!(self.agg, AggFn::Count);
         let start = self.state.as_int().unwrap_or(0);

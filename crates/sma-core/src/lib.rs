@@ -19,7 +19,8 @@
 //! [`catalog`] (the declarative front end) → [`persist`] (page-store
 //! serialization) → [`projection`] (the structure SMAs generalize).
 //! [`expr`] and [`agg`] are the shared scalar-expression and accumulator
-//! plumbing.
+//! plumbing; [`compiled`] compiles a selection predicate against the row
+//! layout for the scan kernels' per-tuple filter.
 //!
 //! # Example
 //!
@@ -62,6 +63,7 @@
 
 pub mod agg;
 pub mod catalog;
+pub mod compiled;
 pub mod def;
 pub mod expr;
 pub mod file;
@@ -77,6 +79,7 @@ pub mod validate;
 
 pub use agg::{Accumulator, AggFn, RetractError};
 pub use catalog::{CatalogError, SmaCatalog};
+pub use compiled::CompiledPred;
 pub use def::{DefError, SmaDefinition};
 pub use expr::{col, dec_lit, lit, DecProgram, ExprError, IntProgram, ScalarExpr};
 pub use file::SmaFile;

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use sma_core::{Accumulator, AggFn, ExprError, ScalarExpr};
-use sma_types::{ColumnarBucket, DataType, RowView, Schema, Tuple, Value};
+use sma_types::{ColumnarBucket, DataType, RowLayout, RowView, Slot, Tuple, Value};
 
 use crate::op::{ExecError, PhysicalOp};
 
@@ -51,6 +51,60 @@ impl AggSpec {
     }
 }
 
+/// A query's aggregate inputs compiled once against the row layout: the
+/// bucket loop's per-row fold ([`GroupState::fold_view`]).
+///
+/// `count(*)` and `sum`/`avg` of an `Int` or `Decimal` column fold the
+/// raw slot through the typed folds the columnar kernels use —
+/// [`Accumulator::fold_count`], [`Accumulator::fold_sum_int`] and
+/// [`Accumulator::fold_sum_dec`], each an exact twin of
+/// [`Accumulator::update`]. Every other aggregate is evaluated on the
+/// view by [`ScalarExpr::eval_view`] and folded by `update`, as
+/// [`GroupState::update`] does on a tuple.
+pub(crate) struct RowFold {
+    /// One per aggregate spec, in spec order.
+    inputs: Vec<FoldInput>,
+}
+
+/// How one aggregate reads its input from a row view.
+enum FoldInput {
+    /// `count(*)`.
+    Count,
+    /// `sum`/`avg` of an `Int` column.
+    SumInt(Slot),
+    /// `sum`/`avg` of a `Decimal` column (its cents).
+    SumDec(Slot),
+    /// Any other input expression.
+    View(ScalarExpr),
+}
+
+impl RowFold {
+    /// Compiles the inputs of `specs` against `layout`.
+    pub fn new(specs: &[AggSpec], layout: &RowLayout) -> RowFold {
+        let input = |spec: &AggSpec| {
+            let e = match spec {
+                AggSpec::CountStar => return FoldInput::Count,
+                AggSpec::Min(e) | AggSpec::Max(e) => e,
+                AggSpec::Sum(e) | AggSpec::Avg(e) => {
+                    let slot = match e {
+                        ScalarExpr::Column(c) => layout.slot(*c),
+                        _ => None,
+                    };
+                    match slot.map(|s| (s, s.data_type())) {
+                        Some((s, DataType::Int)) => return FoldInput::SumInt(s),
+                        Some((s, DataType::Decimal)) => return FoldInput::SumDec(s),
+                        _ => e,
+                    }
+                }
+            };
+            FoldInput::View(e.clone())
+        };
+        RowFold {
+            inputs: specs.iter().map(input).collect(),
+        }
+    }
+}
+
 /// Per-group accumulation state shared by both GAggr variants.
 #[derive(Debug)]
 pub(crate) struct GroupState {
@@ -84,18 +138,18 @@ impl GroupState {
         Ok(())
     }
 
-    /// Folds one zero-copy row view into every aggregate. Identical math
-    /// to [`GroupState::update`]; the aggregate inputs are evaluated
-    /// straight off the encoded image without materializing the tuple.
-    pub fn update_view(
-        &mut self,
-        specs: &[AggSpec],
-        row: &sma_types::RowView<'_>,
-    ) -> Result<(), ExecError> {
-        for (spec, acc) in specs.iter().zip(&mut self.accs) {
-            match spec.input() {
-                Some(e) => acc.update(&e.eval_view(row)?),
-                None => acc.update(&Value::Int(1)),
+    /// Folds one zero-copy row view into every aggregate through the
+    /// query's compiled inputs (see [`RowFold`]). Identical math to
+    /// [`GroupState::update`] on the decoded tuple, which is never
+    /// materialized.
+    #[inline]
+    pub fn fold_view(&mut self, fold: &RowFold, row: &RowView<'_>) -> Result<(), ExecError> {
+        for (input, acc) in fold.inputs.iter().zip(&mut self.accs) {
+            match input {
+                FoldInput::Count => acc.fold_count(1),
+                FoldInput::SumInt(slot) => acc.fold_sum_int([row.i64_at(*slot)]),
+                FoldInput::SumDec(slot) => acc.fold_sum_dec([row.i64_at(*slot)]),
+                FoldInput::View(e) => acc.update(&e.eval_view(row)?),
             }
         }
         self.hidden_count += 1;
@@ -163,7 +217,8 @@ impl GroupState {
 }
 
 /// A direct-indexed group table for all-`Char` group keys of at most two
-/// columns — the TPC-D Q1 shape, `group by RETURNFLAG, LINESTATUS`.
+/// columns — the TPC-D Q1 shape, `group by RETURNFLAG, LINESTATUS` — and
+/// for the ungrouped aggregate, its zero-column case: one state.
 ///
 /// Indexing a flat array by the raw key bytes replaces both the per-tuple
 /// key `Vec` allocation and the ordered-map probe in the ambivalent-bucket
@@ -176,33 +231,35 @@ impl GroupState {
 /// The table is sized to the keys it sees: one 256-slot row per distinct
 /// first key byte, allocated when that byte first occurs. Q1 touches three
 /// rows (24 KiB), where the whole two-column table would be 2 MiB to
-/// allocate and to walk, once per morsel.
+/// allocate and to walk, once per morsel. With no key column the table is
+/// one row of one slot.
 pub(crate) struct DenseGroups {
     cols: Vec<usize>,
+    /// The key columns' slots in the row layout.
+    keys: Vec<Slot>,
     /// Row `idx >> 8` of the flat table, for every first byte seen (one
-    /// row in all for a single-column key).
+    /// row in all for a key of fewer than two columns).
     rows: Vec<Option<Box<[Option<GroupState>]>>>,
     overflow: BTreeMap<Vec<Value>, GroupState>,
 }
 
 impl DenseGroups {
-    /// Builds the table when the grouping is dense-indexable: one or two
+    /// Builds the table when the grouping is dense-indexable: at most two
     /// group columns, all of type `Char`. Returns `None` otherwise (the
     /// caller falls back to the ordered map).
-    pub fn try_new(schema: &Schema, group_by: &[usize]) -> Option<DenseGroups> {
-        if group_by.is_empty() || group_by.len() > 2 {
+    pub fn try_new(layout: &RowLayout, group_by: &[usize]) -> Option<DenseGroups> {
+        if group_by.len() > 2 {
             return None;
         }
-        if !group_by
+        let keys = group_by
             .iter()
-            .all(|&c| c < schema.len() && schema.column(c).ty == DataType::Char)
-        {
-            return None;
-        }
+            .map(|&c| layout.slot(c).filter(|s| s.data_type() == DataType::Char))
+            .collect::<Option<Vec<Slot>>>()?;
         let mut rows = Vec::new();
-        rows.resize_with(1usize << (8 * (group_by.len() - 1)), || None);
+        rows.resize_with(1usize << (8 * group_by.len().saturating_sub(1)), || None);
         Some(DenseGroups {
             cols: group_by.to_vec(),
+            keys,
             rows,
             overflow: BTreeMap::new(),
         })
@@ -210,9 +267,10 @@ impl DenseGroups {
 
     /// The state slot at flat index `idx`, allocating its row on first use.
     fn slot(&mut self, idx: usize) -> &mut Option<GroupState> {
+        let row_len = if self.cols.is_empty() { 1 } else { 256 };
         let row = self.rows[idx >> 8].get_or_insert_with(|| {
             let mut row = Vec::new();
-            row.resize_with(256, || None);
+            row.resize_with(row_len, || None);
             row.into_boxed_slice()
         });
         &mut row[idx & 0xff]
@@ -220,32 +278,34 @@ impl DenseGroups {
 
     /// Folds one passing row into its group — allocation-free for
     /// non-null keys.
-    pub fn update(&mut self, specs: &[AggSpec], row: &RowView<'_>) -> Result<(), ExecError> {
+    #[inline]
+    pub fn update(
+        &mut self,
+        specs: &[AggSpec],
+        fold: &RowFold,
+        row: &RowView<'_>,
+    ) -> Result<(), ExecError> {
         let mut idx = 0usize;
-        for (pos, &c) in self.cols.iter().enumerate() {
-            match row.char_at(c) {
+        for &key in &self.keys {
+            match row.u8_at(key) {
                 Some(b) => idx = (idx << 8) | b as usize,
                 None => {
-                    let mut key = Vec::with_capacity(self.cols.len());
-                    for &k in &self.cols[..pos] {
-                        // These columns yielded Some earlier in this very
-                        // loop; Null is the generic fallback for a null key.
-                        key.push(row.char_at(k).map(Value::Char).unwrap_or(Value::Null));
-                    }
-                    for &k in &self.cols[pos..] {
-                        key.push(row.get(k)?);
-                    }
+                    let key = self
+                        .keys
+                        .iter()
+                        .map(|&k| row.u8_at(k).map_or(Value::Null, Value::Char))
+                        .collect();
                     return self
                         .overflow
                         .entry(key)
                         .or_insert_with(|| GroupState::new(specs))
-                        .update_view(specs, row);
+                        .fold_view(fold, row);
                 }
             }
         }
         self.slot(idx)
             .get_or_insert_with(|| GroupState::new(specs))
-            .update_view(specs, row)
+            .fold_view(fold, row)
     }
 
     /// Folds one selected row of a columnar bucket into its group — the
@@ -393,15 +453,15 @@ impl DenseGroups {
     /// Converts back to the ordered map the merge machinery uses.
     pub fn into_groups(self) -> BTreeMap<Vec<Value>, GroupState> {
         let mut out = self.overflow;
-        let two_cols = self.cols.len() == 2;
+        let key_cols = self.cols.len();
         for (first, row) in self.rows.into_iter().enumerate() {
             let Some(row) = row else { continue };
             for (last, slot) in row.into_vec().into_iter().enumerate() {
                 let Some(state) = slot else { continue };
-                let key = if two_cols {
-                    vec![Value::Char(first as u8), Value::Char(last as u8)]
-                } else {
-                    vec![Value::Char(last as u8)]
+                let key = match key_cols {
+                    0 => Vec::new(),
+                    1 => vec![Value::Char(last as u8)],
+                    _ => vec![Value::Char(first as u8), Value::Char(last as u8)],
                 };
                 out.insert(key, state);
             }
@@ -558,10 +618,11 @@ mod tests {
             AggSpec::Max(col(2)),
         ];
         let layout = RowLayout::new(&schema);
-        let mut dense = DenseGroups::try_new(&schema, &[0, 1]).unwrap();
+        let fold = RowFold::new(&specs, &layout);
+        let mut dense = DenseGroups::try_new(&layout, &[0, 1]).unwrap();
         for page in 0..t.page_count() {
             t.for_each_on_page::<ExecError, _>(page, None, |_, image| {
-                dense.update(&specs, &layout.view(image)?)
+                dense.update(&specs, &fold, &layout.view(image)?)
             })
             .unwrap();
         }

@@ -5,7 +5,7 @@
 //! buckets return their tuples without evaluating the predicate, and only
 //! ambivalent buckets pay per-tuple predicate evaluation.
 
-use sma_core::{BucketPred, Grade, SmaSet};
+use sma_core::{BucketPred, CompiledPred, Grade, SmaSet};
 use sma_storage::{QueryBudget, SlotId, Table, TupleId};
 use sma_types::{RowLayout, Tuple};
 
@@ -45,6 +45,8 @@ pub struct SmaScan<'a> {
     /// Byte offsets of the row codec, computed once so ambivalent buckets
     /// can be filtered on zero-copy views.
     layout: RowLayout,
+    /// `pred` compiled against `layout`: the ambivalent buckets' filter.
+    filter: CompiledPred,
     /// Tuples of the current bucket. Ambivalent buckets arrive already
     /// filtered (only passing tuples were materialized); qualifying
     /// buckets arrive whole, with no predicate evaluation either way.
@@ -67,13 +69,15 @@ impl<'a> SmaScan<'a> {
     /// Creates the operator (the constructor signature of Fig. 6:
     /// `SMA_Scan(R, pred, smas)`).
     pub fn new(table: &'a Table, pred: BucketPred, smas: &'a SmaSet) -> SmaScan<'a> {
+        let layout = RowLayout::new(table.schema());
         SmaScan {
             table,
+            filter: CompiledPred::new(&pred, &layout),
+            layout,
             pred,
             smas,
             curr_grade: Grade::Ambivalent,
             next_bucket: 0,
-            layout: RowLayout::new(table.schema()),
             buffer: Vec::new(),
             pos: 0,
             counters: ScanCounters::default(),
@@ -175,17 +179,17 @@ impl<'a> SmaScan<'a> {
                     self.buffer.push((TupleId { page: first, slot }, tuple));
                 }
             } else {
-                // Ambivalent: evaluate the predicate on zero-copy views
+                // Ambivalent: run the compiled predicate on zero-copy views
                 // straight out of the page frames and materialize only the
                 // tuples that pass. Pages are visited in the same order as
                 // the materializing read, so the I/O trace is unchanged.
                 let table = self.table;
                 let layout = &self.layout;
-                let pred = &self.pred;
+                let filter = &self.filter;
                 let buffer = &mut self.buffer;
                 table.for_each_in_bucket::<ExecError, _>(bucket, None, |tid, image| {
                     let row = layout.view(image)?;
-                    if pred.eval_view(&row)? {
+                    if filter.eval(&row)? {
                         buffer.push((tid, row.materialize()?));
                     }
                     Ok(())

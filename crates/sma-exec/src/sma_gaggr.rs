@@ -31,12 +31,12 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use sma_core::{BucketPred, Classification, Grade, Sma, SmaSet, LEVEL2_FANOUT};
+use sma_core::{BucketPred, Classification, CompiledPred, Grade, Sma, SmaSet, LEVEL2_FANOUT};
 use sma_storage::{PrivateFrame, QueryBudget};
 use sma_types::{RowLayout, Tuple, Value};
 
 use crate::colkernel::{aggregate_block, filter_block};
-use crate::gaggr::{AggSpec, DenseGroups, GroupState};
+use crate::gaggr::{AggSpec, DenseGroups, GroupState, RowFold};
 use crate::op::{ExecError, PhysicalOp};
 use crate::parallel::{run_morsels, Parallelism};
 use crate::scan::ScanCounters;
@@ -90,6 +90,10 @@ pub struct SmaGAggr<'a> {
     /// Byte offsets of the row codec, computed once so ambivalent buckets
     /// can be filtered and aggregated on zero-copy views.
     layout: RowLayout,
+    /// `pred` compiled against `layout`: the per-row filter.
+    filter: CompiledPred,
+    /// The aggregate inputs compiled against `layout`: the per-row fold.
+    fold: RowFold,
     results: Vec<Tuple>,
     pos: usize,
     counters: ScanCounters,
@@ -286,13 +290,16 @@ impl<'a> SmaGAggr<'a> {
         group_by: Vec<usize>,
         specs: Vec<AggSpec>,
     ) -> SmaGAggr<'a> {
+        let layout = RowLayout::new(table.schema());
         SmaGAggr {
             table,
+            filter: CompiledPred::new(&pred, &layout),
+            fold: RowFold::new(&specs, &layout),
+            layout,
             pred,
             group_by,
             specs,
             smas: None,
-            layout: RowLayout::new(table.schema()),
             results: Vec::new(),
             pos: 0,
             counters: ScanCounters::default(),
@@ -352,12 +359,13 @@ impl<'a> SmaGAggr<'a> {
         let mut frame = private.then(PrivateFrame::new);
         let mut counters = ScanCounters::default();
         let mut groups = Groups::new();
-        // All-`Char` group keys (the Q1 shape) accumulate in a flat
-        // direct-indexed table instead of the ordered map; it folds back
-        // into `groups` once at the end of the morsel. Aggregate merging
-        // is commutative, so the deferred fold changes nothing. The same
-        // holds for the SMA slots qualifying buckets merge into.
-        let mut dense = DenseGroups::try_new(self.table.schema(), &self.group_by);
+        // All-`Char` group keys (the Q1 shape) and the ungrouped
+        // aggregate accumulate in a flat direct-indexed table instead of
+        // the ordered map; it folds back into `groups` once at the end of
+        // the morsel. Aggregate merging is commutative, so the deferred
+        // fold changes nothing. The same holds for the SMA slots
+        // qualifying buckets merge into.
+        let mut dense = DenseGroups::try_new(&self.layout, &self.group_by);
         let slot_keys = self.smas.as_ref().map_or(&[][..], |s| &s.slot_keys);
         let mut slots: Vec<GroupState> = slot_keys
             .iter()
@@ -418,8 +426,8 @@ impl<'a> SmaGAggr<'a> {
 
     /// The per-bucket kernel. It charges the bucket's whole page range,
     /// then reads the bucket straight out of the buffer pool's page
-    /// frames: the predicate and the aggregate inputs are evaluated on
-    /// zero-copy [`sma_types::RowView`]s, or by the batch kernels over a
+    /// frames: the compiled predicate and aggregate inputs run on
+    /// zero-copy [`sma_types::RowView`]s, or the batch kernels over a
     /// columnar bucket, so qualifying tuples fold into their group
     /// without ever being materialized.
     fn aggregate_bucket(
@@ -443,11 +451,11 @@ impl<'a> SmaGAggr<'a> {
         self.table
             .for_each_in_bucket::<ExecError, _>(bucket, frame, |_, image| {
                 let row = self.layout.view(image)?;
-                if !self.pred.eval_view(&row)? {
+                if !self.filter.eval(&row)? {
                     return Ok(());
                 }
                 if let Some(d) = dense {
-                    return d.update(&self.specs, &row);
+                    return d.update(&self.specs, &self.fold, &row);
                 }
                 let mut key = Vec::with_capacity(self.group_by.len());
                 for &g in &self.group_by {
@@ -456,7 +464,7 @@ impl<'a> SmaGAggr<'a> {
                 groups
                     .entry(key)
                     .or_insert_with(|| GroupState::new(&self.specs))
-                    .update_view(&self.specs, &row)
+                    .fold_view(&self.fold, &row)
             })
     }
 

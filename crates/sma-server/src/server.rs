@@ -30,7 +30,7 @@
 //!   connection closes.
 
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use sma_core::{col, BucketPred};
 use sma_exec::{AggSpec, AggregateQuery};
-use sma_storage::{QueryBudget, Table};
+use sma_storage::{QueryBudget, Stopwatch, Table};
 use sma_types::{Column, DataType, Date, Decimal, Schema, Value};
 use smadb::ingest::{IngestError, StreamingWarehouse};
 
@@ -53,6 +53,13 @@ const POLL_READ_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Accept-loop poll interval while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
+
+/// How long a connection refused with `Busy` stays open for its peer to
+/// read the reply and close first.
+const REFUSED_LINGER: Duration = Duration::from_secs(1);
+
+/// Refused connections held open at once; past it, the oldest closes.
+const MAX_REFUSED: usize = 64;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -229,14 +236,24 @@ impl Drop for ServerHandle {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Result<(), ServerError> {
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+    let mut refused: Vec<Refused> = Vec::new();
+    let mut scratch = [0u8; 1024];
     while !shared.shutting_down() {
+        refused.retain_mut(|r| r.drain(&mut scratch));
         match listener.accept() {
             Ok((stream, _peer)) => {
                 sessions.retain(|h| !h.is_finished());
                 let Some(permit) = shared.sessions.try_acquire() else {
-                    // Session cap: answer Busy and close — never queue.
-                    // sma-lint: allow(A3-error-swallowing) -- best-effort refusal to a peer that may already be gone
-                    let _ = reply_and_close(stream, Status::Busy, "session limit reached");
+                    // Session cap: answer Busy — never queue — and hold the
+                    // socket until the peer closes (see `Refused`). A reply
+                    // that cannot be written means the peer is already
+                    // gone, and its socket just closes.
+                    if let Ok(r) = Refused::reply(stream, "session limit reached") {
+                        if refused.len() == MAX_REFUSED {
+                            refused.remove(0);
+                        }
+                        refused.push(r);
+                    }
                     continue;
                 };
                 let shared = Arc::clone(&shared);
@@ -264,9 +281,49 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Result<(), ServerE
     Ok(())
 }
 
-fn reply_and_close(mut stream: TcpStream, status: Status, info: &str) -> Result<(), ProtoError> {
-    let resp = Response::status_only(status, 0, info);
-    write_frame(&mut stream, &resp.encode())
+/// A connection refused with `Busy`, held open until its peer closes or
+/// [`REFUSED_LINGER`] passes. Closing at once loses the reply when the
+/// peer's request already sits unread in the receive buffer: the close
+/// then sends a reset, and the peer reads `ECONNRESET` instead of `Busy`.
+/// So the accept loop reads each held socket dry without blocking, and
+/// closes it once the peer has closed, with nothing left unread.
+struct Refused {
+    stream: TcpStream,
+    held: Stopwatch,
+}
+
+impl Refused {
+    /// Writes the `Busy` reply, ends the write side so the peer reads
+    /// end-of-stream after it, and makes the socket non-blocking.
+    fn reply(mut stream: TcpStream, info: &str) -> Result<Refused, ProtoError> {
+        let resp = Response::status_only(Status::Busy, 0, info);
+        write_frame(&mut stream, &resp.encode())?;
+        stream.shutdown(Shutdown::Write).map_err(ProtoError::Io)?;
+        stream.set_nonblocking(true).map_err(ProtoError::Io)?;
+        Ok(Refused {
+            stream,
+            held: Stopwatch::start(),
+        })
+    }
+
+    /// Discards whatever the peer sent, without blocking. Returns whether
+    /// to keep holding the socket: `false` once the peer has closed, the
+    /// socket failed, or the linger time is over.
+    fn drain(&mut self, scratch: &mut [u8]) -> bool {
+        if self.held.elapsed() >= REFUSED_LINGER {
+            return false;
+        }
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => return false,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // sma-lint: allow(A3-error-swallowing) -- a failed refused socket is closed; its peer already has the reply or is gone
+                Err(_) => return false,
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------- session loop

@@ -24,6 +24,7 @@ pub fn get_u32_le(b: &[u8], off: usize) -> Option<u32> {
 }
 
 /// Reads an `i32` at byte offset `off`; `None` if out of bounds.
+#[inline]
 pub fn get_i32_le(b: &[u8], off: usize) -> Option<i32> {
     let s = b.get(off..off.checked_add(4)?)?;
     Some(i32::from_le_bytes(s.try_into().ok()?))
@@ -36,6 +37,7 @@ pub fn get_u64_le(b: &[u8], off: usize) -> Option<u64> {
 }
 
 /// Reads an `i64` at byte offset `off`; `None` if out of bounds.
+#[inline]
 pub fn get_i64_le(b: &[u8], off: usize) -> Option<i64> {
     let s = b.get(off..off.checked_add(8)?)?;
     Some(i64::from_le_bytes(s.try_into().ok()?))

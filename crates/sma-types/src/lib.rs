@@ -44,5 +44,5 @@ pub use rng::StdRng;
 pub use row::{CodecError, Tuple};
 pub use schema::{Column, DataType, Schema, SchemaError, SchemaRef};
 pub use value::Value;
-pub use view::{Projection, RowLayout, RowView};
+pub use view::{Projection, RowLayout, RowView, Slot};
 pub use walrec::{decode_wal_record, encode_wal_record, WalRecord};

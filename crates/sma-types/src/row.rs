@@ -19,6 +19,7 @@ use crate::date::Date;
 use crate::decimal::Decimal;
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
+use crate::view::null_bit;
 use std::fmt;
 
 /// A materialized tuple: one [`Value`] per schema column.
@@ -50,7 +51,7 @@ pub fn encoded_len(schema: &Schema, tuple: &[Value]) -> usize {
 /// `u16` length slot of the fixed section.
 #[expect(
     clippy::indexing_slicing,
-    reason = "out was just resized to bitmap_start + bitmap_len and i < schema.len(), so i / 8 < bitmap_len"
+    reason = "out was just resized to bitmap_start + bitmap_len and i < schema.len(), so null_bit(i)'s byte i / 8 < bitmap_len"
 )]
 pub fn encode(schema: &Schema, tuple: &[Value], out: &mut Vec<u8>) -> Result<(), CodecError> {
     debug_assert!(schema.validate(tuple).is_ok());
@@ -70,7 +71,8 @@ pub fn encode(schema: &Schema, tuple: &[Value], out: &mut Vec<u8>) -> Result<(),
     out.resize(bitmap_start + bitmap_len, 0);
     for (i, v) in tuple.iter().enumerate() {
         if v.is_null() {
-            out[bitmap_start + i / 8] |= 1 << (i % 8);
+            let (byte, mask) = null_bit(i);
+            out[bitmap_start + byte] |= mask;
         }
     }
     let mut strings: Vec<&str> = Vec::new();
@@ -124,7 +126,8 @@ pub fn decode(schema: &Schema, buf: &[u8]) -> Result<Tuple, CodecError> {
     let mut var_pos = bitmap_len + fixed_len;
     let mut tuple = Vec::with_capacity(schema.len());
     for (i, c) in schema.columns().iter().enumerate() {
-        let null = bitmap[i / 8] & (1 << (i % 8)) != 0;
+        let (byte, mask) = null_bit(i);
+        let null = bitmap[byte] & mask != 0;
         let width = c.ty.fixed_width();
         let slot = &buf[pos..pos + width];
         pos += width;

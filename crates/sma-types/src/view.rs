@@ -25,14 +25,52 @@ use crate::row::CodecError;
 use crate::schema::{DataType, Schema};
 use crate::value::Value;
 
+/// The codec's null-bitmap rule: column `col`'s null flag is bit
+/// `col % 8` of bitmap byte `col / 8`. The encoder, the decoder and
+/// [`RowLayout`] all take the bit from here.
+pub(crate) fn null_bit(col: usize) -> (usize, u8) {
+    (col / 8, 1u8 << (col % 8))
+}
+
+/// Where one column lives in every image of a [`RowLayout`]: its bit in
+/// the null bitmap and its fixed slot (byte offset, and a width given by
+/// the type). [`RowLayout::new`] is the one place the codec's slot rule
+/// is turned into positions; [`RowView`]'s typed accessors read through
+/// a `Slot`, and compiled scan kernels hold `Slot`s, so no other module
+/// recomputes the rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    ty: DataType,
+    null_byte: usize,
+    null_mask: u8,
+    offset: usize,
+}
+
+impl Slot {
+    /// The column's declared type.
+    pub fn data_type(self) -> DataType {
+        self.ty
+    }
+
+    /// Byte offset of the fixed slot within the image.
+    pub fn offset(self) -> usize {
+        self.offset
+    }
+
+    /// Width of the fixed slot in bytes.
+    pub fn width(self) -> usize {
+        self.ty.fixed_width()
+    }
+}
+
 /// Schema-derived byte offsets of the row codec, computed once per scan
 /// and shared by every [`RowView`] of that scan.
 #[derive(Debug, Clone)]
 pub struct RowLayout {
     /// Bytes of null bitmap at the head of the image.
     bitmap_len: usize,
-    /// Per column: data type and byte offset of its fixed slot.
-    cols: Vec<(DataType, usize)>,
+    /// Per column: its null bit and fixed slot.
+    slots: Vec<Slot>,
     /// Offset of the var section (= bitmap + all fixed slots).
     var_start: usize,
 }
@@ -41,26 +79,33 @@ impl RowLayout {
     /// Computes the layout of tuples encoded under `schema`.
     pub fn new(schema: &Schema) -> RowLayout {
         let bitmap_len = schema.len().div_ceil(8);
-        let mut off = bitmap_len;
-        let cols = schema
+        let mut offset = bitmap_len;
+        let slots = schema
             .columns()
             .iter()
-            .map(|c| {
-                let slot = off;
-                off += c.ty.fixed_width();
-                (c.ty, slot)
+            .enumerate()
+            .map(|(col, c)| {
+                let (null_byte, null_mask) = null_bit(col);
+                let slot = Slot {
+                    ty: c.ty,
+                    null_byte,
+                    null_mask,
+                    offset,
+                };
+                offset += c.ty.fixed_width();
+                slot
             })
             .collect();
         RowLayout {
             bitmap_len,
-            cols,
-            var_start: off,
+            slots,
+            var_start: offset,
         }
     }
 
     /// Number of columns in the underlying schema.
     pub fn columns(&self) -> usize {
-        self.cols.len()
+        self.slots.len()
     }
 
     /// Bytes of null bitmap at the head of every image.
@@ -74,18 +119,25 @@ impl RowLayout {
         self.var_start
     }
 
+    /// The null bit and fixed slot of column `col`; `None` when `col` is
+    /// out of range.
+    pub fn slot(&self, col: usize) -> Option<Slot> {
+        self.slots.get(col).copied()
+    }
+
     /// The declared type of column `col`.
     #[expect(
         clippy::indexing_slicing,
-        reason = "callers pass col < columns(), which is cols.len()"
+        reason = "callers pass col < columns(), which is slots.len()"
     )]
     pub fn data_type(&self, col: usize) -> DataType {
-        self.cols[col].0
+        self.slots[col].ty
     }
 
     /// Wraps `image` in a view. Errors if the image is shorter than the
     /// bitmap plus fixed sections (the same bound [`crate::row::decode`]
     /// enforces); var-section bounds are checked lazily on access.
+    #[inline]
     pub fn view<'a>(&'a self, image: &'a [u8]) -> Result<RowView<'a>, CodecError> {
         if image.len() < self.var_start {
             return Err(CodecError(format!(
@@ -105,6 +157,11 @@ impl RowLayout {
 ///
 /// Every accessor is allocation-free except [`RowView::get`] on a `Str`
 /// column (which must produce an owned [`Value::Str`]).
+///
+/// The slot readers ([`RowView::i64_at`], [`RowView::i32_at`],
+/// [`RowView::u8_at`]) take a [`Slot`] of this view's layout and are
+/// `#[inline]`, so a scan kernel in another crate that resolved its
+/// slots once runs them without a call per row.
 #[derive(Clone, Copy)]
 pub struct RowView<'a> {
     layout: &'a RowLayout,
@@ -117,58 +174,76 @@ impl<'a> RowView<'a> {
         self.layout.columns()
     }
 
-    /// Whether column `col` is SQL `NULL` (null-bitmap bit set).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "view() rejects images shorter than var_start, which covers the whole null bitmap; col < columns()"
-    )]
-    pub fn is_null(&self, col: usize) -> bool {
-        self.image[col / 8] & (1 << (col % 8)) != 0
+    /// Whether the column at `slot` is SQL `NULL` (its null-bitmap bit is
+    /// set).
+    #[inline]
+    pub fn is_null_at(&self, slot: Slot) -> bool {
+        // view() rejects images shorter than var_start, which covers the
+        // whole bitmap; a missing byte would read as null.
+        self.image
+            .get(slot.null_byte)
+            .is_none_or(|b| b & slot.null_mask != 0)
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "view() rejects images shorter than var_start, and every fixed slot ends at or before var_start; col < columns()"
-    )]
-    fn slot(&self, col: usize) -> &'a [u8] {
-        let (ty, off) = self.layout.cols[col];
-        &self.image[off..off + ty.fixed_width()]
+    /// The raw `i64` of an `Int` slot, or a `Decimal` slot's cents;
+    /// `None` when null.
+    #[inline]
+    pub fn i64_at(&self, slot: Slot) -> Option<i64> {
+        debug_assert!(matches!(slot.ty, DataType::Int | DataType::Decimal));
+        if self.is_null_at(slot) {
+            return None;
+        }
+        bytes::get_i64_le(self.image, slot.offset)
+    }
+
+    /// The raw day count of a `Date` slot; `None` when null.
+    #[inline]
+    pub fn i32_at(&self, slot: Slot) -> Option<i32> {
+        debug_assert_eq!(slot.ty, DataType::Date);
+        if self.is_null_at(slot) {
+            return None;
+        }
+        bytes::get_i32_le(self.image, slot.offset)
+    }
+
+    /// The flag byte of a `Char` slot; `None` when null.
+    #[inline]
+    pub fn u8_at(&self, slot: Slot) -> Option<u8> {
+        debug_assert_eq!(slot.ty, DataType::Char);
+        if self.is_null_at(slot) {
+            return None;
+        }
+        self.image.get(slot.offset).copied()
+    }
+
+    /// Whether column `col` is SQL `NULL` (null-bitmap bit set); an
+    /// out-of-range column reads as null.
+    pub fn is_null(&self, col: usize) -> bool {
+        self.layout.slot(col).is_none_or(|s| self.is_null_at(s))
     }
 
     /// The `i64` at an `Int` column; `None` when null.
     pub fn int_at(&self, col: usize) -> Option<i64> {
         debug_assert_eq!(self.layout.data_type(col), DataType::Int);
-        if self.is_null(col) {
-            return None;
-        }
-        bytes::get_i64_le(self.slot(col), 0)
+        self.i64_at(self.layout.slot(col)?)
     }
 
     /// The [`Decimal`] at a `Decimal` column; `None` when null.
     pub fn decimal_at(&self, col: usize) -> Option<Decimal> {
         debug_assert_eq!(self.layout.data_type(col), DataType::Decimal);
-        if self.is_null(col) {
-            return None;
-        }
-        bytes::get_i64_le(self.slot(col), 0).map(Decimal::from_cents)
+        self.i64_at(self.layout.slot(col)?).map(Decimal::from_cents)
     }
 
     /// The [`Date`] at a `Date` column; `None` when null.
     pub fn date_at(&self, col: usize) -> Option<Date> {
         debug_assert_eq!(self.layout.data_type(col), DataType::Date);
-        if self.is_null(col) {
-            return None;
-        }
-        bytes::get_i32_le(self.slot(col), 0).map(Date::from_days)
+        self.i32_at(self.layout.slot(col)?).map(Date::from_days)
     }
 
     /// The flag byte at a `Char` column; `None` when null.
     pub fn char_at(&self, col: usize) -> Option<u8> {
         debug_assert_eq!(self.layout.data_type(col), DataType::Char);
-        if self.is_null(col) {
-            return None;
-        }
-        self.slot(col).first().copied()
+        self.u8_at(self.layout.slot(col)?)
     }
 
     /// The borrowed payload of a `Str` column; `Ok(None)` when null.
@@ -187,21 +262,20 @@ impl<'a> RowView<'a> {
         }
         let too_short = |what: &str| CodecError(format!("string column {what} slot out of bounds"));
         let mut var_pos = self.layout.var_start;
-        for (i, &(ty, off)) in self
-            .layout
-            .cols
-            .get(..col)
-            .unwrap_or(&[])
-            .iter()
-            .enumerate()
-        {
-            if ty == DataType::Str && !self.is_null(i) {
-                let len = bytes::get_u16_le(self.image, off).ok_or_else(|| too_short("length"))?;
+        for &slot in self.layout.slots.get(..col).unwrap_or(&[]) {
+            if slot.ty == DataType::Str && !self.is_null_at(slot) {
+                let len = bytes::get_u16_le(self.image, slot.offset)
+                    .ok_or_else(|| too_short("length"))?;
                 var_pos += usize::from(len);
             }
         }
+        let offset = self
+            .layout
+            .slot(col)
+            .ok_or_else(|| too_short("payload"))?
+            .offset;
         let len =
-            usize::from(bytes::get_u16_le(self.slot(col), 0).ok_or_else(|| too_short("payload"))?);
+            usize::from(bytes::get_u16_le(self.image, offset).ok_or_else(|| too_short("payload"))?);
         let end = var_pos + len;
         if end > self.image.len() {
             return Err(CodecError(format!(

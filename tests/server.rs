@@ -233,6 +233,18 @@ fn session_limit_sheds_connections_with_busy() {
     let r = second.request("ping").unwrap();
     assert_eq!(r.status, Status::Busy);
     assert!(r.info.contains("session"), "{}", r.info);
+    // So is every later one, though each sends its request before it
+    // reads: closing a refused socket with that request still unread
+    // would reset the connection, and the peer would read the reset
+    // instead of Busy.
+    for i in 0..3_000 {
+        let mut refused = client(&handle);
+        let r = refused
+            .request("ping")
+            .unwrap_or_else(|e| panic!("refusal {i}: {e}"));
+        assert_eq!(r.status, Status::Busy, "refusal {i}");
+    }
+    assert_eq!(first.request("ping").unwrap().status, Status::Ok);
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,14 +1,15 @@
 //! Equivalence of the zero-copy view layer with the materializing row
-//! codec, and of the view-based scan kernels with their materialized
-//! references: answer rows, I/O traces, and scan counters must be
-//! byte-identical with or without views, at any parallelism, healthy or
-//! degraded.
+//! codec, of predicates compiled against the row layout with their
+//! tuple-level evaluation, and of the view-based scan kernels with their
+//! materialized references: answer rows, I/O traces, and scan counters
+//! must be byte-identical with or without views, at any parallelism,
+//! healthy or degraded.
 
 use smadb::exec::{
     collect, cutoff, query1_query, query6_sma_definitions, run_query1, run_query6, Filter,
     HashGAggr, Parallelism, PlannerConfig, Q6Params, Query1Config, SeqScan, SmaGAggr, SmaScan,
 };
-use smadb::sma::{Grade, SmaSet};
+use smadb::sma::{BucketPred, CmpOp, CompiledPred, Grade, SmaSet};
 use smadb::storage::Table;
 use smadb::tpcd::{generate_lineitem_table, Clustering, GenConfig};
 use smadb::types::row::{decode, encode};
@@ -43,11 +44,63 @@ fn random_value(rng: &mut StdRng, ty: DataType) -> Value {
     }
 }
 
+const OPS: [CmpOp; 5] = [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+/// One random comparison over `schema`, whose row is `tuple`: a literal
+/// of the column's type (half the time the row's own value, so `=`,
+/// `<=` and `>=` meet their edges), a `Null` literal, a literal of a
+/// random type (mostly a mismatch), an out-of-range column, or a
+/// column-vs-column comparison. A `Str` column with a `Str` literal is
+/// the generic `Str` atom.
+fn random_atom(rng: &mut StdRng, schema: &Schema, tuple: &[Value]) -> BucketPred {
+    let ncols = schema.len();
+    let op = OPS[rng.random_range(0i64..5) as usize];
+    let col = rng.random_range(0i64..ncols as i64) as usize;
+    match rng.random_range(0i64..16) {
+        0 => BucketPred::cmp(
+            ncols + rng.random_range(0i64..3) as usize,
+            op,
+            tuple[col].clone(),
+        ),
+        1 => BucketPred::cmp(col, op, Value::Null),
+        2 => {
+            let ty = TYPES[rng.random_range(0i64..5) as usize];
+            BucketPred::cmp(col, op, random_value(rng, ty))
+        }
+        3 | 4 => BucketPred::col_cmp(col, op, rng.random_range(0i64..ncols as i64) as usize),
+        5..=9 => BucketPred::cmp(col, op, tuple[col].clone()),
+        _ => BucketPred::cmp(col, op, random_value(rng, schema.column(col).ty)),
+    }
+}
+
+/// A random predicate tree: up to three terms per node (none makes the
+/// empty `And` or `Or`), nested `And`s and `Or`s two levels deep.
+fn random_pred(rng: &mut StdRng, schema: &Schema, tuple: &[Value], depth: u32) -> BucketPred {
+    let terms = (0..rng.random_range(0i64..4))
+        .map(|_| {
+            if depth < 2 && rng.random_range(0i64..3) == 0 {
+                random_pred(rng, schema, tuple, depth + 1)
+            } else {
+                random_atom(rng, schema, tuple)
+            }
+        })
+        .collect();
+    if depth > 0 && rng.random_range(0i64..2) == 0 {
+        BucketPred::Or(terms)
+    } else {
+        BucketPred::And(terms)
+    }
+}
+
 /// Column-at-a-time view decode equals the full materializing decode for
-/// every data type, null pattern, and projection subset.
+/// every data type, null pattern, and projection subset; and a random
+/// predicate compiled against the round's layout answers exactly what
+/// `eval_tuple` answers on the decoded row.
 #[test]
 fn views_decode_identically_across_types_nulls_and_projections() {
     let mut rng = StdRng::seed_from_u64(0x51EE7);
+    let mut pred_rng = StdRng::seed_from_u64(0xC0DE);
+    let mut outcomes = [0usize; 2];
     for round in 0..300 {
         let ncols = 1 + rng.random_range(0i64..12) as usize;
         let schema = Schema::new(
@@ -107,7 +160,24 @@ fn views_decode_identically_across_types_nulls_and_projections() {
                 .all(|&c| schema.column(c).ty != DataType::Str),
             "round {round}"
         );
+
+        // Predicates compiled against this round's layout answer exactly
+        // what the tuple-level evaluation answers on the decoded row.
+        for _ in 0..8 {
+            let pred = random_pred(&mut pred_rng, &schema, &decoded, 0);
+            let compiled = CompiledPred::new(&pred, &layout).eval(&view).unwrap();
+            assert_eq!(
+                compiled,
+                pred.eval_tuple(&decoded),
+                "round {round}: {pred:?} on {decoded:?}"
+            );
+            outcomes[usize::from(compiled)] += 1;
+        }
     }
+    assert!(
+        outcomes.iter().all(|&n| n > 200),
+        "the sweep must exercise both answers, saw {outcomes:?}"
+    );
 }
 
 fn q1_fixture(clustering: Clustering) -> (Table, SmaSet) {
