@@ -217,9 +217,18 @@ mod tests {
 
     #[test]
     fn nulls_mismatches_and_missing_columns_are_false() {
+        // Null slots are encoded as zero bytes, which every range here
+        // holds: only the null bit keeps them out.
         let nulls = vec![Value::Null; 5];
         let ge_min = BucketPred::cmp(0, CmpOp::Ge, i64::MIN);
-        assert_eq!(eval_both(&ge_min, &nulls), (false, false));
+        for pred in [
+            ge_min.clone(),
+            BucketPred::cmp(1, CmpOp::Le, Decimal::from_cents(0)),
+            BucketPred::cmp(2, CmpOp::Ge, Date::from_days(i32::MIN)),
+            BucketPred::cmp(3, CmpOp::Eq, Value::Char(0)),
+        ] {
+            assert_eq!(eval_both(&pred, &nulls), (false, false), "{pred:?}");
+        }
         let tuple = vec![
             Value::Int(5),
             Value::Decimal(Decimal::from_cents(5)),

@@ -588,7 +588,8 @@ mod tests {
 
     /// Every first key byte plus null keys in either column: the rows the
     /// dense table allocates on first use fold back into exactly the
-    /// groups, and the key order, of the ordered-map path.
+    /// groups, and the key order, of the ordered-map path; and so does
+    /// the zero-column table of the ungrouped aggregate.
     #[test]
     fn dense_groups_cover_every_first_byte_and_null_keys() {
         let schema = Arc::new(Schema::new(vec![
@@ -635,9 +636,29 @@ mod tests {
                 key
             })
             .collect();
-        let mut generic = HashGAggr::new(Box::new(SeqScan::new(&t)), vec![0, 1], specs);
+        let mut generic = HashGAggr::new(Box::new(SeqScan::new(&t)), vec![0, 1], specs.clone());
         assert_eq!(got, collect(&mut generic).unwrap());
         assert_eq!(got.len(), rows.len());
+
+        // With no key column the table is one state: the ungrouped
+        // aggregate, folded without a map probe per row.
+        let mut ungrouped = DenseGroups::try_new(&layout, &[]).unwrap();
+        for page in 0..t.page_count() {
+            t.for_each_on_page::<ExecError, _>(page, None, |_, image| {
+                ungrouped.update(&specs, &fold, &layout.view(image)?)
+            })
+            .unwrap();
+        }
+        let got: Vec<Tuple> = ungrouped
+            .into_groups()
+            .into_iter()
+            .map(|(mut key, state)| {
+                key.extend(state.finish(&specs));
+                key
+            })
+            .collect();
+        let mut generic = HashGAggr::new(Box::new(SeqScan::new(&t)), vec![], specs);
+        assert_eq!(got, collect(&mut generic).unwrap());
     }
 
     #[test]
