@@ -51,16 +51,6 @@ impl Slot {
     pub fn data_type(self) -> DataType {
         self.ty
     }
-
-    /// Byte offset of the fixed slot within the image.
-    pub fn offset(self) -> usize {
-        self.offset
-    }
-
-    /// Width of the fixed slot in bytes.
-    pub fn width(self) -> usize {
-        self.ty.fixed_width()
-    }
 }
 
 /// Schema-derived byte offsets of the row codec, computed once per scan
@@ -177,7 +167,7 @@ impl<'a> RowView<'a> {
     /// Whether the column at `slot` is SQL `NULL` (its null-bitmap bit is
     /// set).
     #[inline]
-    pub fn is_null_at(&self, slot: Slot) -> bool {
+    fn is_null_at(&self, slot: Slot) -> bool {
         // view() rejects images shorter than var_start, which covers the
         // whole bitmap; a missing byte would read as null.
         self.image
