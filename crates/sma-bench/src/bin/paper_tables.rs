@@ -187,8 +187,7 @@ fn append_or_exit(path: &str, experiment: &str, run: &str) {
 }
 
 /// E10 — scan-kernel comparison (not in the paper): the zero-copy view
-/// kernels against their materializing predecessors, plus the columnar
-/// batch kernels against the zero-copy row path, on a table dialed to
+/// kernels against their materializing predecessors, on a table dialed to
 /// all-ambivalent for Query 1 — the case where per-tuple costs dominate.
 /// Each pair is asserted to compute the identical answer before being
 /// timed; medians are *appended* as a run to `BENCH_scan_kernels.json` at
@@ -196,7 +195,7 @@ fn append_or_exit(path: &str, experiment: &str, run: &str) {
 /// core count, so the optimization trajectory stays on record (see
 /// `PERF_HISTORY.md`). A failed append exits non-zero.
 fn e10_scan_kernels() {
-    println!("--- E10: scan kernels — materialized vs zero-copy vs columnar ---");
+    println!("--- E10: scan kernels — materialized vs zero-copy ---");
     let timings = sma_bench::kernels::scan_kernel_timings(15);
     println!(
         "{:>38} {:>14} {:>14} {:>9}",

@@ -1,9 +1,6 @@
-//! Materialized-vs-zero-copy scan-kernel comparison.
-//!
-//! One shared fixture drives both `benches/scan_kernels.rs` (interactive
-//! `cargo bench` output) and `paper_tables e10` (which also emits the
-//! machine-readable `BENCH_scan_kernels.json`), so the two always measure
-//! the same kernels on the same data.
+//! Materialized-vs-zero-copy scan-kernel comparison, the fixture behind
+//! `paper_tables e10` (which records its medians in
+//! `BENCH_scan_kernels.json`).
 //!
 //! The *materialized* kernels are the pre-view implementations, rebuilt
 //! here from public APIs: `scan_bucket` decodes every tuple into an owned
@@ -18,12 +15,12 @@ use std::time::Instant;
 
 use sma_core::{CompiledPred, Grade, SmaSet};
 use sma_exec::{
-    collect, cutoff, filter_block, plan, query1_query, AggregateQuery, Filter, HashGAggr,
-    PlannerConfig, SeqScan, SmaGAggr,
+    collect, cutoff, plan, query1_query, AggregateQuery, Filter, HashGAggr, PlannerConfig, SeqScan,
+    SmaGAggr,
 };
-use sma_storage::{MemStore, Table, TableError};
+use sma_storage::{Table, TableError};
 use sma_tpcd::Clustering;
-use sma_types::{ColumnarBucket, RowLayout, Tuple};
+use sma_types::{RowLayout, Tuple};
 
 use crate::{bench_table, dial_ambivalence, q1_smas};
 
@@ -44,17 +41,6 @@ pub struct ScanKernelFixture {
     pub filter: CompiledPred,
     /// One bucket that grades ambivalent under the query predicate.
     pub ambivalent_bucket: u32,
-    /// The same data re-sealed into the columnar (PAX) bucket layout —
-    /// every bucket but the tail converts, so this is the mixed layout
-    /// the converter actually produces.
-    pub columnar: Table,
-    /// Fig. 4 SMA set rebuilt over the columnar table (columnwise build).
-    pub columnar_smas: SmaSet,
-    /// The ambivalent bucket's decoded column arrays, so the filter
-    /// kernel times the batch comparison loops themselves (the block
-    /// decodes once per bucket per query, just as the row kernels run
-    /// against a pre-warmed pool).
-    pub ambivalent_block: ColumnarBucket,
 }
 
 /// Builds the fixture and warms the buffer pool, so the kernels measure
@@ -73,28 +59,6 @@ pub fn scan_kernel_fixture() -> ScanKernelFixture {
     for b in 0..table.bucket_count() {
         table.scan_bucket(b).expect("warms the pool");
     }
-    let mut dest = MemStore::new();
-    table.export_to_store(&mut dest).expect("export");
-    let mut columnar = Table::new(
-        format!("{}_columnar", table.name()),
-        sma_tpcd::lineitem_schema(),
-        Box::new(dest),
-        1 << 16,
-        table.bucket_pages(),
-    );
-    let converted = columnar.convert_buckets_from(0).expect("convert");
-    assert!(
-        converted.contains(&ambivalent_bucket),
-        "the measured bucket must actually be columnar"
-    );
-    let columnar_smas = q1_smas(&columnar);
-    let ambivalent_block = columnar
-        .columnar_bucket(ambivalent_bucket, None)
-        .expect("read block")
-        .expect("bucket converted above");
-    for b in 0..columnar.bucket_count() {
-        columnar.scan_bucket(b).expect("warms the pool");
-    }
     ScanKernelFixture {
         table,
         smas,
@@ -102,9 +66,6 @@ pub fn scan_kernel_fixture() -> ScanKernelFixture {
         layout,
         filter,
         ambivalent_bucket,
-        columnar,
-        columnar_smas,
-        ambivalent_block,
     }
 }
 
@@ -178,43 +139,6 @@ impl ScanKernelFixture {
         .execute()
         .expect("q1")
     }
-
-    /// Filter the same (now columnar) bucket with the batch kernel:
-    /// typed comparison loops over the column arrays fill a selection
-    /// vector per 1024-row batch, and only its length is read.
-    pub fn filter_bucket_columnar(&self) -> usize {
-        filter_block(&self.ambivalent_block, &self.query.pred)
-            .rows()
-            .len()
-    }
-
-    /// Query 1 through `SmaGAggr` over the columnar table: every
-    /// ambivalent bucket decodes once and aggregates through the batch
-    /// kernels (selection vector → columnwise fold).
-    pub fn q1_sma_ambivalent_columnar(&self) -> Vec<Tuple> {
-        let mut op = SmaGAggr::new(
-            &self.columnar,
-            self.query.pred.clone(),
-            self.query.group_by.clone(),
-            self.query.specs.clone(),
-            &self.columnar_smas,
-        )
-        .expect("plan");
-        collect(&mut op).expect("q1")
-    }
-
-    /// Query 1 through the fused full scan over the columnar table —
-    /// bucket-at-a-time block decode, batch filter, columnwise fold.
-    pub fn q1_full_scan_columnar(&self) -> Vec<Tuple> {
-        plan(
-            &self.columnar,
-            self.query.clone(),
-            None,
-            &PlannerConfig::default(),
-        )
-        .execute()
-        .expect("q1")
-    }
 }
 
 /// One materialized-vs-zero-copy comparison, medians in nanoseconds.
@@ -257,24 +181,9 @@ pub fn scan_kernel_timings(samples: usize) -> Vec<KernelTiming> {
         fx.filter_bucket_zero_copy(),
         "kernels must agree before being compared"
     );
-    assert_eq!(
-        fx.filter_bucket_zero_copy(),
-        fx.filter_bucket_columnar(),
-        "row and columnar filter kernels must agree"
-    );
     let expected = fx.q1_materialized();
     assert_eq!(expected, fx.q1_sma_ambivalent());
     assert_eq!(expected, fx.q1_full_scan_fused());
-    assert_eq!(
-        expected,
-        fx.q1_sma_ambivalent_columnar(),
-        "row and columnar aggregation must agree"
-    );
-    assert_eq!(
-        expected,
-        fx.q1_full_scan_columnar(),
-        "row and columnar full scans must agree"
-    );
 
     let mut out = Vec::new();
     let filter_zero_copy_ns = median_ns(samples * 10, || {
@@ -287,46 +196,21 @@ pub fn scan_kernel_timings(samples: usize) -> Vec<KernelTiming> {
         }),
         zero_copy_ns: filter_zero_copy_ns,
     });
-    // For the columnar entries the row zero-copy kernel is the baseline,
-    // so `speedup()` reads as "columnar over the production row path".
-    out.push(KernelTiming {
-        name: "ambivalent_bucket_filter_columnar",
-        materialized_ns: filter_zero_copy_ns,
-        zero_copy_ns: median_ns(samples * 10, || {
-            std::hint::black_box(fx.filter_bucket_columnar());
-        }),
-    });
     let q1_materialized_ns = median_ns(samples, || {
         std::hint::black_box(fx.q1_materialized());
-    });
-    let q1_sma_ns = median_ns(samples, || {
-        std::hint::black_box(fx.q1_sma_ambivalent());
-    });
-    let q1_fused_ns = median_ns(samples, || {
-        std::hint::black_box(fx.q1_full_scan_fused());
     });
     out.push(KernelTiming {
         name: "query1_ambivalent_aggregation",
         materialized_ns: q1_materialized_ns,
-        zero_copy_ns: q1_sma_ns,
+        zero_copy_ns: median_ns(samples, || {
+            std::hint::black_box(fx.q1_sma_ambivalent());
+        }),
     });
     out.push(KernelTiming {
         name: "query1_full_scan",
         materialized_ns: q1_materialized_ns,
-        zero_copy_ns: q1_fused_ns,
-    });
-    out.push(KernelTiming {
-        name: "query1_ambivalent_aggregation_columnar",
-        materialized_ns: q1_sma_ns,
         zero_copy_ns: median_ns(samples, || {
-            std::hint::black_box(fx.q1_sma_ambivalent_columnar());
-        }),
-    });
-    out.push(KernelTiming {
-        name: "query1_full_scan_columnar",
-        materialized_ns: q1_fused_ns,
-        zero_copy_ns: median_ns(samples, || {
-            std::hint::black_box(fx.q1_full_scan_columnar());
+            std::hint::black_box(fx.q1_full_scan_fused());
         }),
     });
     out

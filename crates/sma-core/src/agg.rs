@@ -95,8 +95,8 @@ impl Accumulator {
     /// exactly one [`Accumulator::update`] with
     /// `Value::Decimal(Decimal::from_cents(v))` per item (`None` items
     /// are `Null` inputs, ignored), minus the `Value` boxing and enum
-    /// dispatch. The batch aggregation kernels call this per group with
-    /// the compiled expression's per-row cents.
+    /// dispatch. The bucket loop's compiled row fold calls it once per
+    /// passing row with the `Decimal` column's raw cents.
     pub fn fold_sum_dec(&mut self, items: impl IntoIterator<Item = Option<i64>>) {
         debug_assert_eq!(self.agg, AggFn::Sum);
         let items = items.into_iter();

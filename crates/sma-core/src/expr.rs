@@ -8,8 +8,7 @@
 
 use std::fmt;
 
-use sma_types::colblock::validity_bit;
-use sma_types::{ColumnArray, ColumnarBucket, DataType, Decimal, Schema, Value};
+use sma_types::{DataType, Decimal, Schema, Value};
 
 /// A scalar expression evaluated against one tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,94 +116,6 @@ impl ScalarExpr {
         }
     }
 
-    /// Evaluates with a column-fetch callback instead of a materialized
-    /// tuple — the columnar kernels' entry point. Only referenced columns
-    /// are fetched, so a scan over a columnar bucket never touches (or
-    /// decodes) the others. Semantics are identical to
-    /// [`ScalarExpr::eval`]; the callback reports out-of-range columns.
-    pub fn eval_fetch(
-        &self,
-        fetch: &mut dyn FnMut(usize) -> Result<Value, ExprError>,
-    ) -> Result<Value, ExprError> {
-        match self {
-            ScalarExpr::Column(i) => fetch(*i),
-            ScalarExpr::Literal(v) => Ok(v.clone()),
-            ScalarExpr::Add(a, b) => {
-                let x = a.eval_fetch(fetch)?;
-                let y = b.eval_fetch(fetch)?;
-                binary(x, y, BinOp::Add)
-            }
-            ScalarExpr::Sub(a, b) => {
-                let x = a.eval_fetch(fetch)?;
-                let y = b.eval_fetch(fetch)?;
-                binary(x, y, BinOp::Sub)
-            }
-            ScalarExpr::Mul(a, b) => {
-                let x = a.eval_fetch(fetch)?;
-                let y = b.eval_fetch(fetch)?;
-                binary(x, y, BinOp::Mul)
-            }
-        }
-    }
-
-    /// Compiles a pure-`Decimal` tree into a cents program over `block`'s
-    /// column arrays, or `None` if any node is not `Decimal`-typed (a
-    /// non-`Decimal` column or literal anywhere). The program evaluates
-    /// closure-free on raw `i64` cents with exactly the arithmetic
-    /// [`ScalarExpr::eval`] uses (`+`/`-` are plain cents addition,
-    /// `*` is [`Decimal::mul_round`]), so the batch aggregation kernels
-    /// can run it per selected row without boxing a [`Value`].
-    pub fn compile_decimal<'a>(&self, block: &'a ColumnarBucket) -> Option<DecProgram<'a>> {
-        match self {
-            ScalarExpr::Column(i) => match block.col(*i)? {
-                ColumnArray::Decimal { valid, data } => Some(DecProgram::Col { valid, data }),
-                _ => None,
-            },
-            ScalarExpr::Literal(Value::Decimal(d)) => Some(DecProgram::Lit(Some(d.cents()))),
-            ScalarExpr::Literal(Value::Null) => Some(DecProgram::Lit(None)),
-            ScalarExpr::Literal(_) => None,
-            ScalarExpr::Add(a, b) => Some(DecProgram::Add(
-                Box::new(a.compile_decimal(block)?),
-                Box::new(b.compile_decimal(block)?),
-            )),
-            ScalarExpr::Sub(a, b) => Some(DecProgram::Sub(
-                Box::new(a.compile_decimal(block)?),
-                Box::new(b.compile_decimal(block)?),
-            )),
-            ScalarExpr::Mul(a, b) => Some(DecProgram::Mul(
-                Box::new(a.compile_decimal(block)?),
-                Box::new(b.compile_decimal(block)?),
-            )),
-        }
-    }
-
-    /// The `Int` twin of [`ScalarExpr::compile_decimal`]: a pure-`Int`
-    /// tree over `block`'s arrays, with the row path's checked arithmetic
-    /// (overflow is the same [`ExprError`] [`ScalarExpr::eval`] reports).
-    pub fn compile_int<'a>(&self, block: &'a ColumnarBucket) -> Option<IntProgram<'a>> {
-        match self {
-            ScalarExpr::Column(i) => match block.col(*i)? {
-                ColumnArray::Int { valid, data } => Some(IntProgram::Col { valid, data }),
-                _ => None,
-            },
-            ScalarExpr::Literal(Value::Int(n)) => Some(IntProgram::Lit(Some(*n))),
-            ScalarExpr::Literal(Value::Null) => Some(IntProgram::Lit(None)),
-            ScalarExpr::Literal(_) => None,
-            ScalarExpr::Add(a, b) => Some(IntProgram::Add(
-                Box::new(a.compile_int(block)?),
-                Box::new(b.compile_int(block)?),
-            )),
-            ScalarExpr::Sub(a, b) => Some(IntProgram::Sub(
-                Box::new(a.compile_int(block)?),
-                Box::new(b.compile_int(block)?),
-            )),
-            ScalarExpr::Mul(a, b) => Some(IntProgram::Mul(
-                Box::new(a.compile_int(block)?),
-                Box::new(b.compile_int(block)?),
-            )),
-        }
-    }
-
     /// All column indexes referenced, ascending and deduplicated.
     pub fn referenced_columns(&self) -> Vec<usize> {
         let mut cols = Vec::new();
@@ -255,116 +166,6 @@ impl ScalarExpr {
                 }
             }
         }
-    }
-}
-
-/// A `Decimal`-typed expression compiled against one columnar bucket:
-/// column references hold the array's validity bitmap and cents slices
-/// directly, so per-row evaluation is a closure-free tree walk over raw
-/// `i64`s. `None` results are `Null` (a null column slot or the `NULL`
-/// literal), propagated exactly as [`ScalarExpr::eval`] propagates them.
-#[derive(Debug)]
-pub enum DecProgram<'a> {
-    /// A `Decimal` column's validity bitmap and cents array.
-    Col {
-        /// Validity bitmap (bit set = non-null).
-        valid: &'a [u8],
-        /// Scaled cents; null slots hold `0`.
-        data: &'a [i64],
-    },
-    /// A constant, in cents (`None` = the `NULL` literal).
-    Lit(Option<i64>),
-    /// Cents addition.
-    Add(Box<DecProgram<'a>>, Box<DecProgram<'a>>),
-    /// Cents subtraction.
-    Sub(Box<DecProgram<'a>>, Box<DecProgram<'a>>),
-    /// Half-away-from-zero rounding product ([`Decimal::mul_round`]).
-    Mul(Box<DecProgram<'a>>, Box<DecProgram<'a>>),
-}
-
-impl DecProgram<'_> {
-    /// The expression's cents at `row`, `None` for `Null`. Arithmetic is
-    /// routed through [`Decimal`] so results are bit-identical to the
-    /// `Value`-level row path.
-    pub fn eval_cents(&self, row: usize) -> Option<i64> {
-        match self {
-            DecProgram::Col { valid, data } => {
-                if validity_bit(valid, row) {
-                    data.get(row).copied()
-                } else {
-                    None
-                }
-            }
-            DecProgram::Lit(v) => *v,
-            DecProgram::Add(a, b) => {
-                let (x, y) = (a.eval_cents(row)?, b.eval_cents(row)?);
-                Some((Decimal::from_cents(x) + Decimal::from_cents(y)).cents())
-            }
-            DecProgram::Sub(a, b) => {
-                let (x, y) = (a.eval_cents(row)?, b.eval_cents(row)?);
-                Some((Decimal::from_cents(x) - Decimal::from_cents(y)).cents())
-            }
-            DecProgram::Mul(a, b) => {
-                let (x, y) = (a.eval_cents(row)?, b.eval_cents(row)?);
-                Some(
-                    Decimal::from_cents(x)
-                        .mul_round(Decimal::from_cents(y))
-                        .cents(),
-                )
-            }
-        }
-    }
-}
-
-/// The `Int` twin of [`DecProgram`]: checked arithmetic, with overflow
-/// reported as the same [`ExprError`] the row path produces.
-#[derive(Debug)]
-pub enum IntProgram<'a> {
-    /// An `Int` column's validity bitmap and value array.
-    Col {
-        /// Validity bitmap (bit set = non-null).
-        valid: &'a [u8],
-        /// Raw values; null slots hold `0`.
-        data: &'a [i64],
-    },
-    /// A constant (`None` = the `NULL` literal).
-    Lit(Option<i64>),
-    /// Checked addition.
-    Add(Box<IntProgram<'a>>, Box<IntProgram<'a>>),
-    /// Checked subtraction.
-    Sub(Box<IntProgram<'a>>, Box<IntProgram<'a>>),
-    /// Checked multiplication.
-    Mul(Box<IntProgram<'a>>, Box<IntProgram<'a>>),
-}
-
-impl IntProgram<'_> {
-    /// The expression's value at `row`, `Ok(None)` for `Null`.
-    pub fn eval(&self, row: usize) -> Result<Option<i64>, ExprError> {
-        match self {
-            IntProgram::Col { valid, data } => Ok(if validity_bit(valid, row) {
-                data.get(row).copied()
-            } else {
-                None
-            }),
-            IntProgram::Lit(v) => Ok(*v),
-            IntProgram::Add(a, b) => int_binary(a.eval(row)?, b.eval(row)?, "+", i64::checked_add),
-            IntProgram::Sub(a, b) => int_binary(a.eval(row)?, b.eval(row)?, "-", i64::checked_sub),
-            IntProgram::Mul(a, b) => int_binary(a.eval(row)?, b.eval(row)?, "*", i64::checked_mul),
-        }
-    }
-}
-
-fn int_binary(
-    a: Option<i64>,
-    b: Option<i64>,
-    sym: &str,
-    op: impl Fn(i64, i64) -> Option<i64>,
-) -> Result<Option<i64>, ExprError> {
-    match (a, b) {
-        (Some(x), Some(y)) => op(x, y)
-            .map(Some)
-            .ok_or_else(|| ExprError(format!("integer overflow in {sym}"))),
-        _ => Ok(None),
     }
 }
 

@@ -81,7 +81,7 @@ pub use agg::{Accumulator, AggFn, RetractError};
 pub use catalog::{CatalogError, SmaCatalog};
 pub use compiled::CompiledPred;
 pub use def::{DefError, SmaDefinition};
-pub use expr::{col, dec_lit, lit, DecProgram, ExprError, IntProgram, ScalarExpr};
+pub use expr::{col, dec_lit, lit, ExprError, ScalarExpr};
 pub use file::SmaFile;
 pub use grade::{BucketPred, Classification, CmpOp, Grade, NoStats, StatsProvider};
 pub use join_sma::{semijoin_prune, MinimaxOf};
@@ -93,5 +93,5 @@ pub use persist::{
 };
 pub use projection::ProjectionIndex;
 pub use set::{merge_bucket_into_group, SmaSet};
-pub use sma::{block_bucket_accs, build_many, build_many_parallel, GroupKey, Sma, SmaError};
+pub use sma::{build_many, build_many_parallel, GroupKey, Sma, SmaError};
 pub use validate::{check_level2, check_set, check_sma, debug_check_sma, Violation};

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use sma_storage::{BucketNo, Table, TableError};
-use sma_types::{ColumnarBucket, Tuple, Value};
+use sma_types::{Tuple, Value};
 
 use crate::agg::{Accumulator, AggFn};
 use crate::def::{DefError, SmaDefinition};
@@ -369,14 +369,9 @@ impl Sma {
             file.set(bucket, def_entry.clone());
         }
         self.null_seen[bucket as usize] = false;
-        if let Some(block) = table.columnar_bucket(bucket, None)? {
-            // Columnwise: only the referenced columns are decoded.
-            fill_bucket_from_block(self, bucket, &block)?;
-        } else {
-            let rows = table.scan_bucket(bucket)?;
-            for (_, tuple) in &rows {
-                self.insert_level1(bucket, tuple)?;
-            }
+        let rows = table.scan_bucket(bucket)?;
+        for (_, tuple) in &rows {
+            self.insert_level1(bucket, tuple)?;
         }
         self.stale[bucket as usize] = false;
         self.quarantined[bucket as usize] = false;
@@ -424,13 +419,6 @@ pub fn build_many(table: &Table, defs: Vec<SmaDefinition>) -> Result<Vec<Sma>, S
     let n_buckets = table.bucket_count();
     let mut rows = Vec::new();
     for bucket in 0..n_buckets {
-        if let Some(block) = table.columnar_bucket(bucket, None)? {
-            // Columnwise: accumulate straight off the column arrays.
-            for sma in &mut smas {
-                fill_bucket_from_block(sma, bucket, &block)?;
-            }
-            continue;
-        }
         rows.clear();
         for page in table.bucket_range(bucket) {
             table.scan_page_into(page, &mut rows)?;
@@ -481,19 +469,6 @@ pub fn build_many_parallel(
                     .collect();
                 let mut rows = Vec::new();
                 for bucket in start..end {
-                    if let Some(block) = table.columnar_bucket(bucket, None)? {
-                        // Columnwise twin of the row loop below.
-                        for (def, (groups, nulls)) in defs.iter().zip(&mut partial) {
-                            let (accs, null_seen) = block_bucket_accs(def, &block)?;
-                            if null_seen {
-                                nulls[(bucket - start) as usize] = true;
-                            }
-                            for (key, acc) in accs {
-                                groups.entry(key).or_default().push((bucket, acc.finish()));
-                            }
-                        }
-                        continue;
-                    }
                     rows.clear();
                     for page in table.bucket_range(bucket) {
                         table.scan_page_into(page, &mut rows)?;
@@ -587,121 +562,6 @@ fn fill_bucket_from_rows<'a>(
     sma.ensure_bucket(bucket);
     for tuple in rows {
         sma.insert_level1(bucket, tuple)?;
-    }
-    Ok(())
-}
-
-/// Per-bucket, per-group accumulation over a columnar block — the
-/// columnwise twin of the `note_insert` loop. A bare-column input touches
-/// only that column's array (never materializing tuples); expression
-/// inputs fetch referenced columns on demand via
-/// [`ScalarExpr::eval_fetch`](crate::ScalarExpr::eval_fetch). Value semantics are identical to the row
-/// path by construction: every input still flows through
-/// [`Accumulator::update`] in row order. Returns the accumulators plus
-/// whether a `Null` input was seen (tracked for min/max only, matching
-/// `note_insert`).
-pub fn block_bucket_accs(
-    def: &SmaDefinition,
-    block: &ColumnarBucket,
-) -> Result<(BTreeMap<GroupKey, Accumulator>, bool), SmaError> {
-    use crate::expr::ScalarExpr;
-    let n = block.n_rows();
-    let minmax = matches!(def.agg, AggFn::Min | AggFn::Max);
-    let mut null_seen = false;
-    let mut accs: BTreeMap<GroupKey, Accumulator> = BTreeMap::new();
-    let fetch_err = |c: usize| SmaError::Expr(ExprError(format!("column {c} out of range")));
-    if def.group_by.is_empty() {
-        if n == 0 {
-            // No tuples → no groups, exactly like the row loop.
-            return Ok((accs, false));
-        }
-        let mut acc = Accumulator::new(def.agg);
-        match &def.input {
-            None => {
-                for _ in 0..n {
-                    acc.update(&Value::Int(1));
-                }
-            }
-            Some(ScalarExpr::Column(c)) => {
-                for row in 0..n {
-                    let v = block.value(*c, row).ok_or_else(|| fetch_err(*c))?;
-                    if v.is_null() && minmax {
-                        null_seen = true;
-                    }
-                    acc.update(&v);
-                }
-            }
-            Some(expr) => {
-                for row in 0..n {
-                    let v = expr.eval_fetch(&mut |c| {
-                        block
-                            .value(c, row)
-                            .ok_or_else(|| ExprError(format!("column {c} out of range")))
-                    })?;
-                    if v.is_null() && minmax {
-                        null_seen = true;
-                    }
-                    acc.update(&v);
-                }
-            }
-        }
-        accs.insert(Vec::new(), acc);
-        return Ok((accs, null_seen));
-    }
-    for row in 0..n {
-        let v = match &def.input {
-            None => Value::Int(1),
-            Some(expr) => expr.eval_fetch(&mut |c| {
-                block
-                    .value(c, row)
-                    .ok_or_else(|| ExprError(format!("column {c} out of range")))
-            })?,
-        };
-        if v.is_null() && minmax {
-            null_seen = true;
-        }
-        let key: GroupKey = def
-            .group_by
-            .iter()
-            .map(|&g| block.value(g, row).ok_or_else(|| fetch_err(g)))
-            .collect::<Result<_, _>>()?;
-        accs.entry(key)
-            .or_insert_with(|| Accumulator::new(def.agg))
-            .update(&v);
-    }
-    Ok((accs, null_seen))
-}
-
-/// Folds a columnar block's accumulators into `sma`'s files for `bucket`,
-/// merging with whatever entry is already there — the block-wise
-/// equivalent of `fill_bucket_from_rows` (build) and the re-accumulation
-/// loop in `refresh_bucket` (heal, entries pre-reset to the identity).
-fn fill_bucket_from_block(
-    sma: &mut Sma,
-    bucket: BucketNo,
-    block: &ColumnarBucket,
-) -> Result<(), SmaError> {
-    sma.ensure_bucket(bucket);
-    let (accs, null_seen) = block_bucket_accs(&sma.def, block)?;
-    if null_seen {
-        sma.null_seen[bucket as usize] = true;
-    }
-    for (key, acc) in accs {
-        sma.ensure_group(&key);
-        let Some(file) = sma.groups.get_mut(&key) else {
-            // `ensure_group` above makes this unreachable; report anyway.
-            return Err(SmaError::Def(DefError(format!(
-                "fill into unknown group {key:?}"
-            ))));
-        };
-        // Mirror `merge_entry_then_update`: existing entry first, then the
-        // block's aggregate (identity entries merge as no-ops).
-        let mut merged = Accumulator::new(sma.def.agg);
-        if let Some(e) = file.get(bucket) {
-            merged.merge(e);
-        }
-        merged.merge(acc.value());
-        file.set(bucket, merged.finish());
     }
     Ok(())
 }
@@ -1016,64 +876,6 @@ mod tests {
             assert_eq!(alone.groups, built.groups);
             assert_eq!(alone.null_seen, built.null_seen);
         }
-    }
-
-    /// Converting sealed buckets to the columnar layout must leave every
-    /// build path — serial, parallel, and the refresh/heal loop —
-    /// producing bit-identical SMAs: same groups, entries, and null
-    /// flags. The physical layout is invisible to the aggregates.
-    #[test]
-    fn columnar_buckets_build_identical_smas() {
-        let schema = Arc::new(Schema::new(vec![
-            Column::new("K", DataType::Int),
-            Column::new("G", DataType::Char),
-            Column::new("PAD", DataType::Str),
-        ]));
-        let mut t = Table::in_memory("t", schema, 2);
-        let pad = "p".repeat(700);
-        for k in 0..240i64 {
-            let key = if k % 11 == 0 {
-                Value::Null
-            } else {
-                Value::Int(k % 37 - 18)
-            };
-            t.append(&vec![
-                key,
-                Value::Char(b'A' + (k % 3) as u8),
-                Value::Str(pad.clone()),
-            ])
-            .unwrap();
-        }
-        assert!(t.bucket_count() >= 16);
-        let defs = vec![
-            SmaDefinition::new("min", AggFn::Min, col(0)),
-            SmaDefinition::new("max", AggFn::Max, col(0)).group_by(vec![1]),
-            SmaDefinition::new("sum", AggFn::Sum, col(0).mul(crate::expr::lit(2i64))),
-            SmaDefinition::count("count").group_by(vec![1]),
-        ];
-        let before = build_many(&t, defs.clone()).unwrap();
-        let converted = t.convert_buckets_from(0).unwrap();
-        assert!(!converted.is_empty(), "conversion must do something");
-        let after = build_many(&t, defs.clone()).unwrap();
-        let after_par = build_many_parallel(&t, defs, 4).unwrap();
-        for (b, a) in before.iter().zip(&after) {
-            assert_eq!(b.groups, a.groups);
-            assert_eq!(b.null_seen, a.null_seen);
-            assert_eq!(b.n_buckets, a.n_buckets);
-        }
-        for (b, a) in before.iter().zip(&after_par) {
-            assert_eq!(b.groups, a.groups);
-            assert_eq!(b.null_seen, a.null_seen);
-        }
-        // The heal path re-reads a columnar bucket columnwise and must
-        // land on the same entries.
-        let mut healed = after.into_iter().next().unwrap();
-        let target = converted[0];
-        healed.quarantine_bucket(target);
-        healed.refresh_bucket(&t, target).unwrap();
-        assert!(!healed.is_quarantined(target));
-        assert_eq!(healed.groups, before[0].groups);
-        assert_eq!(healed.null_seen, before[0].null_seen);
     }
 
     #[test]

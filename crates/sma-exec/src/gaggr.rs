@@ -5,8 +5,8 @@
 
 use std::collections::BTreeMap;
 
-use sma_core::{Accumulator, AggFn, ExprError, ScalarExpr};
-use sma_types::{ColumnarBucket, DataType, RowLayout, RowView, Slot, Tuple, Value};
+use sma_core::{Accumulator, AggFn, ScalarExpr};
+use sma_types::{DataType, RowLayout, RowView, Slot, Tuple, Value};
 
 use crate::op::{ExecError, PhysicalOp};
 
@@ -55,7 +55,7 @@ impl AggSpec {
 /// bucket loop's per-row fold ([`GroupState::fold_view`]).
 ///
 /// `count(*)` and `sum`/`avg` of an `Int` or `Decimal` column fold the
-/// raw slot through the typed folds the columnar kernels use —
+/// raw slot through the typed folds —
 /// [`Accumulator::fold_count`], [`Accumulator::fold_sum_int`] and
 /// [`Accumulator::fold_sum_dec`], each an exact twin of
 /// [`Accumulator::update`]. Every other aggregate is evaluated on the
@@ -156,33 +156,6 @@ impl GroupState {
         Ok(())
     }
 
-    /// Folds one row of a columnar bucket into every aggregate. Identical
-    /// math to [`GroupState::update`]; aggregate inputs are fetched
-    /// straight out of the column arrays, so only the columns the specs
-    /// actually reference are touched.
-    pub fn update_block(
-        &mut self,
-        specs: &[AggSpec],
-        block: &ColumnarBucket,
-        row: usize,
-    ) -> Result<(), ExecError> {
-        for (spec, acc) in specs.iter().zip(&mut self.accs) {
-            match spec.input() {
-                Some(e) => {
-                    let v = e.eval_fetch(&mut |c| {
-                        block
-                            .value(c, row)
-                            .ok_or_else(|| ExprError(format!("column {c} out of range")))
-                    })?;
-                    acc.update(&v);
-                }
-                None => acc.update(&Value::Int(1)),
-            }
-        }
-        self.hidden_count += 1;
-        Ok(())
-    }
-
     /// Merges a partial state for the same group (computed over a disjoint
     /// bucket range) into this one. Folding each partial's finished value
     /// back in is exact because min/max/sum/count are associative and the
@@ -234,7 +207,6 @@ impl GroupState {
 /// allocate and to walk, once per morsel. With no key column the table is
 /// one row of one slot.
 pub(crate) struct DenseGroups {
-    cols: Vec<usize>,
     /// The key columns' slots in the row layout.
     keys: Vec<Slot>,
     /// Row `idx >> 8` of the flat table, for every first byte seen (one
@@ -258,7 +230,6 @@ impl DenseGroups {
         let mut rows = Vec::new();
         rows.resize_with(1usize << (8 * group_by.len().saturating_sub(1)), || None);
         Some(DenseGroups {
-            cols: group_by.to_vec(),
             keys,
             rows,
             overflow: BTreeMap::new(),
@@ -267,7 +238,7 @@ impl DenseGroups {
 
     /// The state slot at flat index `idx`, allocating its row on first use.
     fn slot(&mut self, idx: usize) -> &mut Option<GroupState> {
-        let row_len = if self.cols.is_empty() { 1 } else { 256 };
+        let row_len = if self.keys.is_empty() { 1 } else { 256 };
         let row = self.rows[idx >> 8].get_or_insert_with(|| {
             let mut row = Vec::new();
             row.resize_with(row_len, || None);
@@ -308,152 +279,10 @@ impl DenseGroups {
             .fold_view(fold, row)
     }
 
-    /// Folds one selected row of a columnar bucket into its group — the
-    /// block twin of [`DenseGroups::update`], with identical key
-    /// semantics: non-null `Char` keys index the flat table, null keys
-    /// overflow to the ordered side map.
-    pub fn update_block(
-        &mut self,
-        specs: &[AggSpec],
-        block: &ColumnarBucket,
-        row: usize,
-    ) -> Result<(), ExecError> {
-        let mut idx = 0usize;
-        for (pos, &c) in self.cols.iter().enumerate() {
-            match block_char_at(block, c, row) {
-                Some(b) => idx = (idx << 8) | b as usize,
-                None => {
-                    let mut key = Vec::with_capacity(self.cols.len());
-                    for &k in &self.cols[..pos] {
-                        // These columns yielded Some earlier in this very
-                        // loop; Null is the generic fallback for a null key.
-                        key.push(
-                            block_char_at(block, k, row)
-                                .map(Value::Char)
-                                .unwrap_or(Value::Null),
-                        );
-                    }
-                    for &k in &self.cols[pos..] {
-                        key.push(block.value(k, row).ok_or_else(|| {
-                            ExecError::Plan(format!("group column {k} out of range"))
-                        })?);
-                    }
-                    return self
-                        .overflow
-                        .entry(key)
-                        .or_insert_with(|| GroupState::new(specs))
-                        .update_block(specs, block, row);
-                }
-            }
-        }
-        self.slot(idx)
-            .get_or_insert_with(|| GroupState::new(specs))
-            .update_block(specs, block, row)
-    }
-
-    /// Folds a whole selection of columnar-bucket rows, spec-at-a-time.
-    ///
-    /// Pass 1 resolves every row's flat group slot (rows with a null key
-    /// take the exact per-row overflow path immediately). Pass 2 then
-    /// compiles each aggregate input once against the block's arrays and
-    /// folds column-at-a-time: `sum` over a compiled `Decimal`/`Int`
-    /// program feeds raw values straight into the accumulator, `count(*)`
-    /// adds each group's row count in one step, and anything else (or an
-    /// uncompilable tree) falls back to the per-row fold. Per-group
-    /// update order is ascending row order either way, so even
-    /// path-dependent accumulator states (saturating `Int` sums) match
-    /// the row path bit for bit.
-    pub fn update_block_batch(
-        &mut self,
-        specs: &[AggSpec],
-        block: &ColumnarBucket,
-        rows: &[usize],
-    ) -> Result<(), ExecError> {
-        enum Prog<'a> {
-            Dec(sma_core::DecProgram<'a>),
-            Int(sma_core::IntProgram<'a>),
-            Count,
-            Fallback,
-        }
-        let mut slot_of: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut touched: Vec<usize> = Vec::new();
-        let mut group_rows: Vec<Vec<usize>> = Vec::new();
-        'rows: for &row in rows {
-            let mut idx = 0usize;
-            for &c in &self.cols {
-                match block_char_at(block, c, row) {
-                    Some(b) => idx = (idx << 8) | b as usize,
-                    None => {
-                        self.update_block(specs, block, row)?;
-                        continue 'rows;
-                    }
-                }
-            }
-            match slot_of.get(&idx) {
-                Some(&p) => group_rows[p].push(row),
-                None => {
-                    slot_of.insert(idx, touched.len());
-                    touched.push(idx);
-                    group_rows.push(vec![row]);
-                }
-            }
-        }
-        let progs: Vec<Prog<'_>> = specs
-            .iter()
-            .map(|spec| match (spec.base_fn(), spec.input()) {
-                (AggFn::Count, None) => Prog::Count,
-                (AggFn::Sum, Some(e)) => e
-                    .compile_decimal(block)
-                    .map(Prog::Dec)
-                    .or_else(|| e.compile_int(block).map(Prog::Int))
-                    .unwrap_or(Prog::Fallback),
-                _ => Prog::Fallback,
-            })
-            .collect();
-        let mut scratch: Vec<Option<i64>> = Vec::new();
-        for (&flat, rows_g) in touched.iter().zip(&group_rows) {
-            let state = self
-                .slot(flat)
-                .get_or_insert_with(|| GroupState::new(specs));
-            for ((spec, prog), acc) in specs.iter().zip(&progs).zip(&mut state.accs) {
-                match prog {
-                    Prog::Count => acc.fold_count(rows_g.len()),
-                    Prog::Dec(p) => {
-                        acc.fold_sum_dec(rows_g.iter().map(|&r| p.eval_cents(r)));
-                    }
-                    Prog::Int(p) => {
-                        scratch.clear();
-                        for &r in rows_g {
-                            scratch.push(p.eval(r)?);
-                        }
-                        acc.fold_sum_int(scratch.iter().copied());
-                    }
-                    Prog::Fallback => {
-                        for &r in rows_g {
-                            match spec.input() {
-                                Some(e) => {
-                                    let v = e.eval_fetch(&mut |c| {
-                                        block.value(c, r).ok_or_else(|| {
-                                            ExprError(format!("column {c} out of range"))
-                                        })
-                                    })?;
-                                    acc.update(&v);
-                                }
-                                None => acc.update(&Value::Int(1)),
-                            }
-                        }
-                    }
-                }
-            }
-            state.hidden_count += i64::try_from(rows_g.len()).unwrap_or(i64::MAX);
-        }
-        Ok(())
-    }
-
     /// Converts back to the ordered map the merge machinery uses.
     pub fn into_groups(self) -> BTreeMap<Vec<Value>, GroupState> {
         let mut out = self.overflow;
-        let key_cols = self.cols.len();
+        let key_cols = self.keys.len();
         for (first, row) in self.rows.into_iter().enumerate() {
             let Some(row) = row else { continue };
             for (last, slot) in row.into_vec().into_iter().enumerate() {
@@ -468,19 +297,6 @@ impl DenseGroups {
         }
         out
     }
-}
-
-/// The raw byte of a non-null `Char` column in a columnar bucket — the
-/// block twin of [`RowView::char_at`]: `None` for nulls, non-`Char`
-/// columns, and out-of-range rows or columns.
-fn block_char_at(block: &ColumnarBucket, col: usize, row: usize) -> Option<u8> {
-    let array = block.col(col)?;
-    if let sma_types::ColumnArray::Char { data, .. } = array {
-        if row < block.n_rows() && array.is_valid(row) {
-            return data.get(row).copied();
-        }
-    }
-    None
 }
 
 /// Hash (well, ordered-map) aggregation: a pipeline breaker computing all

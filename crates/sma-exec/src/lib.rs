@@ -2,7 +2,6 @@
 //!
 //! * [`op`] — the iterator-model operator interface,
 //! * [`basic`] — `SeqScan`, `Filter`, `Project` (the SMA-less baselines),
-//! * [`colkernel`] — selection-vector batch kernels over columnar buckets,
 //! * [`scan`] — `SmaScan` (Fig. 6),
 //! * [`gaggr`] — Dayal-style grouping/aggregation (`HashGAggr`),
 //! * [`sma_gaggr`] — `SmaGAggr` (Fig. 7), whose bucket loop every
@@ -30,7 +29,6 @@
 )]
 
 pub mod basic;
-pub mod colkernel;
 pub mod degrade;
 pub mod gaggr;
 pub mod op;
@@ -46,7 +44,6 @@ pub mod sma_gaggr;
 pub mod sort;
 
 pub use basic::{Filter, Project, SeqScan};
-pub use colkernel::{filter_block, SelectionVector};
 pub use degrade::DegradationReport;
 pub use gaggr::{AggSpec, HashGAggr};
 pub use op::{collect, ExecError, PhysicalOp};

@@ -767,40 +767,10 @@ mod tests {
         assert_eq!(filtered, narrow);
     }
 
-    /// A full scan over a columnar-converted table must produce the same
-    /// rows as before conversion and charge the budget exactly one unit
-    /// per data page (columnar buckets charge their range at once, row
-    /// buckets page by page — the totals tile `0..page_count` either
-    /// way). Every plan kind keeps agreeing after conversion.
-    #[test]
-    fn columnar_buckets_preserve_full_scan_answers_and_charges() {
-        let mut t = make_table(60, true);
-        let set = full_set(&t);
-        let q = query(30);
-        let expected = plan(&t, q.clone(), None, &PlannerConfig::default())
-            .execute()
-            .unwrap();
-        let converted = t.convert_buckets_from(0).unwrap();
-        assert!(!converted.is_empty());
-        let budget = QueryBudget::unbounded();
-        let p = forced(&t, None, q.clone(), PlanKind::FullScan).with_budget(&budget);
-        assert_eq!(p.execute().unwrap(), expected);
-        assert_eq!(budget.pages_charged(), u64::from(t.page_count()));
-        for kind in [
-            PlanKind::SmaGAggr,
-            PlanKind::SmaScanGAggr,
-            PlanKind::FullScan,
-        ] {
-            let p = forced(&t, Some(&set), q.clone(), kind);
-            assert_eq!(p.execute().unwrap(), expected, "{kind:?}");
-        }
-    }
-
     /// The parallel full scan returns the serial rows byte for byte at
     /// every worker count — on every clustering, for the dense Q1 grouping
-    /// and an ungrouped aggregate, over row and columnar buckets, with and
-    /// without an overlay — and a cold run reads every page once, with one
-    /// seek per morsel.
+    /// and an ungrouped aggregate, with and without an overlay — and a cold
+    /// run reads every page once, with one seek per morsel.
     #[test]
     fn parallel_full_scan_matches_serial_exactly() {
         use crate::parallel::morsels;
@@ -812,7 +782,7 @@ mod tests {
             Clustering::Shuffled,
             Clustering::Uniform,
         ] {
-            let mut t = generate_lineitem_table(&GenConfig::tiny(clustering));
+            let t = generate_lineitem_table(&GenConfig::tiny(clustering));
             let q1 = query1_query(&t, cutoff(90)).unwrap();
             let ungrouped = AggregateQuery {
                 group_by: Vec::new(),
@@ -825,34 +795,29 @@ mod tests {
                 .take(40)
                 .map(|(_, r)| (1, r))
                 .collect();
-            for columnar in [false, true] {
-                if columnar {
-                    assert!(!t.convert_buckets_from(0).unwrap().is_empty());
-                }
-                for q in [&q1, &ungrouped] {
-                    for extra in [Vec::new(), overlay.clone()] {
-                        let run = |threads: usize| {
-                            let mut p = forced(&t, None, q.clone(), PlanKind::FullScan)
-                                .with_overlay(&extra);
-                            p.parallelism = Parallelism::new(threads);
-                            t.make_cold().unwrap();
-                            t.reset_io_stats();
-                            (p.execute().unwrap(), t.io_stats())
-                        };
-                        let (serial, _) = run(1);
-                        assert!(!serial.is_empty());
-                        for threads in [1, 2, 4, 8] {
-                            let ctx = format!(
-                                "{clustering:?} columnar={columnar} by={:?} overlay={} {threads} threads",
-                                q.group_by,
-                                extra.len()
-                            );
-                            let (rows, io) = run(threads);
-                            assert_eq!(rows, serial, "{ctx}");
-                            assert_eq!(io.physical_reads, u64::from(t.page_count()), "{ctx}");
-                            let seeks = morsels(t.bucket_count(), threads).len() as u64;
-                            assert_eq!(io.random_reads, seeks, "{ctx}");
-                        }
+            for q in [&q1, &ungrouped] {
+                for extra in [Vec::new(), overlay.clone()] {
+                    let run = |threads: usize| {
+                        let mut p =
+                            forced(&t, None, q.clone(), PlanKind::FullScan).with_overlay(&extra);
+                        p.parallelism = Parallelism::new(threads);
+                        t.make_cold().unwrap();
+                        t.reset_io_stats();
+                        (p.execute().unwrap(), t.io_stats())
+                    };
+                    let (serial, _) = run(1);
+                    assert!(!serial.is_empty());
+                    for threads in [1, 2, 4, 8] {
+                        let ctx = format!(
+                            "{clustering:?} by={:?} overlay={} {threads} threads",
+                            q.group_by,
+                            extra.len()
+                        );
+                        let (rows, io) = run(threads);
+                        assert_eq!(rows, serial, "{ctx}");
+                        assert_eq!(io.physical_reads, u64::from(t.page_count()), "{ctx}");
+                        let seeks = morsels(t.bucket_count(), threads).len() as u64;
+                        assert_eq!(io.random_reads, seeks, "{ctx}");
                     }
                 }
             }

@@ -6,10 +6,9 @@
 //! ambivalent buckets pay per-tuple predicate evaluation.
 
 use sma_core::{BucketPred, CompiledPred, Grade, SmaSet};
-use sma_storage::{QueryBudget, SlotId, Table, TupleId};
+use sma_storage::{QueryBudget, Table, TupleId};
 use sma_types::{RowLayout, Tuple};
 
-use crate::colkernel::filter_block;
 use crate::degrade::DegradationReport;
 use crate::op::{ExecError, PhysicalOp};
 use crate::parallel::{run_morsels, Parallelism};
@@ -154,29 +153,6 @@ impl<'a> SmaScan<'a> {
                 // Every tuple is wanted: plain materializing read.
                 for page in self.table.bucket_range(bucket) {
                     self.table.scan_page_into(page, &mut self.buffer)?;
-                }
-            } else if let Some(block) = self.table.columnar_bucket(bucket, None)? {
-                // Ambivalent, columnar layout: the batch kernels evaluate
-                // the predicate over the column arrays and only survivors
-                // are materialized. Decoding the block reads the bucket's
-                // whole page range once — the same pages, in the same
-                // order, as the row branch below — and the synthetic
-                // tuple ids (first page of the bucket, slot = row index)
-                // are exactly what `for_each_in_bucket` reports for a
-                // columnar bucket, so output and I/O trace are unchanged.
-                let first = self.table.bucket_range(bucket).start;
-                for &row in filter_block(&block, &self.pred).rows() {
-                    let slot = SlotId::try_from(row).map_err(|_| {
-                        ExecError::Plan(format!(
-                            "columnar bucket {bucket} row {row} exceeds the slot range"
-                        ))
-                    })?;
-                    let tuple = block.row(row).ok_or_else(|| {
-                        ExecError::Plan(format!(
-                            "columnar bucket {bucket} row {row} vanished mid-scan"
-                        ))
-                    })?;
-                    self.buffer.push((TupleId { page: first, slot }, tuple));
                 }
             } else {
                 // Ambivalent: run the compiled predicate on zero-copy views
@@ -409,49 +385,6 @@ mod tests {
         let first = scan.counters();
         collect(&mut scan).unwrap();
         assert_eq!(scan.counters(), first);
-    }
-
-    /// Converting sealed buckets to the columnar layout must change
-    /// nothing observable: same rows, same counters, same logical-read
-    /// totals — only the kernel that produced them differs. The tail
-    /// bucket stays in row layout (appends land there), so this also
-    /// covers the mixed row/columnar case.
-    #[test]
-    fn columnar_buckets_match_row_scan_exactly() {
-        let mut t = sorted_table(40); // 20 buckets
-        let smas = minmax(&t);
-        let preds = vec![
-            BucketPred::cmp(0, CmpOp::Le, 8i64),
-            BucketPred::cmp(0, CmpOp::Eq, 7i64),
-            BucketPred::And(vec![
-                BucketPred::cmp(0, CmpOp::Ge, 5i64),
-                BucketPred::cmp(0, CmpOp::Le, 33i64),
-            ]),
-            BucketPred::Or(vec![
-                BucketPred::cmp(0, CmpOp::Lt, 3i64),
-                BucketPred::cmp(0, CmpOp::Gt, 36i64),
-            ]),
-        ];
-        let mut row_path = Vec::new();
-        for pred in &preds {
-            t.reset_io_stats();
-            let mut scan = SmaScan::new(&t, pred.clone(), &smas);
-            let rows = collect(&mut scan).unwrap();
-            row_path.push((rows, scan.counters(), t.io_stats().logical_reads));
-        }
-        let converted = t.convert_buckets_from(0).unwrap();
-        assert!(!converted.is_empty());
-        assert!(
-            (converted.len() as u32) < t.bucket_count(),
-            "tail bucket stays in row layout — the table is mixed"
-        );
-        for (pred, (rows, counters, reads)) in preds.iter().zip(&row_path) {
-            t.reset_io_stats();
-            let mut scan = SmaScan::new(&t, pred.clone(), &smas);
-            assert_eq!(&collect(&mut scan).unwrap(), rows, "pred {pred:?}");
-            assert_eq!(&scan.counters(), counters, "pred {pred:?}");
-            assert_eq!(t.io_stats().logical_reads, *reads, "pred {pred:?}");
-        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ use sma_core::{BucketPred, Classification, CompiledPred, Grade, Sma, SmaSet, LEV
 use sma_storage::{PrivateFrame, QueryBudget};
 use sma_types::{RowLayout, Tuple, Value};
 
-use crate::colkernel::{aggregate_block, filter_block};
 use crate::gaggr::{AggSpec, DenseGroups, GroupState, RowFold};
 use crate::op::{ExecError, PhysicalOp};
 use crate::parallel::{run_morsels, Parallelism};
@@ -427,26 +426,17 @@ impl<'a> SmaGAggr<'a> {
     /// The per-bucket kernel. It charges the bucket's whole page range,
     /// then reads the bucket straight out of the buffer pool's page
     /// frames: the compiled predicate and aggregate inputs run on
-    /// zero-copy [`sma_types::RowView`]s, or the batch kernels over a
-    /// columnar bucket, so qualifying tuples fold into their group
-    /// without ever being materialized.
+    /// zero-copy [`sma_types::RowView`]s, so qualifying tuples fold into
+    /// their group without ever being materialized.
     fn aggregate_bucket(
         &self,
         bucket: u32,
-        mut frame: Option<&mut PrivateFrame>,
+        frame: Option<&mut PrivateFrame>,
         groups: &mut Groups,
         dense: &mut Option<DenseGroups>,
     ) -> Result<(), ExecError> {
         if let Some(b) = self.budget {
             b.charge(self.table.bucket_range(bucket).len() as u64)?;
-        }
-        if let Some(block) = self.table.columnar_bucket(bucket, frame.as_deref_mut())? {
-            // Columnar layout: the batch kernels filter over the column
-            // arrays and fold only the survivors, touching only the
-            // columns the predicate and aggregates reference. Decoding
-            // the block reads the same pages the row branch below would.
-            let sel = filter_block(&block, &self.pred);
-            return aggregate_block(&block, &sel, &self.group_by, &self.specs, groups, dense);
         }
         self.table
             .for_each_in_bucket::<ExecError, _>(bucket, frame, |_, image| {
@@ -1057,48 +1047,6 @@ mod tests {
         let c = op.counters();
         assert_eq!(c.degradation.quarantined_buckets, vec![0, 7]);
         assert_eq!(c.ambivalent, 2);
-    }
-
-    /// Columnar conversion must leave the operator's rows, counters, and
-    /// I/O totals untouched at every thread count — ambivalent columnar
-    /// buckets run the batch kernels, everything else is unchanged.
-    /// Quarantine demotions land on the kernel path too, and stay exact.
-    #[test]
-    fn columnar_buckets_match_row_aggregation_exactly() {
-        let mut t = make_table(60); // 30 buckets
-        let smas = full_set(&t);
-        let pred = BucketPred::cmp(0, CmpOp::Le, 8i64); // splits bucket 4
-        t.reset_io_stats();
-        let mut row_op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
-            .unwrap()
-            .with_parallelism(Parallelism::serial());
-        let expected = collect(&mut row_op).unwrap();
-        let expected_counters = row_op.counters();
-        let expected_reads = t.io_stats().logical_reads;
-        let converted = t.convert_buckets_from(0).unwrap();
-        assert!(!converted.is_empty());
-        for threads in [1, 2, 8] {
-            t.reset_io_stats();
-            let mut op = SmaGAggr::new(&t, pred.clone(), vec![1], specs(), &smas)
-                .unwrap()
-                .with_parallelism(Parallelism::new(threads));
-            assert_eq!(collect(&mut op).unwrap(), expected, "{threads} threads");
-            assert_eq!(op.counters(), expected_counters, "{threads} threads");
-            assert_eq!(
-                t.io_stats().logical_reads,
-                expected_reads,
-                "{threads} threads"
-            );
-        }
-        // Quarantined buckets demote to columnar kernel scans and the
-        // answer still matches the tuple-at-a-time oracle.
-        let mut damaged = smas.clone();
-        damaged.quarantine_bucket(1);
-        damaged.quarantine_bucket(3);
-        let wide = BucketPred::cmp(0, CmpOp::Le, 100i64);
-        let mut op = SmaGAggr::new(&t, wide.clone(), vec![1], specs(), &damaged).unwrap();
-        assert_eq!(collect(&mut op).unwrap(), baseline(&t, wide));
-        assert_eq!(op.counters().degradation.quarantined_buckets, vec![1, 3]);
     }
 
     /// Fed the planner's grades, the operator answers exactly as when it

@@ -93,15 +93,9 @@ impl AnalyzeConfig {
                 "scan_page_into",
                 "scan_bucket",
                 "with_page",
-                "columnar_bucket",
-                "read_chunk",
             ],
             a2_scope_crates: vec!["sma-exec", "sma-server", "smadb"],
             a2_allow: vec![
-                Allow {
-                    func: "StreamingWarehouse::commit_generation",
-                    reason: "the flush and compaction commit sequence: converting sealed buckets column-major reads their rows once; bounded by memtable size or CompactionPolicy cadence, not query traffic",
-                },
                 Allow {
                     func: "Warehouse::scrub",
                     reason: "recovery scrub verifies every page by design; runs at open, never on the query path",

@@ -139,7 +139,7 @@ const NOT_CALLS: &[&str] = &[
 /// (collections, iterators, options, I/O), so worst-casing it onto every
 /// same-named workspace method would drown the graph in false edges.
 /// These calls are dropped instead — a documented approximation limit
-/// (DESIGN.md §14): a workspace method sharing a std name is only linked
+/// (DESIGN.md §13): a workspace method sharing a std name is only linked
 /// when its receiver resolves (self, typed field/param, or lock-wrapper
 /// result).
 const STD_METHODS: &[&str] = &[

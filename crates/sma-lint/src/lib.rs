@@ -13,7 +13,7 @@
 //!   [`parse`] and the approximate call graph [`graph`]): lock order,
 //!   QueryBudget threading, error swallowing and fsync confinement.
 //!
-//! See DESIGN.md §9 and §14 for the rules and the engine.
+//! See DESIGN.md §9 and §13 for the rules and the engine.
 //!
 //! Run it as `cargo run -p sma-lint [-- --json] [--baseline FILE] [root]`.
 //! Exit codes: `0` no error outside the baseline, `1` new errors, `2`

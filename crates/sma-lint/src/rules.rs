@@ -155,25 +155,6 @@ pub const CONFINEMENT: &[Confinement] = &[
         homes: &[],
         why: "in sma-server — overload must shed (Busy), not queue; use a bounded structure or sync_channel",
     },
-    Confinement {
-        id: "C1-columnar-confinement",
-        banned: &[
-            "chunk_pages",
-            "read_chunk",
-            "assemble_blob",
-            "is_columnar_page",
-            "COLUMNAR_MARKER0",
-            "COLUMNAR_MARKER1",
-        ],
-        crates: PRODUCT_CRATES,
-        targets: SHIPPED,
-        homes: &[
-            "crates/sma-types/src/colblock.rs",
-            "crates/sma-storage/src/columnar.rs",
-            "crates/sma-storage/src/table.rs",
-        ],
-        why: "outside the columnar codec modules — use Table::columnar_bucket / ColumnarBucket instead of raw chunk bytes",
-    },
 ];
 
 /// The clippy lints every product library root must deny.
@@ -203,10 +184,8 @@ const CODEC_STRICT: &[&str] = &[
     "crates/sma-types/src/view.rs",
     "crates/sma-types/src/value.rs",
     "crates/sma-types/src/bytes.rs",
-    "crates/sma-types/src/colblock.rs",
     "crates/sma-storage/src/page.rs",
     "crates/sma-storage/src/checksum.rs",
-    "crates/sma-storage/src/columnar.rs",
     "crates/sma-core/src/persist.rs",
 ];
 

@@ -171,53 +171,6 @@ fn n2_sync_channel_and_other_crates_are_fine() {
     assert!(fire("crates/sma-core/src/queue.rs", elsewhere).is_empty());
 }
 
-// --- C1: columnar codec confinement ---------------------------------------
-
-#[test]
-fn c1_chunk_primitives_outside_the_codec_trio() {
-    let src = "//! docs\n\
-               use sma_storage::columnar::{is_columnar_page, read_chunk};\n\
-               pub fn sniff(buf: &[u8]) -> bool {\n\
-               \tis_columnar_page(buf)\n\
-               }\n";
-    let got = fire("crates/sma-exec/src/rogue.rs", src);
-    assert_eq!(
-        got,
-        vec![
-            ("C1-columnar-confinement", 2),
-            ("C1-columnar-confinement", 2),
-            ("C1-columnar-confinement", 4),
-        ]
-    );
-}
-
-#[test]
-fn c1_marker_bytes_count_as_primitives() {
-    let src = "pub fn looks_columnar(b: &[u8]) -> bool {\n\
-               \tb.first() == Some(&COLUMNAR_MARKER0)\n\
-               }\n";
-    let got = fire("src/rogue.rs", src);
-    assert_eq!(got, vec![("C1-columnar-confinement", 2)]);
-}
-
-#[test]
-fn c1_silent_inside_the_codec_trio_and_tests() {
-    let src = "pub fn go(buf: &[u8]) -> bool { is_columnar_page(buf) }\n";
-    assert!(fire("crates/sma-storage/src/columnar.rs", src)
-        .iter()
-        .all(|(rule, _)| *rule != "C1-columnar-confinement"));
-    assert!(fire("crates/sma-storage/src/table.rs", src).is_empty());
-    assert!(fire("crates/sma-types/src/colblock.rs", src)
-        .iter()
-        .all(|(rule, _)| *rule != "C1-columnar-confinement"));
-    // Tests and benches probe layouts freely.
-    assert!(fire("crates/sma-storage/tests/probe.rs", src).is_empty());
-    let in_test = "#[cfg(test)]\nmod tests {\n\
-                   \tfn go(b: &[u8]) -> bool { super::is_columnar_page(b) }\n\
-                   }\n";
-    assert!(fire("crates/sma-exec/src/rogue.rs", in_test).is_empty());
-}
-
 // --- U1: lint headers --------------------------------------------------------
 
 const PRODUCT_HEADER: &str = "#![forbid(unsafe_code)]\n\
@@ -280,8 +233,8 @@ fn u1_harness_lib_roots_need_only_the_two_base_headers() {
 fn u1_codec_modules_deny_indexing_and_truncating_casts() {
     let src = "//! A codec.\npub fn f() {}\n";
     for rel in [
-        "crates/sma-types/src/colblock.rs",
-        "crates/sma-storage/src/columnar.rs",
+        "crates/sma-types/src/row.rs",
+        "crates/sma-storage/src/checksum.rs",
         "crates/sma-core/src/persist.rs",
     ] {
         let findings = report(rel, src).findings;

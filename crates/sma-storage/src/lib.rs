@@ -39,7 +39,6 @@
 
 pub mod budget;
 pub mod checksum;
-pub mod columnar;
 pub mod cost;
 pub mod memtable;
 pub mod page;
@@ -52,7 +51,6 @@ pub mod wal;
 
 pub use budget::{BudgetExceeded, QueryBudget};
 pub use checksum::crc32;
-pub use columnar::{ColumnarError, CHUNK_CAPACITY};
 pub use cost::{CostModel, Stopwatch};
 pub use memtable::{MemRow, Memtable};
 pub use page::{SlotId, SlottedPage, MAX_TUPLE_BYTES, PAGE_FOOTER_LEN, PAGE_SIZE};

@@ -6,14 +6,12 @@
 //! correspondence is purely positional — which is why tables are
 //! append-oriented and updates stay within their page.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
 
 use sma_types::row::{decode, encode};
-use sma_types::{ColumnarBucket, SchemaRef, Tuple};
+use sma_types::{SchemaRef, Tuple};
 
-use crate::columnar::{assemble_blob, chunk_pages, is_columnar_page, ColumnarError};
 use crate::page::{SlotId, SlottedPage, MAX_TUPLE_BYTES, PAGE_SIZE};
 use crate::pool::{BufferPool, IoStats, PrivateFrame};
 use crate::store::{MemStore, PageNo, PageStore, StoreError};
@@ -50,12 +48,6 @@ pub enum TableError {
     UpdateWouldMove(TupleId),
     /// No live tuple at this id.
     NotFound(TupleId),
-    /// Columnar chunk pages failed structural validation (corruption).
-    Columnar(ColumnarError),
-    /// Columnar block failed to decode (corruption).
-    ColBlock(sma_types::ColBlockError),
-    /// The tuple lives in a converted (immutable) columnar bucket.
-    ColumnarImmutable(TupleId),
 }
 
 impl fmt::Display for TableError {
@@ -72,11 +64,6 @@ impl fmt::Display for TableError {
                 write!(f, "update of {tid:?} does not fit on its page")
             }
             TableError::NotFound(tid) => write!(f, "no live tuple at {tid:?}"),
-            TableError::Columnar(e) => write!(f, "{e}"),
-            TableError::ColBlock(e) => write!(f, "{e}"),
-            TableError::ColumnarImmutable(tid) => {
-                write!(f, "{tid:?} lives in an immutable columnar bucket")
-            }
         }
     }
 }
@@ -88,22 +75,8 @@ impl std::error::Error for TableError {
             TableError::Schema(e) => Some(e),
             TableError::Codec(e) => Some(e),
             TableError::Page(e) => Some(e),
-            TableError::Columnar(e) => Some(e),
-            TableError::ColBlock(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<ColumnarError> for TableError {
-    fn from(e: ColumnarError) -> TableError {
-        TableError::Columnar(e)
-    }
-}
-
-impl From<sma_types::ColBlockError> for TableError {
-    fn from(e: sma_types::ColBlockError) -> TableError {
-        TableError::ColBlock(e)
     }
 }
 
@@ -142,11 +115,6 @@ pub struct Table {
     /// the range an incremental flush must export. `None` means sealed:
     /// every page is covered by the committed segment set.
     min_dirty: Option<PageNo>,
-    /// Buckets converted to the columnar (PAX) layout. Their page range
-    /// holds one chunked [`ColumnarBucket`] blob instead of slotted pages;
-    /// they are immutable and never include the table's last page (appends
-    /// land there). Rebuilt from page markers by [`Table::verify_pages`].
-    columnar: BTreeSet<BucketNo>,
 }
 
 impl fmt::Debug for Table {
@@ -181,7 +149,6 @@ impl Table {
             bucket_pages,
             live_tuples: 0,
             min_dirty: None,
-            columnar: BTreeSet::new(),
         }
     }
 
@@ -283,21 +250,9 @@ impl Table {
     }
 
     /// Reads the tuple at `tid`, or `None` if deleted/absent.
-    ///
-    /// In a columnar bucket, tuple ids are synthetic: the bucket's first
-    /// page plus the row's index within the block (the ids its scans
-    /// emit). Other pages of the bucket hold no addressable tuples.
     pub fn get(&self, tid: TupleId) -> Result<Option<Tuple>, TableError> {
         if tid.page >= self.page_count() {
             return Ok(None);
-        }
-        let b = self.bucket_of_page(tid.page);
-        if self.columnar.contains(&b) {
-            if tid.page != self.bucket_range(b).start {
-                return Ok(None);
-            }
-            let block = self.read_columnar(b, None)?;
-            return Ok(block.row(usize::from(tid.slot)));
         }
         let image = self.pool.with_page(tid.page, |buf| {
             let page = SlottedPage::from_bytes(buf)?;
@@ -313,9 +268,6 @@ impl Table {
     pub fn delete(&mut self, tid: TupleId) -> Result<(), TableError> {
         if tid.page >= self.page_count() {
             return Err(TableError::NotFound(tid));
-        }
-        if self.columnar.contains(&self.bucket_of_page(tid.page)) {
-            return Err(TableError::ColumnarImmutable(tid));
         }
         let removed = self.pool.with_page_mut(tid.page, |buf| {
             let mut page = SlottedPage::from_bytes(buf)?;
@@ -341,9 +293,6 @@ impl Table {
         self.schema.validate(tuple)?;
         if tid.page >= self.page_count() {
             return Err(TableError::NotFound(tid));
-        }
-        if self.columnar.contains(&self.bucket_of_page(tid.page)) {
-            return Err(TableError::ColumnarImmutable(tid));
         }
         let mut image = Vec::new();
         encode(&self.schema, tuple, &mut image)?;
@@ -409,44 +358,6 @@ impl Table {
         E: From<TableError>,
         F: FnMut(TupleId, &[u8]) -> Result<(), E>,
     {
-        let b = self.bucket_of_page(page_no);
-        if self.columnar.contains(&b) {
-            // Columnar fallback: visiting the bucket's *first* page decodes
-            // the whole block (reading every page of the range — the same
-            // page fetches, in the same order, as the row layout) and
-            // yields each row re-encoded into a scratch image. The other
-            // pages of the bucket visit nothing and read nothing, so a
-            // page-by-page sweep over the range costs exactly what the
-            // slotted sweep cost.
-            if page_no != self.bucket_range(b).start {
-                return Ok(());
-            }
-            let block = self.read_columnar(b, frame).map_err(E::from)?;
-            let mut image = Vec::new();
-            for i in 0..block.n_rows() {
-                let row = block.row(i).ok_or_else(|| {
-                    E::from(TableError::Columnar(ColumnarError(format!(
-                        "row {i} out of range in bucket {b}"
-                    ))))
-                })?;
-                image.clear();
-                encode(&self.schema, &row, &mut image)
-                    .map_err(|e| E::from(TableError::Codec(e)))?;
-                let slot = SlotId::try_from(i).map_err(|_| {
-                    E::from(TableError::Columnar(ColumnarError(format!(
-                        "bucket {b} exceeds the slot-id row limit"
-                    ))))
-                })?;
-                f(
-                    TupleId {
-                        page: page_no,
-                        slot,
-                    },
-                    &image,
-                )?;
-            }
-            return Ok(());
-        }
         let visited = self
             .read_page(page_no, frame, |buf| {
                 crate::page::for_each_image::<VisitError<E>, _>(buf, |slot, img| {
@@ -538,100 +449,6 @@ impl Table {
         Ok(out)
     }
 
-    /// Whether bucket `b` holds the columnar layout.
-    pub fn is_columnar_bucket(&self, b: BucketNo) -> bool {
-        self.columnar.contains(&b)
-    }
-
-    /// The converted buckets, in order.
-    pub fn columnar_buckets(&self) -> Vec<BucketNo> {
-        self.columnar.iter().copied().collect()
-    }
-
-    /// Decodes bucket `b`'s columnar block, or `None` if the bucket still
-    /// holds rows. Reads every page of the bucket's range through the
-    /// pool — the same page fetches a slotted scan of the bucket costs —
-    /// or, with a `frame`, as [`Table::for_each_in_bucket`] does.
-    pub fn columnar_bucket(
-        &self,
-        b: BucketNo,
-        frame: Option<&mut PrivateFrame>,
-    ) -> Result<Option<ColumnarBucket>, TableError> {
-        if !self.columnar.contains(&b) {
-            return Ok(None);
-        }
-        self.read_columnar(b, frame).map(Some)
-    }
-
-    fn read_columnar(
-        &self,
-        b: BucketNo,
-        mut frame: Option<&mut PrivateFrame>,
-    ) -> Result<ColumnarBucket, TableError> {
-        let range = self.bucket_range(b);
-        let blob = assemble_blob::<TableError, _>(range, |no, visit| {
-            self.read_page(no, frame.as_deref_mut(), |buf| visit(buf))
-                .map_err(TableError::Store)?
-        })?;
-        ColumnarBucket::decode(&self.schema, &blob).map_err(TableError::ColBlock)
-    }
-
-    /// Converts bucket `b` to the columnar layout in place, returning
-    /// whether a conversion happened. Skipped (returning `false`) when the
-    /// bucket is already columnar, includes the table's last page (appends
-    /// land there), has more rows than slot ids can address, or its block
-    /// does not fit the bucket's page extent — the rows simply stay
-    /// row-major, which is always correct.
-    pub fn convert_bucket_to_columnar(&mut self, b: BucketNo) -> Result<bool, TableError> {
-        if self.columnar.contains(&b) {
-            return Ok(false);
-        }
-        let range = self.bucket_range(b);
-        if range.is_empty() || range.end >= self.page_count() {
-            return Ok(false);
-        }
-        let rows = self.scan_bucket(b)?;
-        if rows.len() > usize::from(SlotId::MAX) {
-            return Ok(false);
-        }
-        let tuples: Vec<Tuple> = rows.into_iter().map(|(_, t)| t).collect();
-        let block =
-            ColumnarBucket::from_rows(&self.schema, &tuples).map_err(TableError::ColBlock)?;
-        let blob = block.encode();
-        // Fit is the one expected skip: the columnar encoding can be
-        // larger than the slotted one. Any other chunking failure is a
-        // real error and must surface, not silently leave the bucket
-        // row-major.
-        if blob.len() > range.len().saturating_mul(crate::columnar::CHUNK_CAPACITY) {
-            return Ok(false);
-        }
-        let images = chunk_pages(&blob, range.len())?;
-        for (no, image) in range.clone().zip(images.iter()) {
-            self.pool
-                .with_page_mut(no, |buf| buf.copy_from_slice(&image[..]))?;
-        }
-        self.columnar.insert(b);
-        self.note_dirty(range.start);
-        Ok(true)
-    }
-
-    /// Converts every eligible bucket whose page range starts at or after
-    /// `from` (pass the flush boundary to convert only the pages the next
-    /// delta exports, or `0` to convert everything, as compaction does).
-    /// Returns the buckets converted by this call.
-    pub fn convert_buckets_from(&mut self, from: PageNo) -> Result<Vec<BucketNo>, TableError> {
-        let mut converted = Vec::new();
-        for b in 0..self.bucket_count() {
-            if self.bucket_range(b).start < from {
-                continue;
-            }
-            if self.convert_bucket_to_columnar(b)? {
-                converted.push(b);
-            }
-        }
-        Ok(converted)
-    }
-
     /// Buffer-pool capacity in pages.
     pub fn pool_capacity(&self) -> usize {
         self.pool.capacity()
@@ -705,78 +522,24 @@ impl Table {
     }
 
     /// Reads every page through the pool, verifying checksum footers and
-    /// slotted-page or columnar-chunk structure. Corrupt pages are
-    /// collected (not fatal); other store errors propagate. Also recounts
-    /// `live_tuples` from the readable pages and rediscovers columnar
-    /// buckets from their self-describing chunk markers — the restart path
-    /// uses this to restore both the counter and the layout set.
-    ///
-    /// A bucket counts as columnar only when *every* page of its range
-    /// carries the chunk marker and the assembled block decodes; a bucket
-    /// mixing chunk and slotted pages (a torn conversion) or failing to
-    /// decode is wholly corrupt — there is no row set it can be trusted
-    /// to hold.
+    /// slotted-page structure. Corrupt pages are collected (not fatal);
+    /// other store errors propagate. Also recounts `live_tuples` from the
+    /// readable pages — the restart path uses this to restore the counter.
     pub fn verify_pages(&mut self) -> Result<PageVerification, TableError> {
-        self.columnar.clear();
-        enum Kind {
-            Row(u64),
-            Col,
-            Corrupt,
-        }
         let mut report = PageVerification {
             scanned: 0,
             corrupt: Vec::new(),
         };
-        let mut kinds: Vec<Kind> = Vec::new();
+        let mut live = 0u64;
         for no in 0..self.page_count() {
             report.scanned += 1;
-            let parsed = self.pool.with_page(no, |buf| {
-                if is_columnar_page(buf) {
-                    Ok(Kind::Col)
-                } else {
-                    SlottedPage::from_bytes(buf).map(|p| Kind::Row(p.live_count() as u64))
-                }
-            });
-            kinds.push(match parsed {
-                Ok(Ok(k)) => k,
-                Ok(Err(_)) => Kind::Corrupt,
-                Err(StoreError::Corrupt { .. }) => Kind::Corrupt,
+            match self.pool.with_page(no, |buf| {
+                SlottedPage::from_bytes(buf).map(|p| p.live_count() as u64)
+            }) {
+                Ok(Ok(n)) => live += n,
+                Ok(Err(_)) | Err(StoreError::Corrupt { .. }) => report.corrupt.push(no),
                 Err(e) => return Err(e.into()),
-            });
-        }
-        let mut live = 0u64;
-        for b in 0..self.bucket_count() {
-            let range = self.bucket_range(b);
-            let slice = kinds
-                .get(range.start as usize..range.end as usize)
-                .unwrap_or(&[]);
-            let n_col = slice.iter().filter(|k| matches!(k, Kind::Col)).count();
-            if n_col == 0 {
-                for (off, kind) in slice.iter().enumerate() {
-                    match kind {
-                        Kind::Row(n) => live += n,
-                        Kind::Corrupt => report.corrupt.push(range.start + off as PageNo),
-                        Kind::Col => {}
-                    }
-                }
-                continue;
             }
-            if n_col == slice.len() {
-                match self.read_columnar(b, None) {
-                    Ok(block) => {
-                        self.columnar.insert(b);
-                        live += block.n_rows() as u64;
-                        continue;
-                    }
-                    Err(
-                        TableError::Store(StoreError::Corrupt { .. })
-                        | TableError::Columnar(_)
-                        | TableError::ColBlock(_),
-                    ) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            report.corrupt.extend(range);
         }
         self.live_tuples = live;
         Ok(report)
@@ -1127,179 +890,6 @@ mod tests {
             .map(|(_, tu)| tu[0].as_int().unwrap())
             .collect();
         assert_eq!(keys, (0..20).collect::<Vec<_>>());
-    }
-
-    fn filled_table(bucket_pages: u32, rows: i64) -> Table {
-        let mut t = Table::in_memory("t", schema(), bucket_pages);
-        let long = "x".repeat(700);
-        for k in 0..rows {
-            t.append(&tuple(k, &long)).unwrap();
-        }
-        t
-    }
-
-    #[test]
-    fn columnar_conversion_preserves_scans_and_io() {
-        let mut t = filled_table(2, 40);
-        let row_scan = t.scan().unwrap();
-        let row_rows: Vec<Tuple> = row_scan.iter().map(|(_, tu)| tu.clone()).collect();
-        t.make_cold().unwrap();
-        t.reset_io_stats();
-        t.scan().unwrap();
-        let row_io = t.io_stats();
-
-        let converted = t.convert_buckets_from(0).unwrap();
-        assert!(!converted.is_empty());
-        let last_bucket = t.bucket_count() - 1;
-        assert!(
-            !t.is_columnar_bucket(last_bucket),
-            "the bucket holding the last page must stay row-major"
-        );
-        for &b in &converted {
-            assert!(t.is_columnar_bucket(b));
-        }
-
-        let col_scan = t.scan().unwrap();
-        let col_rows: Vec<Tuple> = col_scan.iter().map(|(_, tu)| tu.clone()).collect();
-        assert_eq!(col_rows, row_rows, "same rows in the same order");
-        // Synthetic tuple ids round-trip through get().
-        for (tid, tu) in &col_scan {
-            assert_eq!(t.get(*tid).unwrap().as_ref(), Some(tu));
-        }
-        // Cold-scan I/O is identical to the row layout.
-        t.flush().unwrap();
-        t.make_cold().unwrap();
-        t.reset_io_stats();
-        t.scan().unwrap();
-        let col_io = t.io_stats();
-        assert_eq!(col_io.physical_reads, row_io.physical_reads);
-        assert_eq!(col_io.logical_reads, row_io.logical_reads);
-        assert_eq!(col_io.sequential_reads, row_io.sequential_reads);
-        // Per-bucket scans agree too.
-        for b in 0..t.bucket_count() {
-            let rows: Vec<Tuple> = t
-                .scan_bucket(b)
-                .unwrap()
-                .into_iter()
-                .map(|(_, tu)| tu)
-                .collect();
-            let expect: Vec<Tuple> = row_scan
-                .iter()
-                .filter(|(tid, _)| t.bucket_of_page(tid.page) == b)
-                .map(|(_, tu)| tu.clone())
-                .collect();
-            assert_eq!(rows, expect, "bucket {b}");
-        }
-        assert_eq!(t.live_tuples(), 40);
-    }
-
-    #[test]
-    fn oversized_columnar_block_skips_conversion_without_error() {
-        // Eight Str columns sized so slotted pages pack with zero waste
-        // (4 x 1021-byte rows fill a page exactly) while each column's
-        // heap tops 64 KiB, forcing u32 columnar offsets: 4 bytes per
-        // value against the slotted 2-byte length slot. The block cannot
-        // fit the bucket's page extent, so conversion must decline
-        // (Ok(false)) and leave the bucket row-major and scannable.
-        let cols: Vec<Column> = (0..8)
-            .map(|i| Column::new(format!("S{i}"), DataType::Str))
-            .collect();
-        let schema = Arc::new(Schema::new(cols));
-        let mut t = Table::in_memory("t", schema, 140);
-        let row: Tuple = (0..8).map(|_| Value::Str("v".repeat(125))).collect();
-        while t.page_count() <= 140 {
-            t.append(&row).unwrap();
-        }
-        let before = t.scan_bucket(0).unwrap();
-        assert_eq!(before.len(), 560, "4 rows per page, 140 pages");
-        assert!(!t.convert_bucket_to_columnar(0).unwrap(), "must decline");
-        assert!(!t.is_columnar_bucket(0));
-        assert_eq!(t.scan_bucket(0).unwrap(), before);
-    }
-
-    #[test]
-    fn columnar_buckets_reject_mutation_and_deletes_survive_conversion() {
-        let mut t = filled_table(2, 40);
-        let victim = t.scan().unwrap()[3].0;
-        t.delete(victim).unwrap();
-        t.convert_buckets_from(0).unwrap();
-        assert_eq!(t.live_tuples(), 39, "deleted row is gone from the block");
-        assert_eq!(t.scan().unwrap().len(), 39);
-        let in_col = t
-            .scan()
-            .unwrap()
-            .into_iter()
-            .find(|(tid, _)| t.is_columnar_bucket(t.bucket_of_page(tid.page)))
-            .unwrap()
-            .0;
-        assert!(matches!(
-            t.delete(in_col),
-            Err(TableError::ColumnarImmutable(_))
-        ));
-        assert!(matches!(
-            t.update(in_col, &tuple(0, "nope")),
-            Err(TableError::ColumnarImmutable(_))
-        ));
-        // Appends still work: they land on the (row-major) last page.
-        t.append(&tuple(99, "after")).unwrap();
-        assert_eq!(t.live_tuples(), 40);
-    }
-
-    #[test]
-    fn verify_pages_rediscovers_columnar_buckets() {
-        use crate::store::FileStore;
-        use crate::test_util::scratch_path;
-        let mut t = filled_table(2, 40);
-        t.convert_buckets_from(0).unwrap();
-        let converted = t.columnar_buckets();
-        assert!(!converted.is_empty());
-        let rows_before: Vec<Tuple> = t.scan().unwrap().into_iter().map(|(_, tu)| tu).collect();
-        let path = scratch_path("table_columnar_verify");
-        {
-            let mut dest = FileStore::create(&path).unwrap();
-            t.export_to_store(&mut dest).unwrap();
-        }
-        let store = FileStore::open(&path).unwrap();
-        let mut back = Table::new("t", schema(), Box::new(store), 64, 2);
-        let v = back.verify_pages().unwrap();
-        assert!(v.corrupt.is_empty(), "clean export: {:?}", v.corrupt);
-        assert_eq!(back.columnar_buckets(), converted, "layout rediscovered");
-        assert_eq!(back.live_tuples(), 40);
-        let rows_after: Vec<Tuple> = back.scan().unwrap().into_iter().map(|(_, tu)| tu).collect();
-        assert_eq!(rows_after, rows_before);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn verify_pages_marks_torn_columnar_bucket_wholly_corrupt() {
-        use crate::store::FileStore;
-        use crate::test_util::{flip_bit_in_file, scratch_path};
-        let mut t = filled_table(2, 40);
-        t.convert_buckets_from(0).unwrap();
-        let b = t.columnar_buckets()[0];
-        let range = t.bucket_range(b);
-        let path = scratch_path("table_columnar_torn");
-        {
-            let mut dest = FileStore::create(&path).unwrap();
-            t.export_to_store(&mut dest).unwrap();
-        }
-        // Corrupt one chunk page of the converted bucket.
-        flip_bit_in_file(
-            &path,
-            u64::from(range.start) * crate::page::PAGE_SIZE as u64 + 100,
-            5,
-        )
-        .unwrap();
-        let store = FileStore::open(&path).unwrap();
-        let mut back = Table::new("t", schema(), Box::new(store), 64, 2);
-        let v = back.verify_pages().unwrap();
-        let expect: Vec<PageNo> = range.collect();
-        assert_eq!(
-            v.corrupt, expect,
-            "every page of the torn bucket is reported"
-        );
-        assert!(!back.is_columnar_bucket(b));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -27,7 +27,6 @@
 )]
 
 pub mod bytes;
-pub mod colblock;
 pub mod date;
 pub mod decimal;
 pub mod rng;
@@ -37,7 +36,6 @@ pub mod value;
 pub mod view;
 pub mod walrec;
 
-pub use colblock::{ColBlockError, ColumnArray, ColumnarBucket};
 pub use date::{Date, DateError};
 pub use decimal::{Decimal, DecimalError};
 pub use rng::StdRng;

@@ -32,8 +32,7 @@ impl DataType {
         }
     }
 
-    /// The one-byte tag the on-disk formats (columnar blocks and the
-    /// warehouse manifest) store for this type.
+    /// The one-byte tag the warehouse manifest stores for this type.
     pub fn tag(self) -> u8 {
         match self {
             DataType::Int => 0,
@@ -209,7 +208,7 @@ mod tests {
             DataType::Char,
             DataType::Str,
         ];
-        // Columnar blocks and the warehouse manifest store these bytes.
+        // The warehouse manifest stores these bytes.
         let tags: Vec<u8> = all.iter().map(|ty| ty.tag()).collect();
         assert_eq!(tags, vec![0, 1, 2, 3, 4]);
         for ty in all {

@@ -106,10 +106,8 @@ impl<S: PageStore> StreamingWarehouse<S> {
         for name in &names {
             self.warehouse.refresh_smas(name)?;
         }
-        // Under the columnar policy, compaction is the catch-all
-        // conversion point: it rewrites every table whole, so every
-        // eligible sealed bucket converts, not just the ones above the
-        // last flush. The commit point and the cleanup follow the flush's.
+        // Compaction rewrites every table whole; the commit point and the
+        // cleanup follow the flush's.
         let stop = match stage {
             CompactStage::SegmentsWritten => FlushStage::SegmentsWritten,
             CompactStage::Committed => FlushStage::Committed,

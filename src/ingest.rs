@@ -224,12 +224,6 @@ pub struct StreamingWarehouse<S: PageStore = FileStore> {
     pending: Option<FlushStage>,
     /// When background compaction fires (see [`crate::compact`]).
     pub(crate) compaction: CompactionPolicy,
-    /// Whether flush and compaction convert sealed buckets to the
-    /// columnar (PAX) layout before exporting them. Off by default: row
-    /// layout everywhere, byte-identical to previous releases. Turning it
-    /// on never changes query results — only the physical layout of
-    /// sealed buckets (see `Table::convert_bucket_to_columnar`).
-    pub(crate) columnar: bool,
 }
 
 impl StreamingWarehouse {
@@ -330,7 +324,6 @@ impl StreamingWarehouse {
                 pending_flush_error: None,
                 pending: None,
                 compaction: CompactionPolicy::default(),
-                columnar: false,
             },
             report,
         ))
@@ -383,7 +376,6 @@ impl<S: PageStore> StreamingWarehouse<S> {
             pending_flush_error: None,
             pending: None,
             compaction: CompactionPolicy::default(),
-            columnar: false,
         })
     }
 
@@ -646,19 +638,18 @@ impl<S: PageStore> StreamingWarehouse<S> {
     /// run from the seam after `*done` up to `stop`, recording each seam
     /// it reaches in `*done`:
     ///
-    /// 1. convert to columnar, when that policy is on;
-    /// 2. begin the generation — a flush passes its `watermark` and gets a
+    /// 1. begin the generation — a flush passes its `watermark` and gets a
     ///    new WAL epoch, a compaction passes `None` and keeps it;
-    /// 3. write the generation's segments (the pages written since the
+    /// 2. write the generation's segments (the pages written since the
     ///    last commit for a flush, every page for a compaction) and SMA
     ///    images — [`FlushStage::SegmentsWritten`];
-    /// 4. commit the manifest and install its segment lists — the commit
+    /// 3. commit the manifest and install its segment lists — the commit
     ///    point, [`FlushStage::Committed`];
-    /// 5. remove the files it no longer names — [`FlushStage::Cleaned`].
+    /// 4. remove the files it no longer names — [`FlushStage::Cleaned`].
     ///
     /// Committed files are never opened for writing. A crash before the
     /// commit is harmless: recovery reloads the committed generation and
-    /// replays the WAL, and the next run converts and writes again.
+    /// replays the WAL, and the next run writes again.
     pub(crate) fn commit_generation(
         &mut self,
         watermark: Option<u64>,
@@ -671,20 +662,6 @@ impl<S: PageStore> StreamingWarehouse<S> {
             } else {
                 Export::Whole
             };
-            if self.columnar {
-                // A delta converts only buckets above its first unsealed
-                // page; the tail bucket, where appends land, stays
-                // row-major (see `Table::convert_bucket_to_columnar`).
-                for table in self.warehouse.tables_mut() {
-                    let from = match export {
-                        Export::Whole => 0,
-                        Export::Delta => table.unsealed_from(),
-                    };
-                    table
-                        .convert_buckets_from(from)
-                        .map_err(WarehouseError::from)?;
-                }
-            }
             let epoch = self.warehouse.begin_generation(watermark);
             let (manifest, lists) =
                 self.warehouse
@@ -729,20 +706,6 @@ impl<S: PageStore> StreamingWarehouse<S> {
     /// stage that completed before an early stop or error.
     pub fn pending_stage(&self) -> Option<FlushStage> {
         self.pending
-    }
-
-    /// Whether sealed buckets are rewritten to the columnar layout.
-    pub fn columnar(&self) -> bool {
-        self.columnar
-    }
-
-    /// Enables or disables columnar conversion of sealed buckets. Flush
-    /// and compaction convert full buckets below the segment watermark;
-    /// query results are byte-identical either way — only the physical
-    /// page layout (and scan/aggregate kernel choice) changes. Buckets
-    /// already converted stay columnar when the policy is turned off.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
     }
 
     /// The committed generation number.

@@ -52,6 +52,9 @@ pub enum WarehouseError {
     /// The warehouse manifest failed its checksum or did not parse. The
     /// manifest is the one file recovery cannot rebuild, so this is fatal.
     CorruptManifest(String),
+    /// The manifest declares this table in the retired columnar layout,
+    /// whose pages this version no longer reads.
+    UnsupportedLayout(String),
 }
 
 impl fmt::Display for WarehouseError {
@@ -67,6 +70,10 @@ impl fmt::Display for WarehouseError {
             WarehouseError::CorruptManifest(what) => {
                 write!(f, "corrupt warehouse manifest: {what}")
             }
+            WarehouseError::UnsupportedLayout(table) => write!(
+                f,
+                "table {table:?} is stored in the columnar layout, which is no longer read"
+            ),
         }
     }
 }
@@ -81,7 +88,8 @@ impl std::error::Error for WarehouseError {
             WarehouseError::Sma(e) => Some(e),
             WarehouseError::UnknownTable(_)
             | WarehouseError::DuplicateTable(_)
-            | WarehouseError::CorruptManifest(_) => None,
+            | WarehouseError::CorruptManifest(_)
+            | WarehouseError::UnsupportedLayout(_) => None,
         }
     }
 }
@@ -205,12 +213,6 @@ impl Warehouse {
     /// Registered table names.
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.keys().map(String::as_str)
-    }
-
-    /// Every registered table, mutably: the flush and compaction commit
-    /// sequence converts sealed buckets to the columnar layout through it.
-    pub(crate) fn tables_mut(&mut self) -> impl Iterator<Item = &mut Table> {
-        self.tables.values_mut()
     }
 
     /// The SMA set defined on `relation`, if any.
@@ -563,9 +565,9 @@ impl Warehouse {
         put_u64(&mut manifest, self.watermark);
         put_u64(&mut manifest, self.wal_epoch);
         // Manifest v3: the table-count high bit signals that each table
-        // entry carries a layout byte after bucket_pages. v2 readers never
-        // see v3 manifests (upgrades are forward-only); this v3 reader
-        // still accepts v2 manifests, whose tables are all row-major.
+        // entry carries a layout byte after bucket_pages, always 0 (row
+        // layout). v2 readers never see v3 manifests (upgrades are
+        // forward-only); this v3 reader still accepts v2 manifests.
         put_u32(&mut manifest, MANIFEST_V3_FLAG | (self.tables.len() as u32));
         for (name, table) in &self.tables {
             put_str(&mut manifest, name);
@@ -578,7 +580,7 @@ impl Warehouse {
                 put_u32(&mut manifest, seg.pages);
             }
             put_u32(&mut manifest, table.bucket_pages());
-            manifest.push(u8::from(!table.columnar_buckets().is_empty()));
+            manifest.push(0);
             let cols = table.schema().columns();
             put_u32(&mut manifest, cols.len() as u32);
             for c in cols {
@@ -668,10 +670,6 @@ impl Warehouse {
             for p in verification.corrupt {
                 report.pages_corrupt.push((entry.name.clone(), p));
             }
-            if entry.columnar {
-                report.columnar_tables += 1;
-            }
-            report.columnar_buckets += table.columnar_buckets().len() as u64;
             for sma_entry in entry.smas {
                 let (sma, _rebuilt) =
                     recover_sma(dir, &entry.name, &sma_entry, &table, &mut report)?;
@@ -733,8 +731,9 @@ pub const MANIFEST_FILE: &str = "catalog.smac";
 const MANIFEST_MAGIC: &[u8; 4] = b"SMAC";
 
 /// High bit of the manifest's table count: set by v3 writers to signal
-/// that each table entry carries a per-table layout byte (0 = row-only,
-/// 1 = may contain columnar buckets) after `bucket_pages`.
+/// that each table entry carries a per-table layout byte after
+/// `bucket_pages`. Writers always store 0, the row layout; readers refuse
+/// 1, the retired columnar layout.
 const MANIFEST_V3_FLAG: u32 = 0x8000_0000;
 
 /// The commit point a manifest records for the streaming ingest path:
@@ -813,12 +812,6 @@ pub struct RecoveryReport {
     pub epoch: u64,
     /// Highest WAL sequence number the sealed state covers.
     pub watermark: u64,
-    /// Tables whose manifest entry declared the columnar layout (v3).
-    pub columnar_tables: usize,
-    /// Columnar buckets rediscovered from their self-describing chunk
-    /// markers during page verification. The markers are authoritative;
-    /// the manifest flag is advisory (see `ManifestTable::columnar`).
-    pub columnar_buckets: u64,
 }
 
 impl RecoveryReport {
@@ -865,12 +858,6 @@ struct ManifestTable {
     name: String,
     segments: Vec<SegmentMeta>,
     bucket_pages: u32,
-    /// Manifest v3 layout flag: the table may contain columnar buckets.
-    /// Advisory — the chunk markers on the CRC-verified pages are
-    /// authoritative at recovery (a converted bucket that fails
-    /// verification is reported corrupt and drops out of the set, so the
-    /// flag can legitimately overclaim).
-    columnar: bool,
     columns: Vec<Column>,
     smas: Vec<ManifestSma>,
 }
@@ -1026,19 +1013,17 @@ fn decode_manifest(bytes: &[u8]) -> Result<(CommitMeta, Vec<ManifestTable>), War
                 "table {name:?} has zero bucket_pages"
             )));
         }
-        let columnar = if v3 {
+        if v3 {
             match c.u8()? {
-                0 => false,
-                1 => true,
+                0 => {}
+                1 => return Err(WarehouseError::UnsupportedLayout(name)),
                 tag => {
                     return Err(WarehouseError::CorruptManifest(format!(
                         "table {name:?} has unknown layout tag {tag}"
                     )))
                 }
             }
-        } else {
-            false
-        };
+        }
         let n_cols = c.u32()? as usize;
         let mut columns = Vec::with_capacity(n_cols.min(1024));
         for _ in 0..n_cols {
@@ -1063,7 +1048,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<(CommitMeta, Vec<ManifestTable>), War
             name,
             segments,
             bucket_pages,
-            columnar,
             columns,
             smas,
         });
@@ -1391,6 +1375,72 @@ mod tests {
             Warehouse::open_with_recovery(&dir),
             Err(WarehouseError::CorruptManifest(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The v3 layout byte is always written 0. A 1 (the retired columnar
+    /// layout) is refused by name, any other value is corruption, and a
+    /// v2 manifest (no layout byte) still opens.
+    #[test]
+    fn manifest_layout_byte_refuses_the_columnar_layout() {
+        let w = loaded_warehouse();
+        let expected = w.query("SALES", sum_query(1000)).unwrap();
+        let dir = scratch_dir("wh-layout");
+        w.save_to_dir(&dir).unwrap();
+        let saved = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        // Walk the payload to the first table's layout byte: commit meta,
+        // table count, name, segment list, bucket_pages.
+        let payload = saved[12..].to_vec();
+        let u32_at = |at: usize| sma_types::bytes::get_u32_le(&payload, at).unwrap() as usize;
+        let mut at = 28;
+        at += 4 + u32_at(at);
+        let segments = u32_at(at);
+        at += 4;
+        for _ in 0..segments {
+            at += 4 + u32_at(at) + 8;
+        }
+        at += 4;
+        assert_eq!(payload[at], 0, "writers store the row layout");
+        let write_payload = |payload: &[u8]| {
+            let mut stream = MANIFEST_MAGIC.to_vec();
+            put_u32(&mut stream, payload.len() as u32);
+            put_u32(&mut stream, crc32(payload));
+            stream.extend_from_slice(payload);
+            std::fs::write(dir.join(MANIFEST_FILE), stream).unwrap();
+        };
+
+        let mut columnar = payload.clone();
+        columnar[at] = 1;
+        write_payload(&columnar);
+        let Err(err) = Warehouse::open_with_recovery(&dir) else {
+            panic!("a columnar layout byte must be refused");
+        };
+        assert!(
+            matches!(&err, WarehouseError::UnsupportedLayout(t) if t == "SALES"),
+            "{err}"
+        );
+        assert!(err
+            .to_string()
+            .contains("columnar layout, which is no longer read"));
+
+        let mut unknown = payload.clone();
+        unknown[at] = 2;
+        write_payload(&unknown);
+        assert!(matches!(
+            Warehouse::open_with_recovery(&dir),
+            Err(WarehouseError::CorruptManifest(_))
+        ));
+
+        let mut v2 = payload.clone();
+        v2.remove(at);
+        v2[24..28].copy_from_slice(&1u32.to_le_bytes());
+        write_payload(&v2);
+        let (reopened, report) = Warehouse::open_with_recovery(&dir).unwrap();
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(
+            reopened.query("SALES", sum_query(1000)).unwrap().rows,
+            expected.rows
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

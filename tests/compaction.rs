@@ -177,67 +177,6 @@ fn compaction_crash_at_every_stage_preserves_every_row() {
     }
 }
 
-/// The same stage-prefix crash sweep with the columnar policy on:
-/// compaction is the catch-all conversion point (`convert_buckets_from(0)`
-/// over the merged table), so a committed columnar compaction must leave a
-/// mixed row+columnar generation that recovery reclassifies from page
-/// markers, while an uncommitted one must fall back to the row-major
-/// generation — either way every acknowledged row answers exactly once.
-#[test]
-fn columnar_compaction_crash_at_every_stage_preserves_every_row() {
-    for stage in [
-        CompactStage::SegmentsWritten,
-        CompactStage::Committed,
-        CompactStage::Complete,
-    ] {
-        let dir = scratch_path(&format!("compact-columnar-stage-{stage:?}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let (mut sw, rows) = fragmented(&dir, 4, 8);
-        let expected = bulk_reference(&rows, i64::MAX);
-        sw.set_columnar(true);
-
-        let report = sw.compact_until(stage).unwrap();
-        assert!(report.segments_before > report.segments_after, "{stage:?}");
-        if stage >= CompactStage::Committed {
-            assert!(
-                !sw.warehouse()
-                    .table("S")
-                    .unwrap()
-                    .columnar_buckets()
-                    .is_empty(),
-                "{stage:?}: a committed columnar compaction converts buckets"
-            );
-        }
-        drop(sw); // the crash
-
-        let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
-        assert!(
-            report.warehouse.is_clean(),
-            "{stage:?}: must scrub clean: {}",
-            report.warehouse
-        );
-        let table = sw.warehouse().table("S").unwrap();
-        if stage >= CompactStage::Committed {
-            assert!(
-                !table.columnar_buckets().is_empty(),
-                "{stage:?}: recovery must rediscover the columnar buckets"
-            );
-            assert!(
-                !table.is_columnar_bucket(table.bucket_count() - 1),
-                "{stage:?}: the tail bucket must stay row-major"
-            );
-        } else {
-            assert!(
-                table.columnar_buckets().is_empty(),
-                "{stage:?}: an uncommitted conversion must leave no trace"
-            );
-        }
-        let got = sw.query("S", small_query(i64::MAX)).unwrap();
-        assert_eq!(got.rows, expected, "{stage:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
 /// The epoch-split regression: a compaction advances the catalog epoch but
 /// must NOT advance the WAL epoch — rows acknowledged after the compaction
 /// carry the old WAL epoch, and filtering replay on the catalog epoch

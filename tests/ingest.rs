@@ -501,106 +501,6 @@ fn flush_crash_at_every_stage_loses_nothing_and_duplicates_nothing() {
     }
 }
 
-/// The flush-stage crash sweep over a *mixed row+columnar* generation:
-/// with the columnar policy on, the first flush seals enough rows that
-/// the conversion rewrites several buckets to the PAX layout while the
-/// append tail stays row-major. Crashing at every stage of the next
-/// flush must recover that mixed layout from the page markers alone
-/// (the policy flag is runtime state and is NOT persisted), lose
-/// nothing, duplicate nothing, and answer overlay queries exactly.
-#[test]
-fn columnar_flush_crash_at_every_stage_recovers_the_mixed_layout() {
-    let sealed = 900i64; // enough pages that non-tail buckets convert
-    let streamed = 25i64;
-    let all: Vec<Tuple> = (0..sealed + streamed).map(small_tuple).collect();
-    let expected = bulk_reference(&all, i64::MAX);
-    let expected_lo = bulk_reference(&all, 450);
-
-    for stage in [
-        FlushStage::Applied,
-        FlushStage::SegmentsWritten,
-        FlushStage::Committed,
-        FlushStage::Cleaned,
-        FlushStage::Complete,
-    ] {
-        let dir = scratch_path(&format!("ingest-columnar-stage-{stage:?}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut sw = StreamingWarehouse::create(&dir, small_warehouse(), 0).unwrap();
-        sw.set_columnar(true);
-        for t in &all[..sealed as usize] {
-            sw.insert("S", t).unwrap();
-        }
-        sw.flush().unwrap();
-        let table = sw.warehouse().table("S").unwrap();
-        assert!(
-            !table.columnar_buckets().is_empty(),
-            "{stage:?}: the sealed generation must hold columnar buckets"
-        );
-        assert!(
-            !table.is_columnar_bucket(table.bucket_count() - 1),
-            "{stage:?}: the append tail must stay row-major"
-        );
-        for t in &all[sealed as usize..] {
-            sw.insert("S", t).unwrap();
-        }
-        sw.flush_until(stage).unwrap();
-        drop(sw); // the crash
-
-        let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
-        assert!(
-            report.warehouse.is_clean(),
-            "{stage:?}: mixed-layout generation must scrub clean: {}",
-            report.warehouse
-        );
-        let table = sw.warehouse().table("S").unwrap();
-        assert!(
-            !table.columnar_buckets().is_empty(),
-            "{stage:?}: recovery must rediscover the columnar buckets"
-        );
-        assert!(
-            !table.is_columnar_bucket(table.bucket_count() - 1),
-            "{stage:?}: the recovered tail must be row-major"
-        );
-        let committed = matches!(
-            stage,
-            FlushStage::Committed | FlushStage::Cleaned | FlushStage::Complete
-        );
-        if committed {
-            assert_eq!(report.replayed, 0, "{stage:?}");
-        } else {
-            assert_eq!(report.replayed, streamed as usize, "{stage:?}");
-        }
-
-        // Exact answers through the mixed layout, with and without the
-        // replayed overlay in play.
-        let got = sw.query("S", small_query(i64::MAX)).unwrap();
-        assert_eq!(got.rows, expected, "{stage:?}");
-        let got = sw.query("S", small_query(450)).unwrap();
-        assert_eq!(got.rows, expected_lo, "{stage:?}");
-
-        // Recovery composes: finish the interrupted flush (policy is off
-        // again after reopen — already-converted buckets must stay
-        // columnar), crash, reopen, still exact.
-        let mut sw = sw;
-        assert!(
-            !sw.columnar(),
-            "{stage:?}: the policy flag is not persisted"
-        );
-        sw.flush().unwrap();
-        drop(sw);
-        let (sw, report) = StreamingWarehouse::open_with_recovery(&dir, 0).unwrap();
-        assert!(report.is_clean(), "{stage:?}: after completing the flush");
-        let table = sw.warehouse().table("S").unwrap();
-        assert!(
-            !table.columnar_buckets().is_empty(),
-            "{stage:?}: conversion survives a flush under the row policy"
-        );
-        let got = sw.query("S", small_query(i64::MAX)).unwrap();
-        assert_eq!(got.rows, expected, "{stage:?} after re-flush");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
 /// The satellite regression: replaying the same WAL twice (crash between
 /// segment write and WAL truncation, then recover, crash again without
 /// writing, recover again) yields identical warehouse state, identical
