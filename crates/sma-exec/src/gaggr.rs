@@ -55,10 +55,9 @@ impl AggSpec {
 /// bucket loop's per-row fold ([`GroupState::fold_view`]).
 ///
 /// `count(*)` and `sum`/`avg` of an `Int` or `Decimal` column fold the
-/// raw slot through the typed folds —
-/// [`Accumulator::fold_count`], [`Accumulator::fold_sum_int`] and
-/// [`Accumulator::fold_sum_dec`], each an exact twin of
-/// [`Accumulator::update`]. Every other aggregate is evaluated on the
+/// raw slot through the typed folds [`Accumulator::fold_count`],
+/// [`Accumulator::fold_sum_int`] and [`Accumulator::fold_sum_dec`], each
+/// an exact twin of [`Accumulator::update`]. Every other aggregate is evaluated on the
 /// view by [`ScalarExpr::eval_view`] and folded by `update`, as
 /// [`GroupState::update`] does on a tuple.
 pub(crate) struct RowFold {
