@@ -1,5 +1,6 @@
 //! Microbenchmarks of the storage substrate: tuple codec, slotted-page
-//! operations, the page checksum, and buffer-pool hit and miss paths.
+//! operations, the page checksum, buffer-pool hit and miss paths, and a
+//! private-frame scan of twice the pool's pages by one and two workers.
 //! These bound the constant factors under every experiment (a SMA plan's
 //! win is page-skipping, so the per-page costs here are the currency of
 //! all the other numbers).
@@ -7,7 +8,10 @@
 use sma_bench::harness::{black_box, Criterion};
 use sma_bench::{criterion_group, criterion_main};
 
-use sma_storage::{crc32, BufferPool, MemStore, PageStore, SlottedPage, PAGE_SIZE};
+use sma_storage::page::{for_each_image, PageError};
+use sma_storage::{
+    crc32, BufferPool, MemStore, PageNo, PageStore, PrivateFrame, SlottedPage, PAGE_SIZE,
+};
 use sma_tpcd::{generate, Clustering, GenConfig};
 use sma_types::row;
 
@@ -97,7 +101,60 @@ fn bench_storage(c: &mut Criterion) {
             pool.with_page(p, |d| d[0]).unwrap()
         })
     });
+    // A full scan of twice the pool's pages through private frames, with
+    // the second half resident, as creating a warehouse leaves a table:
+    // every page of the first half misses and is read, verified and
+    // visited past the full pool; every page of the second half is a hit.
+    // Two workers split the pages in halves, so one takes every miss.
+    let scan_pool = full_pages_pool(&image, 256, 512);
+    for no in 256..512 {
+        scan_pool.with_page(no, |_| ()).unwrap();
+    }
+    group.bench_function("pool/private_scan_1_worker", |b| {
+        b.iter(|| private_scan(&scan_pool, 0..512))
+    });
+    group.bench_function("pool/private_scan_2_workers", |b| {
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                let low = scope.spawn(|| private_scan(&scan_pool, 0..256));
+                private_scan(&scan_pool, 256..512) + low.join().unwrap()
+            })
+        })
+    });
     group.finish();
+}
+
+/// A pool of `capacity` frames over `pages` stamped pages full of
+/// `image` tuples, nothing resident.
+fn full_pages_pool(image: &[u8], capacity: usize, pages: u32) -> BufferPool {
+    let pool = BufferPool::new(Box::new(MemStore::new()), capacity);
+    let mut slotted = SlottedPage::new();
+    while slotted.insert(image).is_some() {}
+    for _ in 0..pages {
+        let p = pool.allocate().unwrap();
+        pool.with_page_mut(p, |d| d.copy_from_slice(slotted.as_bytes()))
+            .unwrap();
+    }
+    pool.clear_cache().unwrap();
+    pool
+}
+
+/// Visits every tuple image of `pages` through one private frame and
+/// returns their total length.
+fn private_scan(pool: &BufferPool, pages: std::ops::Range<PageNo>) -> usize {
+    let mut frame = PrivateFrame::new();
+    let mut bytes = 0;
+    for no in pages {
+        pool.with_page_private(no, &mut frame, |d| {
+            for_each_image::<PageError, _>(d, |_, img| {
+                bytes += img.len();
+                Ok(())
+            })
+        })
+        .unwrap()
+        .unwrap();
+    }
+    bytes
 }
 
 criterion_group!(benches, bench_storage);

@@ -12,13 +12,16 @@
 //!   within a worker) and partial results can be merged back **in bucket
 //!   order**, keeping parallel output byte-identical to the serial path,
 //!   and
-//! * `run_morsels` — the one place the crate spawns threads: it runs a
-//!   bucket-range body on every morsel and hands the partials back in
-//!   morsel order.
+//! * `run_morsels` — the one place the crate spawns threads: every worker
+//!   starts on its morsel, takes over half of another worker's unclaimed
+//!   buckets when its own run dry, and folds every range it claims into
+//!   one partial of its own.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+use sma_core::LEVEL2_FANOUT;
 
 use crate::op::ExecError;
 
@@ -83,44 +86,157 @@ pub fn morsels(n_buckets: u32, threads: usize) -> Vec<Range<u32>> {
         .collect()
 }
 
-/// Runs `work` over every range of [`morsels`]`(n_buckets, threads)` and
-/// returns the partials in morsel order — bucket order — so the caller's
-/// merge reproduces the serial loop exactly.
+/// Runs `work` over the buckets `0..n_buckets` and returns one partial
+/// per worker: `init` makes it, and `work` folds every range the worker
+/// claims into it. Ranges are disjoint and together cover every bucket
+/// once; partials whose merge is order-independent (group states,
+/// counters, sorted bucket lists) merge to the serial loop's result.
 ///
-/// A single morsel runs on the calling thread; several run on scoped
-/// worker threads, one each. Every worker is joined before any result is
-/// looked at, and the first error in morsel order wins: it is the error a
-/// serial loop over the same buckets would have stopped at. A panicking
-/// worker becomes [`ExecError::Plan`].
-pub(crate) fn run_morsels<T, F>(
+/// A single morsel runs on the calling thread, in one call. Several run
+/// on scoped worker threads, one per morsel of
+/// [`morsels`]`(n_buckets, threads)`. A worker claims its morsel one
+/// super-bucket ([`LEVEL2_FANOUT`] buckets, on their boundaries) at a
+/// time. Once its morsel is claimed, it takes the upper half of the
+/// largest range no worker has claimed yet, cut on a super-bucket
+/// boundary so that no level-2 merge straddles two workers, and goes on
+/// there (a *steal*). So a worker whose pages are resident takes over
+/// from one whose pages miss, and each steal costs one seek.
+///
+/// Every worker is joined before any result is looked at. A worker stops
+/// at its first error, and the error of the range that starts first
+/// wins: it is the error a serial loop over the same buckets would have
+/// stopped at, since the buckets a failed worker leaves unclaimed all
+/// follow its error. A panicking worker becomes [`ExecError::Plan`] at
+/// the range it was on.
+pub(crate) fn run_morsels<S, I, F>(
     n_buckets: u32,
     threads: usize,
+    init: I,
     work: F,
-) -> Result<Vec<T>, ExecError>
+) -> Result<Vec<S>, ExecError>
 where
-    T: Send,
-    F: Fn(Range<u32>) -> Result<T, ExecError> + Sync,
+    S: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, Range<u32>) -> Result<(), ExecError> + Sync,
 {
     let parts = morsels(n_buckets, threads);
     if parts.len() <= 1 {
-        return parts.into_iter().map(work).collect();
-    }
-    let work = &work;
-    let joined: Vec<Result<T, ExecError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
+        return parts
             .into_iter()
-            .map(|r| scope.spawn(move || work(r)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
-                Err(_) => Err(ExecError::Plan("bucket worker panicked".into())),
+            .map(|r| {
+                let mut partial = init();
+                work(&mut partial, r)?;
+                Ok(partial)
             })
-            .collect()
+            .collect();
+    }
+    let claims = Mutex::new(Claims {
+        at: parts.iter().map(|r| r.start).collect(),
+        left: parts,
     });
-    joined.into_iter().collect()
+    let (init, work, claims) = (&init, &work, &claims);
+    let workers = lock(claims).left.len();
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut partial = init();
+                    loop {
+                        let Some(range) = lock(claims).next(w) else {
+                            return Ok(partial);
+                        };
+                        let start = range.start;
+                        if let Err(e) = work(&mut partial, range) {
+                            lock(claims).abandon(w);
+                            return Err((start, e));
+                        }
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    let at = lock(claims).at.clone();
+    let mut partials = Vec::with_capacity(workers);
+    let mut first_error: Option<(u32, ExecError)> = None;
+    for (joined, at) in joined.into_iter().zip(at) {
+        let failed = match joined {
+            Ok(Ok(partial)) => {
+                partials.push(partial);
+                continue;
+            }
+            Ok(Err(failed)) => failed,
+            // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
+            Err(_) => (at, ExecError::Plan("bucket worker panicked".into())),
+        };
+        if first_error
+            .as_ref()
+            .is_none_or(|(first, _)| failed.0 < *first)
+        {
+            first_error = Some(failed);
+        }
+    }
+    match first_error {
+        Some((_, e)) => Err(e),
+        None => Ok(partials),
+    }
+}
+
+/// The buckets no worker of a `run_morsels` call has claimed yet.
+struct Claims {
+    /// `left[w]`: the unclaimed rest of the range worker `w` works in.
+    left: Vec<Range<u32>>,
+    /// `at[w]`: the first bucket of the range worker `w` claimed last.
+    at: Vec<u32>,
+}
+
+impl Claims {
+    /// Worker `w`'s next range: up to the next super-bucket boundary of
+    /// its own range, after a steal if that is all claimed. `None` when
+    /// nothing is left that could be cut.
+    fn next(&mut self, w: usize) -> Option<Range<u32>> {
+        if self.left[w].is_empty() {
+            let (victim, cut) = self
+                .left
+                .iter()
+                .enumerate()
+                .filter_map(|(v, r)| Some((v, r.end - r.start, steal_cut(r)?)))
+                .max_by_key(|&(_, len, _)| len)
+                .map(|(v, _, cut)| (v, cut))?;
+            self.left[w] = cut..self.left[victim].end;
+            self.left[victim].end = cut;
+        }
+        let own = &mut self.left[w];
+        let boundary = (own.start / LEVEL2_FANOUT + 1).saturating_mul(LEVEL2_FANOUT);
+        let range = own.start..boundary.min(own.end);
+        own.start = range.end;
+        self.at[w] = range.start;
+        Some(range)
+    }
+
+    /// Drops what worker `w` left unclaimed after it failed: those
+    /// buckets follow its error in bucket order, so nobody reads them.
+    fn abandon(&mut self, w: usize) {
+        let rest = &mut self.left[w];
+        rest.start = rest.end;
+    }
+}
+
+/// Where a thief cuts `r`: the super-bucket boundary strictly inside it
+/// nearest its middle, or `None` when `r` lies within one super-bucket.
+fn steal_cut(r: &Range<u32>) -> Option<u32> {
+    let mid = r.start + (r.end - r.start) / 2;
+    let below = mid - mid % LEVEL2_FANOUT;
+    [below, below.saturating_add(LEVEL2_FANOUT)]
+        .into_iter()
+        .filter(|&cut| r.start < cut && cut < r.end)
+        .min_by_key(|&cut| cut.abs_diff(mid))
+}
+
+/// Locks the claims, ignoring poisoning: no claim panics while holding
+/// the lock, and a worker that panicked in `work` left them consistent.
+fn lock(claims: &Mutex<Claims>) -> MutexGuard<'_, Claims> {
+    claims.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -146,26 +262,109 @@ mod tests {
         assert_eq!(morsels(5, 0), vec![0..5]);
     }
 
+    /// The buckets each worker visited, from partials that record ranges.
+    fn visited(n: u32, threads: usize) -> Vec<Vec<Range<u32>>> {
+        run_morsels(n, threads, Vec::new, |seen, r| {
+            seen.push(r);
+            Ok(())
+        })
+        .unwrap()
+    }
+
     #[test]
-    fn run_morsels_returns_partials_in_bucket_order() {
-        for threads in [1usize, 2, 3, 8] {
-            let parts = run_morsels(10, threads, |r| Ok(r.collect::<Vec<u32>>())).unwrap();
-            assert_eq!(parts.len(), morsels(10, threads).len(), "{threads} threads");
-            let flat: Vec<u32> = parts.into_iter().flatten().collect();
-            assert_eq!(flat, (0..10).collect::<Vec<_>>(), "{threads} threads");
+    fn run_morsels_visits_every_bucket_once_with_one_partial_per_worker() {
+        for n in [0u32, 1, 10, 16, 33, 100, 1000] {
+            for threads in [1usize, 2, 3, 8] {
+                let partials = visited(n, threads);
+                assert_eq!(partials.len(), morsels(n, threads).len(), "{n}, {threads}");
+                let mut flat: Vec<u32> = partials.into_iter().flatten().flatten().collect();
+                flat.sort_unstable();
+                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "{n}, {threads}");
+            }
         }
-        assert!(run_morsels(0, 4, |_| Ok(())).unwrap().is_empty());
+        let whole = visited(100, 1);
+        assert_eq!(whole, vec![vec![0..100]], "one morsel runs in one call");
+    }
+
+    /// Worker 0's first range blocks until another worker has run a range
+    /// of worker 0's morsel, which only a steal can hand it: every bucket
+    /// is still visited once, and every stolen range starts on a
+    /// super-bucket boundary.
+    #[test]
+    fn a_slow_morsel_is_stolen_from_on_super_bucket_boundaries() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        const N: u32 = 8 * LEVEL2_FANOUT;
+        let first_morsel = morsels(N, 2)[0].clone();
+        let stolen = AtomicBool::new(false);
+        let body = |fail_at: &[u32]| {
+            let stolen = &stolen;
+            let first_morsel = first_morsel.clone();
+            let fail_at = fail_at.to_vec();
+            move |seen: &mut Vec<Range<u32>>, r: Range<u32>| {
+                if r.start == 0 {
+                    let since = Instant::now();
+                    while !stolen.load(Ordering::SeqCst)
+                        && since.elapsed() < Duration::from_secs(10)
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                } else if first_morsel.contains(&r.start) {
+                    stolen.store(true, Ordering::SeqCst);
+                }
+                if let Some(b) = fail_at.iter().find(|b| r.contains(b)) {
+                    return Err(ExecError::Plan(format!("bucket {b}")));
+                }
+                seen.push(r);
+                Ok(())
+            }
+        };
+        let partials = run_morsels(N, 2, Vec::new, body(&[])).unwrap();
+        assert!(stolen.load(Ordering::SeqCst), "no steal happened");
+        let thief = partials
+            .iter()
+            .find(|seen| seen.iter().all(|r| r.start != 0))
+            .unwrap();
+        let taken: Vec<&Range<u32>> = thief
+            .iter()
+            .filter(|r| first_morsel.contains(&r.start))
+            .collect();
+        assert!(!taken.is_empty());
+        assert!(
+            taken.iter().all(|r| r.start % LEVEL2_FANOUT == 0),
+            "{taken:?}"
+        );
+        let mut flat: Vec<u32> = partials.into_iter().flatten().flatten().collect();
+        flat.sort_unstable();
+        let serial: Vec<u32> = visited(N, 1).into_iter().flatten().flatten().collect();
+        assert_eq!(flat, serial);
+
+        // An error in a stolen range is raised first, one in an earlier
+        // bucket of the slow range later: the earlier bucket's wins.
+        stolen.store(false, Ordering::SeqCst);
+        let stolen_bucket = first_morsel.end - 1;
+        let err = run_morsels(N, 2, Vec::new, body(&[5, stolen_bucket])).unwrap_err();
+        assert!(stolen.load(Ordering::SeqCst), "no steal happened");
+        assert!(
+            matches!(&err, ExecError::Plan(m) if m == "bucket 5"),
+            "{err}"
+        );
     }
 
     #[test]
     fn run_morsels_reports_the_first_error_in_bucket_order() {
-        let err = run_morsels(8, 4, |r| {
-            if r.start >= 2 {
-                Err(ExecError::Plan(format!("morsel at {}", r.start)))
-            } else {
-                Ok(())
-            }
-        })
+        let err = run_morsels(
+            8,
+            4,
+            || (),
+            |_, r| {
+                if r.start >= 2 {
+                    Err(ExecError::Plan(format!("morsel at {}", r.start)))
+                } else {
+                    Ok(())
+                }
+            },
+        )
         .unwrap_err();
         assert!(
             matches!(&err, ExecError::Plan(m) if m == "morsel at 2"),
@@ -175,12 +374,17 @@ mod tests {
 
     #[test]
     fn run_morsels_turns_a_worker_panic_into_an_error() {
-        let err = run_morsels(4, 2, |r| {
-            if r.start > 0 {
-                panic!("worker down");
-            }
-            Ok(())
-        })
+        let err = run_morsels(
+            4,
+            2,
+            || (),
+            |_, r| {
+                if r.start > 0 {
+                    panic!("worker down");
+                }
+                Ok(())
+            },
+        )
         .unwrap_err();
         assert!(matches!(err, ExecError::Plan(_)), "{err}");
     }

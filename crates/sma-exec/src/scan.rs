@@ -193,10 +193,14 @@ impl PhysicalOp for SmaScan<'_> {
         let threads = self.parallelism.get().min(n_buckets.max(1) as usize);
         if threads > 1 {
             let (pred, smas) = (&self.pred, self.smas);
-            let parts = run_morsels(n_buckets, threads, |r| {
-                Ok(r.map(|b| pred.grade(b, smas)).collect::<Vec<Grade>>())
+            let parts = run_morsels(n_buckets, threads, Vec::new, |graded, r| {
+                graded.extend(r.map(|b| (b, pred.grade(b, smas))));
+                Ok(())
             })?;
-            self.grades = parts.into_iter().flatten().collect();
+            self.grades = vec![Grade::Ambivalent; n_buckets as usize];
+            for (b, grade) in parts.into_iter().flatten() {
+                self.grades[b as usize] = grade;
+            }
         }
         Ok(())
     }

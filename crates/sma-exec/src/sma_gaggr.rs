@@ -22,10 +22,14 @@
 //! the memtable overlay into them, and finishes them once.
 //!
 //! A loop that will read more pages than the buffer pool holds gives each
-//! morsel worker a [`PrivateFrame`] of its own, the paper's
-//! intra-transaction buffer (§2.4): once the pool is full, its misses go
-//! through that frame and evict nothing, so the scan leaves the pool's
-//! resident pages for the next query instead of cycling it.
+//! worker a [`PrivateFrame`] of its own, the paper's intra-transaction
+//! buffer (§2.4): once the pool is full, its misses go through that frame
+//! and evict nothing, so the scan leaves the pool's resident pages for the
+//! next query instead of cycling it.
+//!
+//! The workers start on contiguous morsels and steal from each other's
+//! unclaimed buckets when theirs run out (`run_morsels`): each folds
+//! every range it claims into one partial, and the partials merge once.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -338,39 +342,44 @@ impl<'a> SmaGAggr<'a> {
         self.counters.clone()
     }
 
-    /// Fig. 7's bucket loop over one contiguous morsel: switch on each
-    /// bucket's grade (`grades` holds one per bucket of the table), answer
-    /// qualifying ones from SMA entries — a whole qualifying super-bucket
-    /// inside the morsel from its level-2 entries — and read the others
-    /// through the per-bucket kernel. Buckets whose SMA entries cannot be
-    /// trusted (quarantined) or do not add up (inconsistent) are demoted
-    /// to base-table reads — the base table is the ground truth, so the
-    /// answer stays exact and only the fast path is lost. Pure with
-    /// respect to `self`, so morsels run on worker threads. With
-    /// `private`, the morsel reads its base pages through a frame of its
-    /// own (see the module doc).
+    /// A worker's empty partial. With `private`, the worker reads its
+    /// base pages through a frame of its own (see the module doc).
+    fn partial(&self, private: bool) -> Partial {
+        let slots = self.smas.as_ref().map_or(0, |s| s.slot_keys.len());
+        Partial {
+            frame: private.then(PrivateFrame::new),
+            counters: ScanCounters::default(),
+            groups: Groups::new(),
+            dense: DenseGroups::try_new(&self.layout, &self.group_by),
+            slots: (0..slots).map(|_| GroupState::new(&self.specs)).collect(),
+            covered: vec![false; slots],
+        }
+    }
+
+    /// Fig. 7's bucket loop over one contiguous range, folded into the
+    /// worker's partial: switch on each bucket's grade (`grades` holds one
+    /// per bucket of the table), answer qualifying ones from SMA entries —
+    /// a whole qualifying super-bucket inside the range from its level-2
+    /// entries — and read the others through the per-bucket kernel.
+    /// Buckets whose SMA entries cannot be trusted (quarantined) or do not
+    /// add up (inconsistent) are demoted to base-table reads — the base
+    /// table is the ground truth, so the answer stays exact and only the
+    /// fast path is lost. Pure with respect to `self`, so ranges run on
+    /// worker threads.
     fn process_buckets(
         &self,
+        partial: &mut Partial,
         range: Range<u32>,
         grades: &[Grade],
-        private: bool,
-    ) -> Result<(ScanCounters, Groups), ExecError> {
-        let mut frame = private.then(PrivateFrame::new);
-        let mut counters = ScanCounters::default();
-        let mut groups = Groups::new();
-        // All-`Char` group keys (the Q1 shape) and the ungrouped
-        // aggregate accumulate in a flat direct-indexed table instead of
-        // the ordered map; it folds back into `groups` once at the end of
-        // the morsel. Aggregate merging is commutative, so the deferred
-        // fold changes nothing. The same holds for the SMA slots
-        // qualifying buckets merge into.
-        let mut dense = DenseGroups::try_new(&self.layout, &self.group_by);
-        let slot_keys = self.smas.as_ref().map_or(&[][..], |s| &s.slot_keys);
-        let mut slots: Vec<GroupState> = slot_keys
-            .iter()
-            .map(|_| GroupState::new(&self.specs))
-            .collect();
-        let mut covered = vec![false; slot_keys.len()];
+    ) -> Result<(), ExecError> {
+        let Partial {
+            frame,
+            counters,
+            groups,
+            dense,
+            slots,
+            covered,
+        } = partial;
         let mut bucket = range.start;
         while bucket < range.end {
             if let Some(b) = self.budget {
@@ -383,7 +392,7 @@ impl<'a> SmaGAggr<'a> {
                     && s.super_bucket_qualifies(sb, grades)
                 {
                     counters.qualified += u64::from(LEVEL2_FANOUT);
-                    s.merge_entries(1, sb, &mut slots);
+                    s.merge_entries(1, sb, slots);
                     bucket += LEVEL2_FANOUT;
                     continue;
                 }
@@ -394,14 +403,14 @@ impl<'a> SmaGAggr<'a> {
                     if s.aggregate_entries_quarantined(bucket) {
                         counters.ambivalent += 1;
                         counters.degradation.note_quarantined(bucket);
-                        self.aggregate_bucket(bucket, frame.as_mut(), &mut groups, &mut dense)?;
-                    } else if s.count_covers_aggregates(bucket, &mut covered) {
+                        self.aggregate_bucket(bucket, frame.as_mut(), groups, dense)?;
+                    } else if s.count_covers_aggregates(bucket, covered) {
                         counters.qualified += 1;
-                        s.merge_entries(0, bucket, &mut slots);
+                        s.merge_entries(0, bucket, slots);
                     } else {
                         counters.ambivalent += 1;
                         counters.degradation.note_inconsistent(bucket);
-                        self.aggregate_bucket(bucket, frame.as_mut(), &mut groups, &mut dense)?;
+                        self.aggregate_bucket(bucket, frame.as_mut(), groups, dense)?;
                     }
                 }
                 (_, smas) => {
@@ -411,16 +420,12 @@ impl<'a> SmaGAggr<'a> {
                     if smas.is_some_and(|s| s.set.is_bucket_quarantined(bucket)) {
                         counters.degradation.note_quarantined(bucket);
                     }
-                    self.aggregate_bucket(bucket, frame.as_mut(), &mut groups, &mut dense)?;
+                    self.aggregate_bucket(bucket, frame.as_mut(), groups, dense)?;
                 }
             }
             bucket += 1;
         }
-        if let Some(d) = dense {
-            absorb_groups(&mut groups, d.into_groups());
-        }
-        absorb_groups(&mut groups, slot_keys.iter().cloned().zip(slots));
-        Ok((counters, groups))
+        Ok(())
     }
 
     /// The per-bucket kernel. It charges the bucket's whole page range,
@@ -469,9 +474,10 @@ impl<'a> SmaGAggr<'a> {
         // The grades come from one pass — the planner's, or this one —
         // before any worker starts; with no SMA every bucket is
         // ambivalent. Buckets are independent (pages are disjoint), so the
-        // loop runs as contiguous morsels on worker threads; partials
-        // merge back in bucket order, which keeps both the result rows and
-        // the counters identical to the serial loop.
+        // loop runs on worker threads over disjoint ranges that cover
+        // every bucket once; group states and counters merge
+        // commutatively, which keeps both the result rows and the counters
+        // identical to the serial loop.
         let computed;
         let grades = match (self.planned, &self.smas) {
             (Some(grades), _) => grades,
@@ -497,19 +503,31 @@ impl<'a> SmaGAggr<'a> {
         let pages = ambivalent as u64 * u64::from(self.table.bucket_pages());
         let private = pages > self.table.pool_capacity() as u64;
         let shared: &SmaGAggr<'_> = &*self;
-        let partials = run_morsels(n_buckets, self.parallelism.get(), |r| {
-            shared.process_buckets(r, grades, private)
-        })?;
+        let partials = run_morsels(
+            n_buckets,
+            self.parallelism.get(),
+            || shared.partial(private),
+            |partial, r| shared.process_buckets(partial, r, grades),
+        )?;
+        let slot_keys = self.smas.as_ref().map_or(&[][..], |s| &s.slot_keys);
         let mut counters = ScanCounters::default();
         let mut groups = Groups::new();
-        for (c, partial_groups) in partials {
+        for p in partials {
+            let c = p.counters;
             counters.qualified += c.qualified;
             counters.disqualified += c.disqualified;
             counters.ambivalent += c.ambivalent;
             // Bucket lists are sorted + deduplicated on merge, so the
             // combined report is identical at any worker count.
             counters.degradation.merge(&c.degradation);
-            absorb_groups(&mut groups, partial_groups);
+            // The dense table and the SMA slots fold into the ordered map
+            // only here, once per worker. Aggregate merging is
+            // commutative, so the deferred fold changes nothing.
+            absorb_groups(&mut groups, p.groups);
+            if let Some(d) = p.dense {
+                absorb_groups(&mut groups, d.into_groups());
+            }
+            absorb_groups(&mut groups, slot_keys.iter().cloned().zip(p.slots));
         }
         if self.smas.is_some() {
             // Retries are a pool-level tally (morsels share the pool), so
@@ -527,7 +545,25 @@ impl<'a> SmaGAggr<'a> {
     }
 }
 
-/// Merges morsel-local groups into the combined map.
+/// What one worker folds every range it claims into.
+struct Partial {
+    /// The worker's frame for reads past a full pool, when the loop reads
+    /// more pages than the pool holds.
+    frame: Option<PrivateFrame>,
+    counters: ScanCounters,
+    /// Groups keyed by value, for group keys the dense table cannot hold.
+    groups: Groups,
+    /// All-`Char` group keys (the Q1 shape) and the ungrouped aggregate
+    /// accumulate in this flat direct-indexed table instead of `groups`.
+    dense: Option<DenseGroups>,
+    /// One group state per SMA slot: qualifying buckets merge their
+    /// entries here.
+    slots: Vec<GroupState>,
+    /// Per-slot scratch for the count-coverage check.
+    covered: Vec<bool>,
+}
+
+/// Merges worker-local groups into the combined map.
 fn absorb_groups(into: &mut Groups, from: impl IntoIterator<Item = (Vec<Value>, GroupState)>) {
     for (key, state) in from {
         match into.entry(key) {

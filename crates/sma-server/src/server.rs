@@ -18,7 +18,9 @@
 //!   structured `Error` response, not a hung session or a starved
 //!   neighbour.
 //! * **Shutdown**: the `shutdown` statement (or
-//!   [`ServerHandle::shutdown`]) flips one flag. The accept loop stops
+//!   [`ServerHandle::shutdown`]) flips one flag and wakes the accept
+//!   loop, which blocks in `accept` while it has nothing else to do, with
+//!   a loopback connection. The accept loop stops
 //!   accepting, sessions finish the request they are on and close, and
 //!   the accept thread then flushes the memtable — the drain is
 //!   complete before [`ServerHandle::shutdown`] returns. Every insert
@@ -30,7 +32,7 @@
 //!   connection closes.
 
 use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
@@ -51,8 +53,13 @@ use crate::statement::{AggAst, PredAst, Statement};
 /// an idle session costs ~20 wakeups a second.
 const POLL_READ_TIMEOUT: Duration = Duration::from_millis(50);
 
-/// Accept-loop poll interval while no connection is pending.
+/// Accept-loop poll interval while refused connections are held and no
+/// connection is pending. With none held, the loop blocks in `accept`.
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
+
+/// How long starting a shutdown waits for its wake-up connection to the
+/// accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long a connection refused with `Busy` stays open for its peer to
 /// read the reply and close first.
@@ -132,6 +139,9 @@ struct Shared {
     sessions: Arc<Admission>,
     inflight: Arc<Admission>,
     shutdown: AtomicBool,
+    /// Where a shutdown connects to wake an accept loop blocked in
+    /// `accept`: the listener's address, on loopback.
+    wake: SocketAddr,
     deadline: Option<Duration>,
     page_budget: Option<u64>,
 }
@@ -147,6 +157,17 @@ impl Shared {
 
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
+    }
+
+    /// Flips the shutdown flag, then wakes the accept loop with a
+    /// loopback connection it accepts and drops: while it holds no
+    /// refused connection the loop blocks in `accept`, so it would not
+    /// look at the flag again until some client connected.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        // A failed connect means the loop has already returned and closed
+        // the listener, or its backlog is full and it is not blocked.
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
     }
 }
 
@@ -168,13 +189,20 @@ impl Server {
         warehouse: StreamingWarehouse,
     ) -> Result<ServerHandle, ServerError> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let mut wake = addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             warehouse: RwLock::new(warehouse),
             sessions: Admission::new(config.max_sessions),
             inflight: Admission::new(config.max_inflight),
             shutdown: AtomicBool::new(false),
+            wake,
             deadline: config.deadline,
             page_budget: config.page_budget,
         });
@@ -204,7 +232,7 @@ impl ServerHandle {
     /// sessions complete their in-flight request, the memtable is
     /// flushed, and the listener is closed.
     pub fn shutdown(mut self) -> Result<(), ServerError> {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.begin_shutdown();
         self.join_accept()
     }
 
@@ -226,7 +254,9 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         // A dropped handle still shuts the server down (best effort) so
         // tests and callers cannot leak the accept thread.
-        self.shared.shutdown.store(true, Ordering::Release);
+        if self.accept.is_some() {
+            self.shared.begin_shutdown();
+        }
         // sma-lint: allow(A3-error-swallowing) -- Drop cannot propagate; explicit shutdown() reports the join error
         let _ = self.join_accept();
     }
@@ -238,10 +268,22 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Result<(), ServerE
     let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     let mut refused: Vec<Refused> = Vec::new();
     let mut scratch = [0u8; 1024];
+    // The listener blocks in `accept` while no refused connection is
+    // held; while some are, it polls, so that they drain and close.
+    let mut polling = false;
     while !shared.shutting_down() {
         refused.retain_mut(|r| r.drain(&mut scratch));
+        let poll = !refused.is_empty();
+        if poll != polling && listener.set_nonblocking(poll).is_ok() {
+            polling = poll;
+        }
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if shared.shutting_down() {
+                    // The wake-up from `begin_shutdown`, or a client that
+                    // came too late: it closes unanswered.
+                    break;
+                }
                 sessions.retain(|h| !h.is_finished());
                 let Some(permit) = shared.sessions.try_acquire() else {
                     // Session cap: answer Busy — never queue — and hold the
@@ -351,7 +393,7 @@ fn session_loop(mut stream: TcpStream, shared: &Shared) {
                     match action {
                         Action::None => {}
                         Action::Shutdown => {
-                            shared.shutdown.store(true, Ordering::Release);
+                            shared.begin_shutdown();
                             return;
                         }
                         Action::Close => return,
@@ -647,4 +689,45 @@ fn bind_query(
         group_by,
         specs,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use sma_storage::test_util::scratch_path;
+    use smadb::Warehouse;
+    use std::time::Instant;
+
+    /// An idle server accepts at once: 200 sequential connect + `ping` +
+    /// close cycles take well under the 200 accept polls that a loop
+    /// sleeping `ACCEPT_POLL` after every empty look would add. Best of
+    /// three rounds, so one stall of a busy host does not decide it.
+    #[test]
+    fn an_idle_server_accepts_without_polling() {
+        const CYCLES: u32 = 200;
+        let dir = scratch_path("server-accept");
+        std::fs::create_dir_all(&dir).unwrap();
+        let sw = StreamingWarehouse::create(&dir, Warehouse::new(), 0).unwrap();
+        let handle = Server::spawn(ServerConfig::default(), sw).unwrap();
+        let fastest = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                for i in 0..CYCLES {
+                    let mut c = Client::connect(handle.addr()).unwrap();
+                    c.set_timeout(Some(Duration::from_secs(30))).unwrap();
+                    let r = c.request("ping").unwrap();
+                    assert_eq!(r.status, Status::Ok, "cycle {i}");
+                }
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(
+            fastest < ACCEPT_POLL * CYCLES / 2,
+            "{CYCLES} cycles took {fastest:?}"
+        );
+        handle.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

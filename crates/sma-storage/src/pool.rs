@@ -13,7 +13,9 @@
 //! [`BufferPool::with_page_private`]: a scan larger than the pool reads a
 //! miss on a full shard into a [`PrivateFrame`] its worker owns instead of
 //! evicting a shared page, so the scan cannot flush the pages other
-//! queries share.
+//! queries share. It reads such a miss, and runs its visitor, with no
+//! shard lock held, so scan workers do not queue behind each other's
+//! store reads and checksums.
 //!
 //! The pool is also the durability checkpoint: every write-back stamps the
 //! page's checksum footer ([`crate::page::stamp_page`]) and every physical
@@ -306,8 +308,9 @@ impl Shard {
 }
 
 /// A page-sized buffer owned by one reader: where
-/// [`BufferPool::with_page_private`] puts a page it does not install.
-/// Reused from page to page, so a scan of any length needs only this one.
+/// [`BufferPool::with_page_private`] reads a page it does not install,
+/// and copies a resident one. Reused from page to page, so a scan of any
+/// length needs only this one.
 pub struct PrivateFrame(Box<[u8; PAGE_SIZE]>);
 
 impl PrivateFrame {
@@ -423,13 +426,23 @@ impl BufferPool {
     /// pool, without evicting anything.
     ///
     /// A resident page is a hit, and a miss while the page's shard has a
-    /// free frame installs the page, both as in [`BufferPool::with_page`].
-    /// A miss on a full shard reads the page into `frame` and installs
-    /// nothing. That read is retried, verified and counted like any other
-    /// miss: one logical and one physical read, sequential or random by
-    /// the same rule. The shard stays locked from the residency check
-    /// through the store read, so the page cannot become resident in
-    /// between; `f` runs after the lock is released.
+    /// free frame installs the page, both as in [`BufferPool::with_page`];
+    /// either way the page is copied into `frame`. A miss on a full shard
+    /// reads the page into `frame` and installs nothing. That read is
+    /// retried, verified and counted like any other miss: one logical and
+    /// one physical read, sequential or random by the same rule.
+    ///
+    /// The shard lock covers only the residency lookup, the LRU bump, an
+    /// install into a free frame and the copy of a resident page: a miss
+    /// on a full shard is read, retried and verified with no lock held,
+    /// and `f` always runs unlocked, on `frame`. Reading a non-resident
+    /// page from the store without the lock is safe for a scan because the
+    /// scan holds its table shared, while every write to a table's pages
+    /// (append, update, delete) needs it exclusive: no frame of the table
+    /// can turn dirty during the scan, so the store holds every
+    /// non-resident page's current bytes. If another reader installs the
+    /// page in the meantime, the page is read twice and counted as two
+    /// misses, as two concurrent misses of one page always are.
     pub fn with_page_private<R>(
         &self,
         no: PageNo,
@@ -437,16 +450,22 @@ impl BufferPool {
         f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
     ) -> Result<R, StoreError> {
         let mut shard = lock_shard(self.shard_for(no));
-        let idx = match self.hit(&mut shard, no) {
-            Some(idx) => idx,
-            None if !shard.is_full() => self.install_miss(&mut shard, no)?,
-            None => {
-                self.read_miss(no, &mut frame.0)?;
-                drop(shard);
-                return Ok(f(&frame.0));
-            }
+        let resident = match self.hit(&mut shard, no) {
+            Some(idx) => Some(idx),
+            None if !shard.is_full() => Some(self.install_miss(&mut shard, no)?),
+            None => None,
         };
-        Ok(f(&shard.frames[idx].data))
+        match resident {
+            Some(idx) => {
+                *frame.0 = *shard.frames[idx].data;
+                drop(shard);
+            }
+            None => {
+                drop(shard);
+                self.read_miss(no, &mut frame.0)?;
+            }
+        }
+        Ok(f(&frame.0))
     }
 
     /// Whether page `no` is resident. Moves no counter and no LRU clock.
@@ -1178,6 +1197,82 @@ mod tests {
         let after = p.stats();
         assert_eq!((after.physical_reads, after.sequential_reads), (3, 2));
         assert_eq!(resident(&p), [0]);
+    }
+
+    /// Two readers scan disjoint halves of a store twice the pool's size
+    /// through private frames, the second half resident as a table's
+    /// create leaves it, while a third installs and evicts pages through
+    /// `with_page`. Misses on full shards read with no lock held and the
+    /// visitor runs on the reader's own frame: every page any of them
+    /// sees still equals what the store holds, and every physical read is
+    /// classified as sequential or random.
+    #[test]
+    fn unlocked_private_reads_see_store_bytes_beside_installs() {
+        use std::sync::atomic::AtomicBool;
+        const CAPACITY: usize = 128;
+        const PAGES: u32 = 2 * CAPACITY as u32;
+        let p = pool(CAPACITY, PAGES);
+        assert!(p.shard_count() > 1, "test must exercise real striping");
+        let bodies: Vec<Vec<u8>> = (0..PAGES)
+            .map(|no| {
+                let mut x = 0x9E37_79B9u32 ^ no.wrapping_mul(0x85EB_CA6B);
+                (0..PAGE_SIZE - 8)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 17;
+                        x ^= x << 5;
+                        x.to_be_bytes()[0]
+                    })
+                    .collect()
+            })
+            .collect();
+        for (no, body) in (0..PAGES).zip(&bodies) {
+            p.with_page_mut(no, |d| d[..PAGE_SIZE - 8].copy_from_slice(body))
+                .unwrap();
+        }
+        p.clear_cache().unwrap();
+        for no in PAGES / 2..PAGES {
+            p.with_page(no, |_| ()).unwrap();
+        }
+        p.reset_stats();
+        let is_stored = |no: PageNo, d: &[u8; PAGE_SIZE]| {
+            d[..PAGE_SIZE - 8] == bodies[no as usize][..] && verify_page(d).is_ok()
+        };
+        let scanned = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let installer = scope.spawn(|| {
+                let (mut no, mut installs) = (7u32, 0u32);
+                while !scanned.load(Ordering::SeqCst) || installs < 1_000 {
+                    assert!(p.with_page(no, |d| is_stored(no, d)).unwrap(), "page {no}");
+                    no = (no + 37) % PAGES;
+                    installs += 1;
+                }
+            });
+            let scanners: Vec<_> = [0..PAGES / 2, PAGES / 2..PAGES]
+                .into_iter()
+                .map(|half| {
+                    let (p, is_stored) = (&p, &is_stored);
+                    scope.spawn(move || {
+                        let mut frame = PrivateFrame::new();
+                        for pass in 0..2 {
+                            for no in half.clone() {
+                                let ok = p.with_page_private(no, &mut frame, |d| is_stored(no, d));
+                                assert!(ok.unwrap(), "pass {pass}, page {no}");
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for s in scanners {
+                s.join().unwrap();
+            }
+            scanned.store(true, Ordering::SeqCst);
+            installer.join().unwrap();
+        });
+        let s = p.stats();
+        assert!(s.physical_reads > 0);
+        assert_eq!(s.sequential_reads + s.random_reads, s.physical_reads);
+        assert_eq!(s.physical_writes, 0, "nothing turned dirty");
     }
 
     /// Regression: physical-read counters and the sequential-read tracker
