@@ -7,11 +7,9 @@
 //!
 //! * [`Parallelism`] — the knob saying how many worker threads to use
 //!   (default: every available core),
-//! * [`morsels`] — a contiguous partition of `0..n_buckets` so each worker
-//!   scans a run of adjacent buckets (preserving sequential page access
-//!   within a worker) and partial results can be merged back **in bucket
-//!   order**, keeping parallel output byte-identical to the serial path,
-//!   and
+//! * [`morsels`] — a contiguous partition of `0..n_buckets`, where the
+//!   workers start, so each worker scans a run of adjacent buckets
+//!   (preserving sequential page access within a worker), and
 //! * `run_morsels` — the one place the crate spawns threads: every worker
 //!   starts on its morsel, takes over half of another worker's unclaimed
 //!   buckets when its own run dry, and folds every range it claims into
@@ -130,13 +128,13 @@ where
             })
             .collect();
     }
+    let workers = parts.len();
     let claims = Mutex::new(Claims {
         at: parts.iter().map(|r| r.start).collect(),
         left: parts,
     });
-    let (init, work, claims) = (&init, &work, &claims);
-    let workers = lock(claims).left.len();
     let joined: Vec<_> = std::thread::scope(|scope| {
+        let (init, work, claims) = (&init, &work, &claims);
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || {
@@ -156,7 +154,7 @@ where
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
-    let at = lock(claims).at.clone();
+    let at = claims.into_inner().unwrap_or_else(|e| e.into_inner()).at;
     let mut partials = Vec::with_capacity(workers);
     let mut first_error: Option<(u32, ExecError)> = None;
     for (joined, at) in joined.into_iter().zip(at) {
@@ -347,6 +345,52 @@ mod tests {
         assert!(stolen.load(Ordering::SeqCst), "no steal happened");
         assert!(
             matches!(&err, ExecError::Plan(m) if m == "bucket 5"),
+            "{err}"
+        );
+    }
+
+    /// A failed worker's unclaimed buckets all follow its error, so no
+    /// other worker steals and reads them: worker 0 finishes its morsel
+    /// only after worker 1 failed on its first range, and then finds
+    /// nothing to steal.
+    #[test]
+    fn nobody_steals_past_a_failed_range() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        const N: u32 = 8 * LEVEL2_FANOUT;
+        let [own, failing] = [0, 1].map(|w| morsels(N, 2)[w].clone());
+        let (failed, read_past) = (AtomicBool::new(false), AtomicBool::new(false));
+        let err = run_morsels(
+            N,
+            2,
+            || (),
+            |_, r| {
+                if r.start == failing.start {
+                    failed.store(true, Ordering::SeqCst);
+                    return Err(ExecError::Plan("worker 1 failed".into()));
+                }
+                if r.end == own.end {
+                    let since = Instant::now();
+                    while !failed.load(Ordering::SeqCst)
+                        && since.elapsed() < Duration::from_secs(10)
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                if r.end > own.end {
+                    read_past.store(true, Ordering::SeqCst);
+                }
+                Ok(())
+            },
+        )
+        .unwrap_err();
+        assert!(failed.load(Ordering::SeqCst));
+        assert!(
+            !read_past.load(Ordering::SeqCst),
+            "a range past the error was read"
+        );
+        assert!(
+            matches!(&err, ExecError::Plan(m) if m == "worker 1 failed"),
             "{err}"
         );
     }

@@ -1263,11 +1263,14 @@ mod tests {
                     })
                 })
                 .collect();
-            for s in scanners {
-                s.join().unwrap();
-            }
+            // Stop the installer before looking at the scanners, so a
+            // failed scanner fails the test instead of hanging it.
+            let scans: Vec<_> = scanners.into_iter().map(|s| s.join()).collect();
             scanned.store(true, Ordering::SeqCst);
             installer.join().unwrap();
+            for scan in scans {
+                scan.unwrap();
+            }
         });
         let s = p.stats();
         assert!(s.physical_reads > 0);

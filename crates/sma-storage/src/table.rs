@@ -343,9 +343,10 @@ impl Table {
     /// Visits every live tuple image on `page_no` in slot order, borrowed
     /// straight from the pinned page frame — zero per-tuple image copies.
     ///
-    /// The closure may run under the page's buffer-pool shard lock, so it
-    /// must not touch this table's pool again (per-tuple decode/predicate
-    /// work is fine; that is what it is for). The error type is generic so
+    /// Without a frame the closure runs under the page's buffer-pool
+    /// shard lock, so it must not touch this table's pool again
+    /// (per-tuple decode/predicate work is fine; that is what it is for);
+    /// with one it runs unlocked, on the frame. The error type is generic so
     /// executor layers can thread their own error out of the closure.
     /// `frame` is as for [`Table::for_each_in_bucket`].
     pub fn for_each_on_page<E, F>(
@@ -386,8 +387,10 @@ impl Table {
     ///
     /// With a `frame`, pages are read by
     /// [`BufferPool::with_page_private`]: a miss on a full pool shard goes
-    /// into the frame and evicts nothing. A scan larger than the pool
-    /// passes one; every other reader passes `None` and shares the pool.
+    /// into the frame and evicts nothing, a resident page is copied into
+    /// it, and `f` runs with no pool lock held. A scan larger than the
+    /// pool passes one; every other reader passes `None` and shares the
+    /// pool.
     pub fn for_each_in_bucket<E, F>(
         &self,
         b: BucketNo,
