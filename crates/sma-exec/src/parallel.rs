@@ -376,6 +376,9 @@ mod tests {
                     {
                         std::thread::sleep(Duration::from_millis(1));
                     }
+                    // Worker 1 drops its unclaimed rest just after its
+                    // body returns the error; give it time to.
+                    std::thread::sleep(Duration::from_millis(50));
                 }
                 if r.end > own.end {
                     read_past.store(true, Ordering::SeqCst);
