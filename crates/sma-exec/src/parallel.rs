@@ -100,6 +100,14 @@ pub fn morsels(n_buckets: u32, threads: usize) -> Vec<Range<u32>> {
 /// there (a *steal*). So a worker whose pages are resident takes over
 /// from one whose pages miss, and each steal costs one seek.
 ///
+/// Only a worker that has claimed a range is stolen from. One that has
+/// not started yet is behind on its thread's start, not on its buckets:
+/// the join waits for that start whatever is taken from it. When every
+/// morsel takes longer than a thread start, every worker has started
+/// before any runs dry, so this costs no steal; a shorter loop (grading,
+/// a point select's bucket loop) keeps the contiguous split, instead of
+/// splitting by which thread the scheduler happened to start first.
+///
 /// Every worker is joined before any result is looked at. A worker stops
 /// at its first error, and the error of the range that starts first
 /// wins: it is the error a serial loop over the same buckets would have
@@ -129,10 +137,7 @@ where
             .collect();
     }
     let workers = parts.len();
-    let claims = Mutex::new(Claims {
-        at: parts.iter().map(|r| r.start).collect(),
-        left: parts,
-    });
+    let claims = Mutex::new(Claims::new(parts));
     let joined: Vec<_> = std::thread::scope(|scope| {
         let (init, work, claims) = (&init, &work, &claims);
         let handles: Vec<_> = (0..workers)
@@ -186,24 +191,38 @@ struct Claims {
     left: Vec<Range<u32>>,
     /// `at[w]`: the first bucket of the range worker `w` claimed last.
     at: Vec<u32>,
+    /// `started[w]`: whether worker `w` has claimed a range; only a
+    /// started worker's rest can be stolen.
+    started: Vec<bool>,
 }
 
 impl Claims {
+    /// Claims over `morsels`, worker `w` starting on `morsels[w]`.
+    fn new(morsels: Vec<Range<u32>>) -> Claims {
+        Claims {
+            at: morsels.iter().map(|r| r.start).collect(),
+            started: vec![false; morsels.len()],
+            left: morsels,
+        }
+    }
+
     /// Worker `w`'s next range: up to the next super-bucket boundary of
-    /// its own range, after a steal if that is all claimed. `None` when
-    /// nothing is left that could be cut.
+    /// its own range, after a steal from a started worker if that is all
+    /// claimed. `None` when nothing is left that could be cut.
     fn next(&mut self, w: usize) -> Option<Range<u32>> {
         if self.left[w].is_empty() {
-            let (victim, cut) = self
-                .left
-                .iter()
-                .enumerate()
-                .filter_map(|(v, r)| Some((v, r.end - r.start, steal_cut(r)?)))
+            let (victim, cut) = (0..self.left.len())
+                .filter(|&v| self.started[v])
+                .filter_map(|v| {
+                    let r = &self.left[v];
+                    Some((v, r.end - r.start, steal_cut(r)?))
+                })
                 .max_by_key(|&(_, len, _)| len)
                 .map(|(v, _, cut)| (v, cut))?;
             self.left[w] = cut..self.left[victim].end;
             self.left[victim].end = cut;
         }
+        self.started[w] = true;
         let own = &mut self.left[w];
         let boundary = (own.start / LEVEL2_FANOUT + 1).saturating_mul(LEVEL2_FANOUT);
         let range = own.start..boundary.min(own.end);
@@ -347,6 +366,27 @@ mod tests {
             matches!(&err, ExecError::Plan(m) if m == "bucket 5"),
             "{err}"
         );
+    }
+
+    /// A worker that has not claimed a range yet keeps its morsel: one
+    /// that runs dry before then finds nothing to steal, and takes the
+    /// upper half of its rest once it has claimed its first range.
+    #[test]
+    fn only_a_started_worker_is_stolen_from() {
+        const N: u32 = 8 * LEVEL2_FANOUT;
+        let parts = morsels(N, 2);
+        let mut claims = Claims::new(parts.clone());
+        let mut own = Vec::new();
+        while let Some(r) = claims.next(0) {
+            own.push(r);
+        }
+        let covered = own.first().map(|r| r.start)..own.last().map(|r| r.end);
+        assert_eq!(covered, Some(parts[0].start)..Some(parts[0].end));
+        let first = claims.next(1).unwrap();
+        assert_eq!(first, parts[1].start..parts[1].start + LEVEL2_FANOUT);
+        let stolen = claims.next(0).unwrap();
+        assert_eq!(Some(stolen.start), steal_cut(&(first.end..parts[1].end)));
+        assert_eq!(claims.left[1], first.end..stolen.start);
     }
 
     /// A failed worker's unclaimed buckets all follow its error, so no
