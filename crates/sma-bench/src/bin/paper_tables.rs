@@ -311,65 +311,224 @@ fn e9_degradation() {
     );
 }
 
-/// E8 — thread scaling of the bucket-parallel paths (not in the paper;
-/// the bucket loops of Figs. 6/7 and the bulkload are embarrassingly
-/// parallel, so this table records how far that carries on this host).
+/// E8 — what a worker costs, and thread scaling (not in the paper; the
+/// bucket loops of Figs. 6/7 and the bulkload are embarrassingly
+/// parallel). It runs at SF 0.02, the scale of perfbench's `olap_scan`,
+/// whatever `SMA_SF` says. First what the bucket loop's worker rule is
+/// built from: the start and join of an empty two-worker `run_morsels`,
+/// one worker's time per page read and per SMA entry merge, the crossover
+/// those give, and the one a sweep of loop sizes measures. Then Query 1
+/// and a full-scan-shaped loop as the rule sizes them on a host of
+/// 1/2/4/8 cores, and Query 1 at 1/2/4/8 workers whatever its work, after
+/// asserting that every count answers alike; and the bulkload.
 fn e8_thread_scaling() {
-    println!("--- E8: thread scaling (bucket-parallel bulkload & SmaGAggr) ---");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    use sma_exec::parallel::{run_morsels, workers_for, CROSSOVER_NS};
+    use sma_exec::sma_gaggr::{MERGE_NS, PAGE_NS};
+    use sma_exec::{query1_query, AggSpec, Parallelism, SmaGAggr};
+    println!("--- E8: what a worker costs, and thread scaling (SF 0.02) ---");
+    let cores = Parallelism::available().get();
     println!("host cores: {cores}");
-    let table = bench_table(Clustering::diagonal_default(), 1);
+    let mut cfg = GenConfig::scale_factor(0.02, Clustering::diagonal_default());
+    cfg.pool_pages = 1 << 16; // every page resident after the first run
+    let table = sma_tpcd::generate_lineitem_table(&cfg);
     let defs = SmaSet::query1_definitions(&table).expect("defs");
     let smas = SmaSet::build(&table, defs.clone()).expect("build");
-    let pred = BucketPred::cmp(li::SHIPDATE, CmpOp::Le, Value::Date(cutoff(90)));
-    let group_by = vec![li::RETURNFLAG, li::LINESTATUS];
-    let specs = vec![
-        sma_exec::AggSpec::CountStar,
-        sma_exec::AggSpec::Sum(col(li::QUANTITY)),
-        sma_exec::AggSpec::Avg(col(li::QUANTITY)),
-    ];
-    println!(
-        "{:>8} {:>14} {:>10} {:>14} {:>10}",
-        "threads", "bulkload", "speedup", "sma_gaggr", "speedup"
-    );
-    let time = |f: &mut dyn FnMut()| {
-        // Median of 5 runs keeps scheduler noise out of the ratios.
-        let mut samples: Vec<f64> = (0..5)
+    let median_ns = |reps: usize, f: &mut dyn FnMut()| {
+        let mut samples: Vec<u128> = (0..reps)
             .map(|_| {
                 let t = Instant::now();
                 f();
-                t.elapsed().as_secs_f64()
+                t.elapsed().as_nanos()
             })
             .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
+        samples.sort_unstable();
+        samples[samples.len() / 2] as f64
     };
-    let mut base: Option<(f64, f64)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let build_s = time(&mut || {
+    let loop_of = |pred: BucketPred, group_by: Vec<usize>, specs: Vec<AggSpec>| {
+        SmaGAggr::new(&table, pred, group_by, specs, &smas).expect("plan")
+    };
+    let q1 = query1_query(&table, cutoff(90)).expect("Query 1");
+    let q1_loop = |pred: BucketPred| loop_of(pred, q1.group_by.clone(), q1.specs.clone());
+    let shipdate = |op: CmpOp, d: Date| BucketPred::cmp(li::SHIPDATE, op, Value::Date(d));
+    // No SMA grades L_TAX, so every bucket the rest of `pred` leaves is
+    // ambivalent and read.
+    let taxed = |pred: Option<BucketPred>| {
+        let tax = BucketPred::cmp(li::TAX, CmpOp::Le, Decimal::from_cents(4));
+        loop_of(
+            pred.map_or(tax.clone(), |p| BucketPred::And(vec![p, tax])),
+            Vec::new(),
+            vec![AggSpec::CountStar, AggSpec::Sum(col(li::QUANTITY))],
+        )
+    };
+    // Median over runs that alternate between the operators, each warmed.
+    let alternate = |ops: &mut [SmaGAggr<'_>], reps: usize| {
+        let mut samples = vec![Vec::new(); ops.len()];
+        for op in ops.iter_mut() {
+            collect(op).expect("run");
+        }
+        for _ in 0..reps {
+            for (op, times) in ops.iter_mut().zip(&mut samples) {
+                let t = Instant::now();
+                collect(op).expect("run");
+                times.push(t.elapsed().as_nanos() as f64);
+            }
+        }
+        samples
+            .into_iter()
+            .map(|mut t| {
+                t.sort_by(|a, b| a.total_cmp(b));
+                t[t.len() / 2]
+            })
+            .collect::<Vec<f64>>()
+    };
+    fn serial(op: SmaGAggr<'_>) -> SmaGAggr<'_> {
+        op.with_parallelism(Parallelism::serial())
+    }
+
+    let start_ns = median_ns(2_001, &mut || {
+        run_morsels(2, 2, || (), |_, _| Ok(())).expect("empty loop");
+    });
+    // Per page on a loop about the crossover's size, which is where the
+    // figure decides anything: the buckets before 1994 on this table.
+    let first_day = Date::from_ymd(1992, 1, 1).expect("date");
+    let before = |days: i32| Some(shipdate(CmpOp::Le, first_day.add_days(days)));
+    let planned_pages = taxed(before(768)).planned_ns().expect("plan") / PAGE_NS;
+    let page_ns = alternate(&mut [serial(taxed(before(768)))], 31)[0] / planned_pages as f64;
+    // Every bucket qualifies: one merge per whole super-bucket and one per
+    // bucket of the partial last one. Every bucket disqualifies: the same
+    // walk over the grades with nothing merged.
+    let n = table.bucket_count();
+    let merges = u64::from(n / LEVEL2_FANOUT + n % LEVEL2_FANOUT);
+    let all_none = alternate(
+        &mut [
+            serial(q1_loop(shipdate(
+                CmpOp::Le,
+                Date::from_ymd(2000, 1, 1).expect("date"),
+            ))),
+            serial(q1_loop(shipdate(
+                CmpOp::Lt,
+                Date::from_ymd(1900, 1, 1).expect("date"),
+            ))),
+        ],
+        201,
+    );
+    let merge_ns = (all_none[0] - all_none[1]).max(0.0) / merges as f64;
+    println!("{:>38} {:>12} {:>12}", "", "measured", "constant");
+    println!(
+        "{:>38} {:>10.1}µs",
+        "start + join, empty 2-worker loop",
+        start_ns / 1e3
+    );
+    println!(
+        "{:>38} {:>10.0}ns {:>10}ns",
+        "one worker, per page read", page_ns, PAGE_NS
+    );
+    println!(
+        "{:>38} {:>10.0}ns {:>10}ns   ({merges} merges)",
+        "one worker, per Query 1 merge", merge_ns, MERGE_NS
+    );
+    println!(
+        "{:>38} {:>10.1}µs {:>10.1}µs   (= {:.0} pages at the constant)",
+        "crossover: start + W/2 < W at W =",
+        2.0 * start_ns / 1e3,
+        CROSSOVER_NS as f64 / 1e3,
+        CROSSOVER_NS as f64 / PAGE_NS as f64
+    );
+    println!();
+
+    // Where two workers do beat one: loops that read the buckets a
+    // ship-date range leaves, planned from a few pages to every page.
+    println!(
+        "{:>14} {:>12} {:>12} {:>12} {:>8}",
+        "planned pages", "planned", "1 worker", "2 workers", "2 / 1"
+    );
+    for days in [32, 96, 192, 384, 768, 1536] {
+        let pred = || before(days);
+        let planned = taxed(pred()).planned_ns().expect("plan");
+        let t = alternate(
+            &mut [
+                serial(taxed(pred())),
+                taxed(pred()).with_parallelism(Parallelism::new(2)),
+            ],
+            31,
+        );
+        println!(
+            "{:>14} {:>10.1}µs {:>10.1}µs {:>10.1}µs {:>8.2}",
+            planned / PAGE_NS,
+            planned as f64 / 1e3,
+            t[0] / 1e3,
+            t[1] / 1e3,
+            t[1] / t[0]
+        );
+    }
+    println!();
+
+    // Query 1, and the full scan `olap_scan`'s `L_TAX` select runs.
+    let shape = |query1: bool| {
+        if query1 {
+            q1_loop(q1.pred.clone())
+        } else {
+            taxed(None)
+        }
+    };
+    let counts = [1usize, 2, 4, 8];
+    let mut rows = Vec::new();
+    for (name, query1) in [("Query 1", true), ("full-scan shape", false)] {
+        // Every worker count, and the rule's, answers alike before
+        // anything is timed.
+        let answer = |mut op: SmaGAggr<'_>| (collect(&mut op).expect("run"), op.counters());
+        let expected = answer(serial(shape(query1)));
+        for threads in counts {
+            let got = answer(shape(query1).with_parallelism(Parallelism::new(threads)));
+            assert_eq!(
+                got, expected,
+                "{name} at {threads} workers answered differently"
+            );
+        }
+        assert_eq!(
+            answer(shape(query1)),
+            expected,
+            "{name} as the rule sizes it"
+        );
+        let planned = shape(query1).planned_ns().expect("plan");
+        println!(
+            "{name}: planned {:.1}µs of one worker's time; the rule starts {} of {cores}",
+            planned as f64 / 1e3,
+            workers_for(planned, cores)
+        );
+        rows.push((name, query1, counts.map(|n| workers_for(planned, n))));
+        if query1 {
+            rows.push(("Query 1, forced", true, counts));
+        }
+    }
+    // A row per loop: its time on a host of 1/2/4/8 cores, with the
+    // workers the rule starts there in parentheses; the forced row starts
+    // that many whatever the work.
+    println!(
+        "{:>16} {:>15} {:>15} {:>15} {:>15}",
+        "cores", "1", "2", "4", "8"
+    );
+    for (name, query1, workers) in rows {
+        let mut ops: Vec<SmaGAggr<'_>> = workers
+            .iter()
+            .map(|&w| shape(query1).with_parallelism(Parallelism::new(w)))
+            .collect();
+        let mut row = format!("{name:>16}");
+        for (ns, w) in alternate(&mut ops, 31).into_iter().zip(workers) {
+            row.push_str(&format!(" {:>9.1}µs ({w})", ns / 1e3));
+        }
+        println!("{row}");
+    }
+    println!();
+
+    println!("{:>8} {:>14} {:>10}", "threads", "bulkload", "speedup");
+    let mut base = None;
+    for threads in counts {
+        let ns = median_ns(3, &mut || {
             sma_core::build_many_parallel(&table, defs.clone(), threads).expect("build");
         });
-        let gaggr_s = time(&mut || {
-            let mut op = sma_exec::SmaGAggr::new(
-                &table,
-                pred.clone(),
-                group_by.clone(),
-                specs.clone(),
-                &smas,
-            )
-            .expect("plan")
-            .with_parallelism(sma_exec::Parallelism::new(threads));
-            collect(&mut op).expect("run");
-        });
-        let (b0, g0) = *base.get_or_insert((build_s, gaggr_s));
-        println!(
-            "{:>8} {:>12.2}ms {:>9.2}x {:>12.2}ms {:>9.2}x",
-            threads,
-            build_s * 1e3,
-            b0 / build_s,
-            gaggr_s * 1e3,
-            g0 / gaggr_s
-        );
+        let b0 = *base.get_or_insert(ns);
+        println!("{:>8} {:>12.2}ms {:>9.2}x", threads, ns / 1e6, b0 / ns);
     }
     println!();
 }

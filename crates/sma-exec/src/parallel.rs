@@ -3,20 +3,24 @@
 //! The paper's operators iterate `forall bucket in buckets` — an
 //! embarrassingly parallel loop, because SMA grading is pure in-memory
 //! arithmetic and every bucket's pages are disjoint. This module provides
-//! the three small pieces the operators share:
+//! the small pieces the operators share:
 //!
 //! * [`Parallelism`] — the knob saying how many worker threads to use
 //!   (default: every available core),
+//! * [`workers_for`] — how many of them a loop's planned work pays for:
+//!   one, on the calling thread, up to [`CROSSOVER_NS`], where starting
+//!   a second worker costs more than it saves,
 //! * [`morsels`] — a contiguous partition of `0..n_buckets`, where the
 //!   workers start, so each worker scans a run of adjacent buckets
 //!   (preserving sequential page access within a worker), and
-//! * `run_morsels` — the one place the crate spawns threads: every worker
-//!   starts on its morsel, takes over half of another worker's unclaimed
-//!   buckets when its own run dry, and folds every range it claims into
-//!   one partial of its own.
+//! * [`run_morsels`] — the one place the crate spawns threads: every
+//!   worker starts on its morsel, takes over half of another worker's
+//!   unclaimed buckets when its own run dry, and folds every range it
+//!   claims into one partial of its own.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use sma_core::LEVEL2_FANOUT;
@@ -66,6 +70,27 @@ impl Default for Parallelism {
     }
 }
 
+/// The planned work, in nanoseconds of one worker's time, above which two
+/// workers beat one. `paper_tables e8`'s sweep of loop sizes on a 2-core
+/// host saw two workers lose below about 300 planned pages, break even
+/// up to about 550 and win above; this is about 330 pages at
+/// [`PAGE_NS`](crate::sma_gaggr::PAGE_NS) (DESIGN.md §6). An empty
+/// two-worker loop starts and joins in about 70 µs there, but a second
+/// worker that wakes an idle core and starts on cold caches costs far
+/// more, so the crossover lies well above twice that start-up.
+pub const CROSSOVER_NS: u64 = 1_000_000;
+
+/// The workers a loop of `planned_ns` nanoseconds pays for, of at most
+/// `threads`: one, which [`run_morsels`] runs on the calling thread, up to
+/// [`CROSSOVER_NS`]; all `threads` above it.
+pub fn workers_for(planned_ns: u64, threads: usize) -> usize {
+    if planned_ns > CROSSOVER_NS {
+        threads
+    } else {
+        1
+    }
+}
+
 /// Splits `0..n_buckets` into at most `threads` contiguous, non-empty
 /// morsels covering the whole range in order.
 ///
@@ -112,9 +137,10 @@ pub fn morsels(n_buckets: u32, threads: usize) -> Vec<Range<u32>> {
 /// at its first error, and the error of the range that starts first
 /// wins: it is the error a serial loop over the same buckets would have
 /// stopped at, since the buckets a failed worker leaves unclaimed all
-/// follow its error. A panicking worker becomes [`ExecError::Plan`] at
-/// the range it was on.
-pub(crate) fn run_morsels<S, I, F>(
+/// follow its error. A panic in `init` or `work` becomes
+/// [`ExecError::Plan`] at any worker count: a spawned worker's at the
+/// range it was on, the calling thread's before it reaches the caller.
+pub fn run_morsels<S, I, F>(
     n_buckets: u32,
     threads: usize,
     init: I,
@@ -130,9 +156,14 @@ where
         return parts
             .into_iter()
             .map(|r| {
-                let mut partial = init();
-                work(&mut partial, r)?;
-                Ok(partial)
+                // The body's state is dropped with the error, so nothing
+                // it left half-updated is looked at again.
+                std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut partial = init();
+                    work(&mut partial, r)?;
+                    Ok(partial)
+                }))
+                .unwrap_or_else(|_| Err(worker_panicked()))
             })
             .collect();
     }
@@ -170,7 +201,7 @@ where
             }
             Ok(Err(failed)) => failed,
             // sma-lint: allow(A3-error-swallowing) -- join's payload is Box<dyn Any>, not an error; it is converted to a typed error here
-            Err(_) => (at, ExecError::Plan("bucket worker panicked".into())),
+            Err(_) => (at, worker_panicked()),
         };
         if first_error
             .as_ref()
@@ -183,6 +214,11 @@ where
         Some((_, e)) => Err(e),
         None => Ok(partials),
     }
+}
+
+/// What a panic in a loop's body becomes.
+fn worker_panicked() -> ExecError {
+    ExecError::Plan("bucket worker panicked".into())
 }
 
 /// The buckets no worker of a `run_morsels` call has claimed yet.
@@ -306,28 +342,33 @@ mod tests {
     /// Worker 0's first range blocks until another worker has run a range
     /// of worker 0's morsel, which only a steal can hand it: every bucket
     /// is still visited once, and every stolen range starts on a
-    /// super-bucket boundary.
+    /// super-bucket boundary. Only a started worker is stolen from, so
+    /// the other worker's first range waits for worker 0 to start.
     #[test]
     fn a_slow_morsel_is_stolen_from_on_super_bucket_boundaries() {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::time::{Duration, Instant};
         const N: u32 = 8 * LEVEL2_FANOUT;
         let first_morsel = morsels(N, 2)[0].clone();
-        let stolen = AtomicBool::new(false);
+        let (started, stolen) = (AtomicBool::new(false), AtomicBool::new(false));
+        let wait_for = |flag: &AtomicBool| {
+            let since = Instant::now();
+            while !flag.load(Ordering::SeqCst) && since.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
         let body = |fail_at: &[u32]| {
-            let stolen = &stolen;
+            let (started, stolen) = (&started, &stolen);
             let first_morsel = first_morsel.clone();
             let fail_at = fail_at.to_vec();
             move |seen: &mut Vec<Range<u32>>, r: Range<u32>| {
                 if r.start == 0 {
-                    let since = Instant::now();
-                    while !stolen.load(Ordering::SeqCst)
-                        && since.elapsed() < Duration::from_secs(10)
-                    {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
+                    started.store(true, Ordering::SeqCst);
+                    wait_for(stolen);
                 } else if first_morsel.contains(&r.start) {
                     stolen.store(true, Ordering::SeqCst);
+                } else {
+                    wait_for(started);
                 }
                 if let Some(b) = fail_at.iter().find(|b| r.contains(b)) {
                     return Err(ExecError::Plan(format!("bucket {b}")));
@@ -358,6 +399,7 @@ mod tests {
 
         // An error in a stolen range is raised first, one in an earlier
         // bucket of the slow range later: the earlier bucket's wins.
+        started.store(false, Ordering::SeqCst);
         stolen.store(false, Ordering::SeqCst);
         let stolen_bucket = first_morsel.end - 1;
         let err = run_morsels(N, 2, Vec::new, body(&[5, stolen_bucket])).unwrap_err();
@@ -459,21 +501,28 @@ mod tests {
         );
     }
 
+    /// A panic in the body is an error at one worker, on the calling
+    /// thread, as at two, on spawned ones; so is one in `init`.
     #[test]
     fn run_morsels_turns_a_worker_panic_into_an_error() {
-        let err = run_morsels(
-            4,
-            2,
-            || (),
-            |_, r| {
-                if r.start > 0 {
-                    panic!("worker down");
-                }
-                Ok(())
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, ExecError::Plan(_)), "{err}");
+        for threads in [1, 2] {
+            let err = run_morsels(
+                4,
+                threads,
+                || (),
+                |_, r| {
+                    if r.contains(&3) {
+                        panic!("worker down");
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap_err();
+            assert!(matches!(err, ExecError::Plan(_)), "{threads}: {err}");
+            let err = run_morsels(4, threads, || panic!("no partial"), |_: &mut (), _| Ok(()))
+                .unwrap_err();
+            assert!(matches!(err, ExecError::Plan(_)), "{threads}: {err}");
+        }
     }
 
     #[test]

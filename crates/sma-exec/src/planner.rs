@@ -24,7 +24,7 @@
 //! yields unfinished group states; the memtable overlay folds into them as
 //! one more bucket, and one finish turns them into rows.
 
-use sma_core::{BucketPred, Classification, Grade, SmaSet};
+use sma_core::{BucketPred, Classification, Grade, SmaSet, LEVEL2_FANOUT};
 use sma_storage::{CostModel, IoStats, MemRow, QueryBudget, Table};
 use sma_types::{Tuple, Value};
 
@@ -94,12 +94,14 @@ pub struct Plan<'a> {
     overlay: &'a [MemRow],
     /// Cooperative per-query budget — see [`Plan::with_budget`].
     budget: Option<&'a QueryBudget>,
-    /// The planner's grading of `query.pred` over every bucket (`None`
-    /// without SMAs); `SmaGAggr` runs on it instead of grading again.
-    grades: Option<Classification>,
+    /// The planner's grading of `query.pred` over every bucket and its
+    /// one walk over those grades (`None` without SMAs); `SmaGAggr` runs
+    /// on them instead of grading and counting again.
+    grades: Option<(Classification, GradeTally)>,
     /// Worker threads for the bucket loops of `SmaGAggr` and the full
-    /// scan.
-    parallelism: Parallelism,
+    /// scan: exactly these when set, else as many of the available cores
+    /// as the loop's planned work pays for.
+    parallelism: Option<Parallelism>,
     /// The chosen strategy.
     pub kind: PlanKind,
     /// The estimate that drove the choice (`None` without SMAs).
@@ -184,7 +186,7 @@ impl<'a> Plan<'a> {
                     smas()?,
                 )?;
                 match &self.grades {
-                    Some(c) => op.with_grades(&c.grades),
+                    Some((c, tally)) => op.with_grades(&c.grades, *tally),
                     None => op,
                 }
             }
@@ -210,7 +212,10 @@ impl<'a> Plan<'a> {
                 return Ok((groups, scan.counters().degradation));
             }
         };
-        let mut op = op.with_parallelism(self.parallelism);
+        let mut op = match self.parallelism {
+            Some(p) => op.with_parallelism(p),
+            None => op,
+        };
         if let Some(b) = self.budget {
             op = op.with_budget(b);
         }
@@ -278,29 +283,77 @@ fn aggregates_covered(smas: &SmaSet, query: &AggregateQuery) -> bool {
         })
 }
 
-/// Counts the page reads of the buckets selected by `read` (only the two
-/// counters [`CostModel::cost_ms`] prices for reads), with a seek
-/// whenever the previous bucket was skipped (clustered ambivalent runs
-/// therefore price mostly sequentially — the reason the paper's breakeven
-/// sits as high as 25 %).
-fn bucket_reads(grades: &[Grade], bucket_pages: u32, read: impl Fn(Grade) -> bool) -> IoStats {
-    let pages = u64::from(bucket_pages);
-    let mut io = IoStats::default();
-    let mut prev_read = false;
-    for &g in grades {
-        if read(g) {
-            if prev_read {
-                io.sequential_reads += pages;
+/// Page reads of buckets visited in order, as [`CostModel::cost_ms`]
+/// prices them: a seek whenever the previous bucket was not read, so
+/// clustered ambivalent runs price mostly sequentially (the reason the
+/// paper's breakeven sits as high as 25 %).
+#[derive(Default)]
+struct BucketReads {
+    io: IoStats,
+    prev_read: bool,
+}
+
+impl BucketReads {
+    /// The next bucket, of `pages` pages: read or not.
+    fn push(&mut self, read: bool, pages: u64) {
+        if read {
+            if self.prev_read {
+                self.io.sequential_reads += pages;
             } else {
-                io.random_reads += 1;
-                io.sequential_reads += pages.saturating_sub(1);
+                self.io.random_reads += 1;
+                self.io.sequential_reads += pages.saturating_sub(1);
             }
-            prev_read = true;
-        } else {
-            prev_read = false;
         }
+        self.prev_read = read;
     }
-    io
+}
+
+/// What one walk over a query's grades yields: the D and A counts (Q is
+/// the rest) and the reads the planner prices, and the SMA entry merges
+/// the bucket loop plans besides its reads.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct GradeTally {
+    /// Buckets graded Disqualifies.
+    pub(crate) disqualifies: u64,
+    /// Buckets graded Ambivalent.
+    pub(crate) ambivalent: u64,
+    /// Page reads of every bucket not graded Disqualifies: the SMA scan's.
+    pub(crate) scan_reads: IoStats,
+    /// Page reads of the ambivalent buckets: `SmaGAggr`'s.
+    pub(crate) gaggr_reads: IoStats,
+    /// Merges of SMA entries `SmaGAggr` plans: one per whole super-bucket
+    /// graded all Qualifies, answered from level 2, and one per other
+    /// bucket graded Qualifies.
+    pub(crate) merges: u64,
+}
+
+impl GradeTally {
+    /// Walks `grades`, one per bucket of `bucket_pages` pages, once.
+    pub(crate) fn of(grades: &[Grade], bucket_pages: u32) -> GradeTally {
+        let pages = u64::from(bucket_pages);
+        let mut tally = GradeTally::default();
+        let (mut scan, mut gaggr) = (BucketReads::default(), BucketReads::default());
+        for super_bucket in grades.chunks(LEVEL2_FANOUT as usize) {
+            let mut qualifies = 0;
+            for &g in super_bucket {
+                match g {
+                    Grade::Qualifies => qualifies += 1,
+                    Grade::Disqualifies => tally.disqualifies += 1,
+                    Grade::Ambivalent => tally.ambivalent += 1,
+                }
+                scan.push(g != Grade::Disqualifies, pages);
+                gaggr.push(g == Grade::Ambivalent, pages);
+            }
+            tally.merges += if qualifies == u64::from(LEVEL2_FANOUT) {
+                1
+            } else {
+                qualifies
+            };
+        }
+        tally.scan_reads = scan.io;
+        tally.gaggr_reads = gaggr.io;
+        tally
+    }
 }
 
 /// `io` plus `pages` sequential page reads (SMA files scanned in sync).
@@ -341,36 +394,36 @@ pub fn plan<'a>(
             overlay: &[],
             budget: None,
             grades: None,
-            parallelism: Parallelism::default(),
+            parallelism: None,
             kind: PlanKind::FullScan,
             estimate: None,
         };
     };
     let cm = &cfg.cost_model;
     let grades = Classification::classify(&query.pred, table.bucket_count(), set);
+    let tally = GradeTally::of(&grades.grades, table.bucket_pages());
     let n_pages = u64::from(table.page_count());
     let full_scan_cost_ms = cm.cost_ms(&IoStats {
         random_reads: n_pages.min(1),
         sequential_reads: n_pages.saturating_sub(1),
         ..IoStats::default()
     });
-    let bucket_pages = table.bucket_pages();
     let sma_scan_cost_ms = cm.cost_ms(&plus_sequential(
-        bucket_reads(&grades.grades, bucket_pages, |g| g != Grade::Disqualifies),
+        tally.scan_reads,
         selection_sma_pages(set, &query.pred),
     ));
     let covered = aggregates_covered(set, &query);
-    let sma_gaggr_cost_ms = covered.then(|| {
-        // All SMA files are scanned sequentially "in sync" (§2.3).
-        cm.cost_ms(&plus_sequential(
-            bucket_reads(&grades.grades, bucket_pages, |g| g == Grade::Ambivalent),
-            set.total_pages(),
-        ))
-    });
+    // All SMA files are scanned sequentially "in sync" (§2.3).
+    let sma_gaggr_cost_ms =
+        covered.then(|| cm.cost_ms(&plus_sequential(tally.gaggr_reads, set.total_pages())));
+    let fraction = |buckets: u64| match grades.grades.len() {
+        0 => 0.0,
+        n => buckets as f64 / n as f64,
+    };
     let estimate = Estimate {
         n_buckets: table.bucket_count(),
-        ambivalent_fraction: grades.ambivalent_fraction(),
-        skipped_fraction: grades.skipped_fraction(),
+        ambivalent_fraction: fraction(tally.ambivalent),
+        skipped_fraction: fraction(tally.disqualifies),
         full_scan_cost_ms,
         sma_gaggr_cost_ms,
         sma_scan_cost_ms,
@@ -395,8 +448,8 @@ pub fn plan<'a>(
         query,
         overlay: &[],
         budget: None,
-        grades: Some(grades),
-        parallelism: Parallelism::default(),
+        grades: Some((grades, tally)),
+        parallelism: None,
         kind,
         estimate: Some(estimate),
     }
@@ -459,10 +512,19 @@ mod tests {
             overlay: &[],
             budget: None,
             grades: None,
-            parallelism: Parallelism::default(),
+            parallelism: None,
             kind,
             estimate: None,
         }
+    }
+
+    /// The reads the planner's walk tallies for the buckets `read` selects.
+    fn bucket_reads(grades: &[Grade], bucket_pages: u32, read: impl Fn(Grade) -> bool) -> IoStats {
+        let mut reads = BucketReads::default();
+        for &g in grades {
+            reads.push(read(g), u64::from(bucket_pages));
+        }
+        reads.io
     }
 
     fn query(cutoff: i64) -> AggregateQuery {
@@ -682,7 +744,7 @@ mod tests {
                             let run = |smas: &SmaSet, rows: &[MemRow]| {
                                 let mut p =
                                     forced(&base, Some(smas), q.clone(), kind).with_overlay(rows);
-                                p.parallelism = Parallelism::new(threads);
+                                p.parallelism = Some(Parallelism::new(threads));
                                 p.execute_with_report().unwrap()
                             };
                             let ctx = format!(
@@ -802,7 +864,7 @@ mod tests {
                     let run = |threads: usize| {
                         let mut p =
                             forced(&t, None, q.clone(), PlanKind::FullScan).with_overlay(&extra);
-                        p.parallelism = Parallelism::new(threads);
+                        p.parallelism = Some(Parallelism::new(threads));
                         t.make_cold().unwrap();
                         t.reset_io_stats();
                         (p.execute().unwrap(), t.io_stats())
@@ -889,7 +951,7 @@ mod tests {
         for kind in [PlanKind::FullScan, PlanKind::SmaGAggr] {
             let budget = QueryBudget::unbounded().with_page_cap(6);
             let mut p = forced(&t, Some(&set), q.clone(), kind).with_budget(&budget);
-            p.parallelism = Parallelism::serial();
+            p.parallelism = Some(Parallelism::serial());
             t.reset_io_stats();
             let err = p.execute().unwrap_err();
             assert!(
@@ -939,6 +1001,34 @@ mod tests {
         assert_eq!(reads(&scattered, 1), (3, 0, 30.0));
         // Multi-page buckets amortize the seek.
         assert_eq!(reads(&[Ambivalent], 4), (1, 3, 13.0));
+    }
+
+    /// The planner's one walk gives the counts and both plans' reads that
+    /// separate walks give, and counts a whole qualifying super-bucket as
+    /// one merge, but every qualifying bucket of a partial one.
+    #[test]
+    fn one_walk_tallies_grades_reads_and_merges() {
+        use Grade::*;
+        let fanout = LEVEL2_FANOUT as usize;
+        let mut grades = vec![Qualifies; fanout];
+        grades.extend(vec![Qualifies; fanout - 1]);
+        grades.push(Ambivalent);
+        grades.extend([Qualifies, Disqualifies, Ambivalent, Qualifies]);
+        let tally = GradeTally::of(&grades, 2);
+        let count = |g| grades.iter().filter(|&&x| x == g).count() as u64;
+        assert_eq!(
+            (tally.disqualifies, tally.ambivalent),
+            (count(Disqualifies), count(Ambivalent))
+        );
+        assert_eq!(tally.merges, 1 + (fanout as u64 - 1) + 2);
+        assert_eq!(
+            tally.scan_reads,
+            bucket_reads(&grades, 2, |g| g != Disqualifies)
+        );
+        assert_eq!(
+            tally.gaggr_reads,
+            bucket_reads(&grades, 2, |g| g == Ambivalent)
+        );
     }
 
     /// A bare unindexed predicate makes the SMA scan read exactly the

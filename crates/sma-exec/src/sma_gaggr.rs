@@ -27,10 +27,17 @@
 //! and evict nothing, so the scan leaves the pool's resident pages for the
 //! next query instead of cycling it.
 //!
-//! The workers start on contiguous morsels and steal from each other's
-//! unclaimed buckets when theirs run out (`run_morsels`): each folds
-//! every range it claims into one partial, and the partials merge once.
+//! The loop starts workers only for work that pays for them: from the
+//! same walk over the grades it counts the pages it will read and the SMA
+//! entry merges it will make, prices them at [`PAGE_NS`] and
+//! [`MERGE_NS`], and up to [`CROSSOVER_NS`](crate::parallel::CROSSOVER_NS)
+//! runs on the calling thread.
+//! Above it, the workers start on contiguous morsels and steal from each
+//! other's unclaimed buckets when theirs run out (`run_morsels`): each
+//! folds every range it claims into one partial, and the partials merge
+//! once.
 
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -41,8 +48,19 @@ use sma_types::{RowLayout, Tuple, Value};
 
 use crate::gaggr::{AggSpec, DenseGroups, GroupState, RowFold};
 use crate::op::{ExecError, PhysicalOp};
-use crate::parallel::{run_morsels, Parallelism};
+use crate::parallel::{run_morsels, workers_for, Parallelism};
+use crate::planner::GradeTally;
 use crate::scan::ScanCounters;
+
+/// One worker's time to read one resident page of an ambivalent bucket
+/// and fold its rows: `paper_tables e8` measured 2–4.4 µs on a 2-core
+/// host, as the loop grows out of the CPU caches (DESIGN.md §6).
+pub const PAGE_NS: u64 = 3_000;
+
+/// One worker's time to merge the SMA entries of one qualifying bucket or
+/// super-bucket into Query 1's group states: 0.37–0.77 µs in the same
+/// `e8` runs.
+pub const MERGE_NS: u64 = 500;
 
 /// Unfinished group states by group key: what the bucket loop yields
 /// before the one `finish`, with `avg` still a sum.
@@ -100,14 +118,17 @@ pub struct SmaGAggr<'a> {
     results: Vec<Tuple>,
     pos: usize,
     counters: ScanCounters,
-    parallelism: Parallelism,
+    /// Exactly this many workers when set; otherwise as many of the
+    /// available cores as the planned work pays for.
+    parallelism: Option<Parallelism>,
     /// Cooperative per-query budget, shared by all morsel workers (its
     /// state is atomic): checked once per bucket, and charged a bucket's
     /// whole page range before the bucket is read.
     budget: Option<&'a QueryBudget>,
-    /// Every bucket's grade under `pred`, when the planner already
-    /// computed them; `open` classifies itself otherwise.
-    planned: Option<&'a [Grade]>,
+    /// Every bucket's grade under `pred` and the walk over them, when the
+    /// planner already computed them; `open` grades and walks itself
+    /// otherwise.
+    planned: Option<(&'a [Grade], GradeTally)>,
 }
 
 fn resolve<'a>(
@@ -306,17 +327,19 @@ impl<'a> SmaGAggr<'a> {
             results: Vec::new(),
             pos: 0,
             counters: ScanCounters::default(),
-            parallelism: Parallelism::default(),
+            parallelism: None,
             budget: None,
             planned: None,
         }
     }
 
-    /// Sets the number of worker threads `open` uses for the bucket loop
-    /// (default: one per available core). Results and counters are
-    /// identical at any setting.
+    /// Sets exactly how many worker threads `open` uses for the bucket
+    /// loop (at most one per bucket). Without it, the loop takes as many
+    /// of the available cores as its planned work pays for: one, on the
+    /// calling thread, up to [`CROSSOVER_NS`](crate::parallel::CROSSOVER_NS).
+    /// Results and counters are identical at any setting.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> SmaGAggr<'a> {
-        self.parallelism = parallelism;
+        self.parallelism = Some(parallelism);
         self
     }
 
@@ -330,10 +353,11 @@ impl<'a> SmaGAggr<'a> {
     }
 
     /// Reuses the planner's grades of `pred` — one per bucket, from
-    /// [`Classification::classify`] over the same table and SMA set — so
-    /// the query grades its buckets once.
-    pub(crate) fn with_grades(mut self, grades: &'a [Grade]) -> SmaGAggr<'a> {
-        self.planned = Some(grades);
+    /// [`Classification::classify`] over the same table and SMA set — and
+    /// its walk over them, so the query grades and counts its buckets
+    /// once.
+    pub(crate) fn with_grades(mut self, grades: &'a [Grade], tally: GradeTally) -> SmaGAggr<'a> {
+        self.planned = Some((grades, tally));
         self
     }
 
@@ -463,31 +487,20 @@ impl<'a> SmaGAggr<'a> {
             })
     }
 
-    /// Runs the bucket loop and returns the unfinished group states, so a
-    /// caller can fold more rows into them before [`finish_groups`]; the
-    /// counters are set as by `open`.
-    pub(crate) fn aggregate(&mut self) -> Result<Groups, ExecError> {
-        self.counters = ScanCounters::default();
-        let retries_at_open = self.table.io_stats().retried_reads;
+    /// The grades the loop runs on, one per bucket, and the walk over
+    /// them: the planner's, or one pass of its own; with no SMA every
+    /// bucket is ambivalent.
+    fn graded(&self) -> Result<(Cow<'a, [Grade]>, GradeTally), ExecError> {
         let n_buckets = self.table.bucket_count();
-        // Fig. 7: "forall bucket in buckets: switch(grade(bucket, pred))".
-        // The grades come from one pass — the planner's, or this one —
-        // before any worker starts; with no SMA every bucket is
-        // ambivalent. Buckets are independent (pages are disjoint), so the
-        // loop runs on worker threads over disjoint ranges that cover
-        // every bucket once; group states and counters merge
-        // commutatively, which keeps both the result rows and the counters
-        // identical to the serial loop.
-        let computed;
-        let grades = match (self.planned, &self.smas) {
-            (Some(grades), _) => grades,
-            (None, Some(s)) => {
-                computed = Classification::classify(&self.pred, n_buckets, s.set).grades;
-                &computed
-            }
-            (None, None) => {
-                computed = vec![Grade::Ambivalent; n_buckets as usize];
-                &computed
+        let (grades, tally) = match (self.planned, &self.smas) {
+            (Some((grades, tally)), _) => (Cow::Borrowed(grades), tally),
+            (None, smas) => {
+                let grades = match smas {
+                    Some(s) => Classification::classify(&self.pred, n_buckets, s.set).grades,
+                    None => vec![Grade::Ambivalent; n_buckets as usize],
+                };
+                let tally = GradeTally::of(&grades, self.table.bucket_pages());
+                (Cow::Owned(grades), tally)
             }
         };
         if grades.len() != n_buckets as usize {
@@ -496,18 +509,55 @@ impl<'a> SmaGAggr<'a> {
                 grades.len()
             )));
         }
-        // The pages the loop reads: every ambivalent bucket's (with no SMA,
-        // every bucket's). More than the pool holds, and the workers read
-        // past a full pool through frames of their own.
-        let ambivalent = grades.iter().filter(|&&g| g == Grade::Ambivalent).count();
-        let pages = ambivalent as u64 * u64::from(self.table.bucket_pages());
-        let private = pages > self.table.pool_capacity() as u64;
+        Ok((grades, tally))
+    }
+
+    /// The pages the loop reads: every ambivalent bucket's (with no SMA,
+    /// every bucket's).
+    fn planned_pages(&self, tally: &GradeTally) -> u64 {
+        tally.ambivalent * u64::from(self.table.bucket_pages())
+    }
+
+    /// One worker's time for the loop's planned reads and merges.
+    fn work_ns(&self, tally: &GradeTally) -> u64 {
+        self.planned_pages(tally)
+            .saturating_mul(PAGE_NS)
+            .saturating_add(tally.merges.saturating_mul(MERGE_NS))
+    }
+
+    /// One worker's time for the reads and merges the loop plans, priced
+    /// at [`PAGE_NS`] and [`MERGE_NS`]: what sizes its workers.
+    pub fn planned_ns(&self) -> Result<u64, ExecError> {
+        Ok(self.work_ns(&self.graded()?.1))
+    }
+
+    /// Runs the bucket loop and returns the unfinished group states, so a
+    /// caller can fold more rows into them before [`finish_groups`]; the
+    /// counters are set as by `open`.
+    pub(crate) fn aggregate(&mut self) -> Result<Groups, ExecError> {
+        self.counters = ScanCounters::default();
+        let retries_at_open = self.table.io_stats().retried_reads;
+        // Fig. 7: "forall bucket in buckets: switch(grade(bucket, pred))".
+        // The grades come from one pass — the planner's, or this one —
+        // before any worker starts. Buckets are independent (pages are
+        // disjoint), so the loop runs on worker threads over disjoint
+        // ranges that cover every bucket once; group states and counters
+        // merge commutatively, which keeps both the result rows and the
+        // counters identical to the serial loop.
+        let (grades, tally) = self.graded()?;
+        // More pages than the pool holds, and the workers read past a
+        // full pool through frames of their own.
+        let private = self.planned_pages(&tally) > self.table.pool_capacity() as u64;
+        let workers = match self.parallelism {
+            Some(p) => p.get(),
+            None => workers_for(self.work_ns(&tally), Parallelism::available().get()),
+        };
         let shared: &SmaGAggr<'_> = &*self;
         let partials = run_morsels(
-            n_buckets,
-            self.parallelism.get(),
+            self.table.bucket_count(),
+            workers,
             || shared.partial(private),
-            |partial, r| shared.process_buckets(partial, r, grades),
+            |partial, r| shared.process_buckets(partial, r, &grades),
         )?;
         let slot_keys = self.smas.as_ref().map_or(&[][..], |s| &s.slot_keys);
         let mut counters = ScanCounters::default();
@@ -1119,7 +1169,7 @@ mod tests {
                             .unwrap()
                             .with_parallelism(Parallelism::new(threads));
                         if let Some(g) = planned {
-                            op = op.with_grades(g);
+                            op = op.with_grades(g, GradeTally::of(g, t.bucket_pages()));
                         }
                         let rows = collect(&mut op).unwrap();
                         (rows, op.counters())
@@ -1141,7 +1191,7 @@ mod tests {
         let short = Classification::classify(&pred, 5, &healthy);
         let mut op = SmaGAggr::new(&t, pred, vec![1], specs(), &healthy)
             .unwrap()
-            .with_grades(&short.grades);
+            .with_grades(&short.grades, GradeTally::of(&short.grades, 1));
         assert!(matches!(op.open(), Err(ExecError::Plan(_))));
     }
 
@@ -1232,6 +1282,63 @@ mod tests {
         assert_eq!(Some(&rows), expected.as_ref());
         assert!(first > 0, "the ambivalent pages were not resident");
         assert_eq!(run(), (rows, 0), "the second run reads nothing");
+    }
+
+    /// The loop's body runs on the calling thread below the crossover and
+    /// on spawned workers above it. Query 1 over this table plans two
+    /// ambivalent pages and a few merges; the full scan plans all of its
+    /// pages, past the crossover. Both answer as they do on one worker.
+    #[test]
+    fn workers_start_only_above_the_crossover() {
+        use crate::parallel::{workers_for, CROSSOVER_NS};
+        use crate::query1::{cutoff, query1_query};
+        use sma_tpcd::{generate_lineitem_table, Clustering, GenConfig};
+        let t = generate_lineitem_table(&GenConfig {
+            orders: 5_000,
+            ..GenConfig::tiny(Clustering::SortedByShipdate)
+        });
+        let smas = SmaSet::build_query1_set(&t).unwrap();
+        let q = query1_query(&t, cutoff(90)).unwrap();
+        let q1 = || {
+            SmaGAggr::new(
+                &t,
+                q.pred.clone(),
+                q.group_by.clone(),
+                q.specs.clone(),
+                &smas,
+            )
+        };
+        let scan = || SmaGAggr::full_scan(&t, q.pred.clone(), q.group_by.clone(), q.specs.clone());
+        let caller = std::thread::current().id();
+        for (op, above) in [(q1().unwrap(), false), (scan(), true)] {
+            let planned = op.planned_ns().unwrap();
+            assert_eq!(planned > CROSSOVER_NS, above, "{planned} ns planned");
+            let threads = run_morsels(
+                t.bucket_count(),
+                workers_for(planned, 2),
+                Vec::new,
+                |ids, _| {
+                    ids.push(std::thread::current().id());
+                    Ok(())
+                },
+            )
+            .unwrap();
+            let ids: Vec<_> = threads.iter().flatten().collect();
+            if above {
+                assert_eq!(threads.len(), 2);
+                assert!(ids.iter().all(|&&id| id != caller));
+            } else {
+                assert_eq!(threads.len(), 1);
+                assert!(ids.iter().all(|&&id| id == caller));
+            }
+        }
+        let serial = |mut op: SmaGAggr<'_>| {
+            let sized = collect(&mut op).unwrap();
+            let mut one = op.with_parallelism(Parallelism::serial());
+            assert_eq!(collect(&mut one).unwrap(), sized);
+        };
+        serial(q1().unwrap());
+        serial(scan());
     }
 
     #[test]
