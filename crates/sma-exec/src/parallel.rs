@@ -75,7 +75,7 @@ impl Default for Parallelism {
 /// host saw two workers lose below about 300 planned pages, break even
 /// up to about 550 and win above; this is about 330 pages at
 /// [`PAGE_NS`](crate::sma_gaggr::PAGE_NS) (DESIGN.md §6). An empty
-/// two-worker loop starts and joins in about 70 µs there, but a second
+/// two-worker loop starts and joins in 50–84 µs there, but a second
 /// worker that wakes an idle core and starts on cold caches costs far
 /// more, so the crossover lies well above twice that start-up.
 pub const CROSSOVER_NS: u64 = 1_000_000;

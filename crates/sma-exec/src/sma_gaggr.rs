@@ -58,7 +58,7 @@ use crate::scan::ScanCounters;
 pub const PAGE_NS: u64 = 3_000;
 
 /// One worker's time to merge the SMA entries of one qualifying bucket or
-/// super-bucket into Query 1's group states: 0.37–0.77 µs in the same
+/// super-bucket into Query 1's group states: 0.33–0.77 µs in the same
 /// `e8` runs.
 pub const MERGE_NS: u64 = 500;
 
